@@ -333,11 +333,145 @@ impl fmt::Display for LinearHistogram {
     }
 }
 
+/// A log-bucketed histogram over `[lo, hi]` (`lo > 0`) with a fixed
+/// **relative** error: bucket edges grow geometrically by
+/// `γ = (1 + α)/(1 − α)`, and every percentile is reported as the point
+/// within `α` of both edges of its bucket — so it lies within `α` of the
+/// exact sample percentile, whether that is 3 µs or 3 s. Out-of-range
+/// samples clamp into the edge buckets.
+///
+/// The log-scale sibling of [`LinearHistogram`], used by the serving
+/// layer's latency metrics: a linear histogram fine enough for
+/// microsecond requests would need millions of bins to also hold a
+/// second-long stall; this one spans 1 µs to 60 s at 2% in ≈450 buckets.
+///
+/// # Example
+///
+/// ```
+/// use dirstats::LogHistogram;
+///
+/// let mut hist = LogHistogram::new(1.0, 1e6, 0.02)?;
+/// hist.extend([3.0, 40.0, 500.0, 6_000.0]);
+/// let p50 = hist.percentile(50.0).unwrap();
+/// assert!((p50 - 40.0).abs() <= 0.02 * 40.0);
+/// # Ok::<(), dirstats::DirStatsError>(())
+/// ```
+#[derive(Debug, Clone, PartialEq)]
+pub struct LogHistogram {
+    lo: f64,
+    hi: f64,
+    /// `ln γ`, the log-width of every bucket.
+    ln_gamma: f64,
+    /// `2γ/(γ + 1)`: bucket `i`'s reported value is `lo·γ^i` times this.
+    midpoint: f64,
+    counts: Vec<u64>,
+    total: u64,
+}
+
+impl LogHistogram {
+    /// Creates a histogram over `[lo, hi]` whose percentiles carry at most
+    /// `relative_error` relative error.
+    ///
+    /// # Errors
+    ///
+    /// Returns [`DirStatsError::InvalidParameter`] if `lo` is not finite
+    /// and positive, `hi` is not finite and above `lo`, or
+    /// `relative_error` is not in `(0, 1)`.
+    pub fn new(lo: f64, hi: f64, relative_error: f64) -> Result<Self, DirStatsError> {
+        if !(lo.is_finite() && lo > 0.0 && hi.is_finite() && hi > lo) {
+            return Err(DirStatsError::InvalidParameter {
+                name: "range",
+                value: hi - lo,
+            });
+        }
+        if !(relative_error > 0.0 && relative_error < 1.0) {
+            return Err(DirStatsError::InvalidParameter {
+                name: "relative_error",
+                value: relative_error,
+            });
+        }
+        let gamma = (1.0 + relative_error) / (1.0 - relative_error);
+        let ln_gamma = gamma.ln();
+        let buckets = ((hi / lo).ln() / ln_gamma).floor() as usize + 1;
+        Ok(Self {
+            lo,
+            hi,
+            ln_gamma,
+            midpoint: 2.0 * gamma / (gamma + 1.0),
+            counts: vec![0; buckets],
+            total: 0,
+        })
+    }
+
+    /// Adds one sample. Values below `lo` land in the first bucket, values
+    /// above `hi` in the last; NaN samples are ignored.
+    pub fn add(&mut self, value: f64) {
+        if value.is_nan() {
+            return;
+        }
+        let idx = self.bucket_index(value);
+        self.counts[idx] += 1;
+        self.total += 1;
+    }
+
+    /// The bucket a value falls into: bucket `i` covers
+    /// `[lo·γ^i, lo·γ^(i+1))`.
+    fn bucket_index(&self, value: f64) -> usize {
+        let clamped = value.clamp(self.lo, self.hi);
+        (((clamped / self.lo).ln() / self.ln_gamma) as usize).min(self.counts.len() - 1)
+    }
+
+    /// The value bucket `bucket` reports: within the relative error of
+    /// every value in the bucket (and never above `hi`).
+    fn bucket_value(&self, bucket: usize) -> f64 {
+        (self.lo * (self.ln_gamma * bucket as f64).exp() * self.midpoint).min(self.hi)
+    }
+
+    /// Total number of recorded samples.
+    #[must_use]
+    pub fn total(&self) -> u64 {
+        self.total
+    }
+
+    /// The `p`-th percentile (`0 < p <= 100`) by nearest rank: the reported
+    /// value of the bucket holding the `ceil(p/100 · total)`-th smallest
+    /// sample; `None` for an empty histogram (the same contract as
+    /// [`LinearHistogram::percentile`]).
+    ///
+    /// # Panics
+    ///
+    /// Panics if `p` is not in `(0, 100]`.
+    #[must_use]
+    pub fn percentile(&self, p: f64) -> Option<f64> {
+        assert!(p > 0.0 && p <= 100.0, "percentile {p} outside (0, 100]");
+        if self.total == 0 {
+            return None;
+        }
+        let rank = ((p / 100.0 * self.total as f64).ceil() as u64).max(1);
+        let mut cumulative = 0;
+        for (bucket, &count) in self.counts.iter().enumerate() {
+            cumulative += count;
+            if cumulative >= rank {
+                return Some(self.bucket_value(bucket));
+            }
+        }
+        Some(self.bucket_value(self.counts.len() - 1))
+    }
+}
+
+impl Extend<f64> for LogHistogram {
+    fn extend<T: IntoIterator<Item = f64>>(&mut self, iter: T) {
+        for value in iter {
+            self.add(value);
+        }
+    }
+}
+
 #[cfg(test)]
 mod tests {
     use super::*;
     use crate::VonMises;
-    use rand::{rngs::StdRng, SeedableRng};
+    use rand::{rngs::StdRng, Rng, SeedableRng};
 
     #[test]
     fn rejects_zero_bins() {
@@ -475,5 +609,58 @@ mod tests {
         let text = h.to_string();
         assert_eq!(text.lines().count(), 4);
         assert!(text.contains('#'));
+    }
+
+    #[test]
+    fn log_rejects_degenerate_parameters() {
+        assert!(LogHistogram::new(0.0, 1.0, 0.02).is_err());
+        assert!(LogHistogram::new(1.0, 1.0, 0.02).is_err());
+        assert!(LogHistogram::new(1.0, f64::INFINITY, 0.02).is_err());
+        assert!(LogHistogram::new(1.0, 10.0, 0.0).is_err());
+        assert!(LogHistogram::new(1.0, 10.0, 1.0).is_err());
+    }
+
+    #[test]
+    fn log_percentiles_stay_within_three_percent_of_exact() {
+        // Log-uniform samples over seven decades, every percentile checked
+        // against the exact nearest-rank sample percentile.
+        let mut r = StdRng::seed_from_u64(41);
+        let mut h = LogHistogram::new(1.0, 6e7, 0.02).unwrap();
+        assert_eq!(h.percentile(50.0), None);
+        let mut samples: Vec<f64> = (0..20_000)
+            .map(|_| 10f64.powf(r.random_range(0.0..7.0)))
+            .collect();
+        h.extend(samples.iter().copied());
+        h.add(f64::NAN);
+        assert_eq!(h.total(), 20_000);
+        samples.sort_by(f64::total_cmp);
+        for p in [
+            0.1, 1.0, 10.0, 25.0, 50.0, 75.0, 90.0, 95.0, 99.0, 99.9, 100.0,
+        ] {
+            let rank = ((p / 100.0 * samples.len() as f64).ceil() as usize).max(1);
+            let exact = samples[rank - 1];
+            let estimate = h.percentile(p).unwrap();
+            let error = (estimate - exact).abs() / exact;
+            assert!(
+                error <= 0.03,
+                "p{p}: {estimate} vs exact {exact} ({error:.4})"
+            );
+        }
+        // Every bucket's reported value is within the bound of its edges.
+        for bucket in 0..h.counts.len() - 1 {
+            let edge = (h.ln_gamma * bucket as f64).exp();
+            let value = h.bucket_value(bucket);
+            assert!((value - edge).abs() / edge <= 0.02 + 1e-12);
+        }
+    }
+
+    #[test]
+    fn log_clamps_out_of_range_samples() {
+        let mut h = LogHistogram::new(10.0, 1_000.0, 0.02).unwrap();
+        h.extend([0.5, 5_000.0]);
+        assert_eq!(h.bucket_index(0.5), 0);
+        assert_eq!(h.bucket_index(5_000.0), h.counts.len() - 1);
+        assert!((h.percentile(50.0).unwrap() - 10.0).abs() <= 0.2);
+        assert!(h.percentile(100.0).unwrap() <= 1_000.0);
     }
 }

@@ -18,8 +18,10 @@
 //!   (Jammalamadaka–SenGupta) association measures,
 //! * [`uniformity`] — the Rayleigh test,
 //! * [`CircularHistogram`] — binned summaries of angle samples,
-//! * [`LinearHistogram`] — its bounded-range linear sibling (batch-size and
-//!   latency distributions in the serving layer's metrics).
+//! * [`LinearHistogram`] — its bounded-range linear sibling (batch-size
+//!   distributions in the serving layer's metrics),
+//! * [`LogHistogram`] — log-bucketed with a fixed relative error (latency
+//!   distributions in the serving layer's metrics).
 //!
 //! # Example
 //!
@@ -50,7 +52,7 @@ mod von_mises;
 mod wrapped_cauchy;
 
 pub use error::DirStatsError;
-pub use histogram::{CircularHistogram, LinearHistogram};
+pub use histogram::{CircularHistogram, LinearHistogram, LogHistogram};
 pub use normal::Normal;
 pub use von_mises::VonMises;
 pub use wrapped_cauchy::WrappedCauchy;

@@ -21,8 +21,9 @@ use rand::Rng;
 ///
 /// All randomness is drawn up front (endpoints, then filters, in span
 /// order); the per-level interpolation is a pure function of that material,
-/// so the levels are computed on the scoped worker pool and the output is
-/// bit-identical to a serial pass for any thread count.
+/// so the levels are computed on the scoped worker pool (when the set is
+/// large enough to pay for the fork) and the output is bit-identical to a
+/// serial pass for any thread count.
 ///
 /// Assumes `m >= 2`, `dim >= 1` and `r ∈ [0, 1]` (validated by the public
 /// constructors that call this).
@@ -53,16 +54,11 @@ pub(crate) fn spanned_levels(
         let tau = 1.0 - within / n;
         interpolate(&endpoints[span], &endpoints[span + 1], &filters[span], tau)
     };
-    // Interpolation costs O(dim) per level; forking scoped workers costs
-    // tens of microseconds each. Only fan out when the total bit-work
-    // clearly exceeds that overhead — small sets (a typical m=24 encoder
-    // basis) stay serial and large paper-scale sweeps parallelize.
-    const PARALLEL_BIT_WORK: usize = 1 << 21;
-    if m.saturating_mul(dim) < PARALLEL_BIT_WORK {
-        (0..m).map(level).collect()
-    } else {
-        minipool::par_generate(m, level)
-    }
+    // Interpolation picks every bit through a closure (≈14 ns a bit), so a
+    // packed word of a level costs about a thousand Hamming words.
+    const INTERPOLATE_WORD_OPS: usize = 1_000;
+    let work = m * dim.div_ceil(64) * INTERPOLATE_WORD_OPS;
+    minipool::par_generate(m, work, level)
 }
 
 /// One step of Algorithm 1: bit `∂` comes from `first` when

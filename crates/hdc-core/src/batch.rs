@@ -10,10 +10,10 @@
 //! type, so batched pipelines encode, bind and compare without a heap
 //! allocation per sample and with cache-friendly sequential access.
 //!
-//! [`HypervectorBatch::chunks_mut`] splits the arena into disjoint
-//! contiguous row blocks, which is what the workspace's parallel helpers
-//! fan out over (each worker owns one block; results are bit-identical to
-//! the serial loop).
+//! [`HypervectorBatch::rows_mut`] hands out disjoint exclusive row views,
+//! which is what the workspace's parallel helpers fan out over (each worker
+//! owns a contiguous run of rows; results are bit-identical to the serial
+//! loop).
 //!
 //! ```
 //! use hdc_core::{BinaryHypervector, HypervectorBatch};
@@ -189,6 +189,16 @@ impl<'a> HvMut<'a> {
     #[must_use]
     pub fn dim(&self) -> usize {
         self.dim
+    }
+
+    /// Reborrows as a shorter-lived exclusive view: how a worker holding a
+    /// `&mut HvMut` passes the row to an API that takes it by value.
+    #[must_use]
+    pub fn reborrow(&mut self) -> HvMut<'_> {
+        HvMut {
+            dim: self.dim,
+            words: self.words,
+        }
     }
 
     /// Reborrows as a read-only view.
@@ -482,26 +492,14 @@ impl HypervectorBatch {
         self.rows().map(|row| row.to_hypervector()).collect()
     }
 
-    /// Splits the arena into disjoint blocks of at most `rows_per_chunk`
-    /// consecutive rows, each independently mutable — the hand-off point to
-    /// scoped worker threads (every [`BatchChunkMut`] is `Send`).
-    ///
-    /// # Panics
-    ///
-    /// Panics if `rows_per_chunk == 0`.
-    pub fn chunks_mut(&mut self, rows_per_chunk: usize) -> impl Iterator<Item = BatchChunkMut<'_>> {
-        assert!(rows_per_chunk > 0, "rows_per_chunk must be at least 1");
+    /// Iterates over all rows as exclusive views, in order. Collected into
+    /// a `Vec`, the rows are the hand-off point to scoped worker threads
+    /// (every [`HvMut`] is `Send`, and the views are disjoint).
+    pub fn rows_mut(&mut self) -> impl ExactSizeIterator<Item = HvMut<'_>> {
         let dim = self.dim;
-        let words_per_row = self.words_per_row;
         self.words
-            .chunks_mut(rows_per_chunk * words_per_row)
-            .enumerate()
-            .map(move |(chunk_index, words)| BatchChunkMut {
-                dim,
-                words_per_row,
-                first_row: chunk_index * rows_per_chunk,
-                words,
-            })
+            .chunks_exact_mut(self.words_per_row)
+            .map(move |words| HvMut { dim, words })
     }
 
     /// Removes every row while keeping the arena's allocation, so the batch
@@ -531,51 +529,9 @@ impl HypervectorBatch {
 
     /// Runs `f(row_index, row)` over every row, serially and in order.
     pub fn fill_rows(&mut self, mut f: impl FnMut(usize, HvMut<'_>)) {
-        let dim = self.dim;
-        for (index, words) in self.words.chunks_exact_mut(self.words_per_row).enumerate() {
-            f(index, HvMut { dim, words });
+        for (index, row) in self.rows_mut().enumerate() {
+            f(index, row);
         }
-    }
-}
-
-/// A block of consecutive rows carved out of a [`HypervectorBatch`] by
-/// [`chunks_mut`](HypervectorBatch::chunks_mut); knows its absolute starting
-/// row so workers can index global inputs.
-#[derive(Debug)]
-pub struct BatchChunkMut<'a> {
-    dim: usize,
-    words_per_row: usize,
-    first_row: usize,
-    words: &'a mut [u64],
-}
-
-impl BatchChunkMut<'_> {
-    /// Absolute index (in the parent batch) of this block's first row.
-    #[must_use]
-    pub fn first_row(&self) -> usize {
-        self.first_row
-    }
-
-    /// Number of rows in this block.
-    #[must_use]
-    pub fn len(&self) -> usize {
-        self.words.len() / self.words_per_row
-    }
-
-    /// `true` if the block holds no rows (never produced by `chunks_mut`).
-    #[must_use]
-    pub fn is_empty(&self) -> bool {
-        self.words.is_empty()
-    }
-
-    /// Iterates over `(absolute_row_index, mutable_row_view)` pairs.
-    pub fn rows_mut(&mut self) -> impl Iterator<Item = (usize, HvMut<'_>)> {
-        let dim = self.dim;
-        let first_row = self.first_row;
-        self.words
-            .chunks_exact_mut(self.words_per_row)
-            .enumerate()
-            .map(move |(offset, words)| (first_row + offset, HvMut { dim, words }))
     }
 }
 
@@ -680,21 +636,19 @@ mod tests {
     }
 
     #[test]
-    fn chunks_cover_all_rows_once() {
+    fn rows_mut_cover_all_rows_once() {
         let mut r = rng();
         let items: Vec<_> = (0..11)
             .map(|_| BinaryHypervector::random(200, &mut r))
             .collect();
         let mut batch = HypervectorBatch::zeros(200, 11);
-        let mut visited = [0u32; 11];
-        for mut chunk in batch.chunks_mut(4) {
-            assert!(chunk.len() <= 4 && !chunk.is_empty());
-            for (row_index, mut row) in chunk.rows_mut() {
-                visited[row_index] += 1;
-                row.copy_from(items[row_index].view());
-            }
+        let mut rows: Vec<HvMut<'_>> = batch.rows_mut().collect();
+        assert_eq!(rows.len(), 11);
+        // Disjoint views: each can be written independently (as scoped
+        // workers do), through a reborrow.
+        for (row_index, row) in rows.iter_mut().enumerate().rev() {
+            row.reborrow().copy_from(items[row_index].view());
         }
-        assert!(visited.iter().all(|&v| v == 1));
         assert_eq!(batch.to_vectors(), items);
     }
 
@@ -781,6 +735,5 @@ mod tests {
         assert_send_sync::<HypervectorBatch>();
         assert_send_sync::<HvRef<'_>>();
         assert_send::<HvMut<'_>>();
-        assert_send::<BatchChunkMut<'_>>();
     }
 }

@@ -62,7 +62,7 @@ pub mod ops;
 pub mod similarity;
 
 pub use accumulator::{MajorityAccumulator, TieBreak};
-pub use batch::{BatchChunkMut, HvMut, HvRef, HypervectorBatch};
+pub use batch::{HvMut, HvRef, HypervectorBatch};
 pub use binary::{BinaryHypervector, Bits};
 pub use bipolar::{BipolarAccumulator, BipolarHypervector};
 pub use error::HdcError;

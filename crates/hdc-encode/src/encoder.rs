@@ -13,8 +13,10 @@
 //!
 //! The default [`encode_batch`](Encoder::encode_batch) writes each row of a
 //! contiguous [`HypervectorBatch`] arena, fanning the rows out across
-//! scoped worker threads (`minipool`). Rows are independent, so the batched
-//! result is **bit-identical** to encoding samples one at a time.
+//! scoped worker threads (`minipool`) when the batch's estimated work
+//! ([`row_word_ops`](Encoder::row_word_ops) per row) pays for the fork.
+//! Rows are independent, so the batched result is **bit-identical** to
+//! encoding samples one at a time.
 
 use hdc_core::{BinaryHypervector, HvMut, HypervectorBatch};
 
@@ -97,8 +99,17 @@ pub trait Encoder<Input: ?Sized> {
         BinaryHypervector::from_words(dim, words)
     }
 
+    /// Estimated cost of encoding one input, in the word-ops `minipool`'s
+    /// fork rule counts (one word-op ≈ one 64-bit word copied or compared).
+    /// The default is a table lookup plus a row copy; encoders that bundle
+    /// several hypervectors per input override it.
+    fn row_word_ops(&self) -> usize {
+        self.dim().div_ceil(64)
+    }
+
     /// Encodes a batch of inputs into one contiguous arena, one row per
-    /// input in order, parallelized across the available cores.
+    /// input in order, forking across the available cores when the batch's
+    /// [`row_word_ops`](Self::row_word_ops) total pays for it.
     ///
     /// Bit-identical to calling [`encode_into`](Self::encode_into) per
     /// sample: each worker owns a disjoint block of rows and rows carry no
@@ -110,22 +121,10 @@ pub trait Encoder<Input: ?Sized> {
         Self: Sync,
     {
         let refs: Vec<&Input> = inputs.into_iter().collect();
+        let work = refs.len() * self.row_word_ops();
         let mut batch = HypervectorBatch::zeros(self.dim(), refs.len());
-        if refs.is_empty() {
-            return batch;
-        }
-        // Below the fan-out threshold one chunk covers everything, so the
-        // fill below runs on the caller thread with no spawn overhead.
-        let rows_per_chunk = if refs.len() < minipool::MIN_PARALLEL_ITEMS {
-            refs.len()
-        } else {
-            refs.len().div_ceil(minipool::max_threads())
-        };
-        let mut chunks: Vec<_> = batch.chunks_mut(rows_per_chunk).collect();
-        minipool::par_fill_indexed(&mut chunks, |_, chunk| {
-            for (row_index, row) in chunk.rows_mut() {
-                self.encode_into(refs[row_index], row);
-            }
+        minipool::par_fill_indexed(&mut batch.rows_mut().collect::<Vec<_>>(), work, |i, row| {
+            self.encode_into(refs[i], row.reborrow());
         });
         batch
     }

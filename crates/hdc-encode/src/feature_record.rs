@@ -199,6 +199,11 @@ impl Encoder<[f64]> for FeatureRecordEncoder {
         self.keys[0].dim()
     }
 
+    /// One bind and one accumulate per field.
+    fn row_word_ops(&self) -> usize {
+        self.dim().div_ceil(64) * self.keys.len() * kernels::ACCUMULATE_WORD_OPS
+    }
+
     /// # Panics
     ///
     /// Panics if `input.len()` differs from the number of fields or a

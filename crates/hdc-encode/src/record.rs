@@ -137,6 +137,11 @@ impl Encoder<[BinaryHypervector]> for RecordEncoder {
         self.keys[0].dim()
     }
 
+    /// One bind and one accumulate per field.
+    fn row_word_ops(&self) -> usize {
+        self.dim().div_ceil(64) * self.keys.len() * kernels::ACCUMULATE_WORD_OPS
+    }
+
     /// Allocation-free: each bound pair `Kᵢ ⊗ Vᵢ` is XORed into a reusable
     /// per-thread word buffer, accumulated into reusable majority counters,
     /// and the vote is resolved straight into the output row.

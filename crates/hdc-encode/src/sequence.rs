@@ -132,6 +132,12 @@ impl Encoder<[usize]> for SequenceEncoder {
         self.symbols.dim()
     }
 
+    /// One rotate and one accumulate per symbol; the length is per input,
+    /// so this counts one symbol — a lower bound.
+    fn row_word_ops(&self) -> usize {
+        self.dim().div_ceil(64) * kernels::ACCUMULATE_WORD_OPS
+    }
+
     /// Allocation-free: each symbol hypervector is rotated into a reusable
     /// per-thread word buffer (`kernels::permute_into`), accumulated into
     /// reusable majority counters, and the vote is resolved straight into

@@ -1,5 +1,5 @@
 use hdc_core::{
-    BinaryHypervector, HdcError, HvRef, HypervectorBatch, MajorityAccumulator, TieBreak,
+    kernels, BinaryHypervector, HdcError, HvRef, HypervectorBatch, MajorityAccumulator, TieBreak,
 };
 use rand::Rng;
 
@@ -172,12 +172,12 @@ impl CentroidTrainer {
         &self.accumulators[label]
     }
 
-    /// Adds a whole batch of encoded samples in one parallel pass: the rows
-    /// are partitioned across the worker pool, each worker accumulates into
-    /// private per-class partial accumulators, and the partials are merged
-    /// in row order. Because counter addition commutes, the resulting
-    /// accumulator state is **bit-identical** to observing the samples one
-    /// by one.
+    /// Adds a whole batch of encoded samples in one pass. When the batch is
+    /// large enough to fork, the rows are partitioned across the worker
+    /// pool, each worker accumulates into private per-class partial
+    /// accumulators, and the partials are merged in row order. Because
+    /// counter addition commutes, the resulting accumulator state is
+    /// **bit-identical** to observing the samples one by one.
     ///
     /// # Errors
     ///
@@ -211,14 +211,11 @@ impl CentroidTrainer {
             dim,
             batch.dim()
         );
-        // Forking pays a per-worker set of `classes` full accumulators plus
-        // an O(workers · classes · dim) zero-init and merge, so it only
-        // wins when the per-row work clearly exceeds that overhead —
-        // roughly rows > workers · classes. Below that — or with a single
-        // worker — accumulate straight into the trainer (same counter
-        // arithmetic, so still bit-identical).
-        let workers = minipool::max_threads();
-        if workers <= 1 || batch.len() < workers.saturating_mul(classes.max(4)) {
+        // A forked call gives each worker its own `classes` partial
+        // accumulators; on the calling thread, accumulate straight into the
+        // trainer instead (same counter arithmetic, so still bit-identical).
+        let work = batch.len() * batch.words_per_row() * kernels::ACCUMULATE_WORD_OPS;
+        if minipool::workers(batch.len(), work) == 1 {
             for (i, &label) in labels.iter().enumerate() {
                 self.accumulators[label].push_row(batch.row(i));
                 self.counts[label] += 1;
@@ -227,6 +224,7 @@ impl CentroidTrainer {
         }
         let partials = minipool::par_fold_ranges(
             batch.len(),
+            work,
             |range| {
                 let mut accumulators: Vec<MajorityAccumulator> = (0..classes)
                     .map(|_| MajorityAccumulator::new(dim))
@@ -382,6 +380,13 @@ impl CentroidClassifier {
         &self.class_vectors[label]
     }
 
+    /// Estimated cost of classifying one row, in the word-ops `minipool`'s
+    /// fork rule counts: one Hamming walk per class-vector.
+    #[must_use]
+    pub fn row_word_ops(&self) -> usize {
+        self.class_vectors[0].as_words().len() * self.class_vectors.len()
+    }
+
     /// Predicts the label of an encoded query: `argmin_i δ(φ(x̂), Mᵢ)`.
     ///
     /// # Panics
@@ -426,40 +431,36 @@ impl CentroidClassifier {
         queries.into_iter().map(|q| self.predict(q)).collect()
     }
 
-    /// Classifies a slice of queries in parallel across the worker pool.
-    /// Queries are independent, so the labels are bit-identical to (and in
-    /// the same order as) the serial [`predict_batch`](Self::predict_batch).
+    /// Classifies a slice of queries, forking across the worker pool when
+    /// the batch pays for it. Queries are independent, so the labels are
+    /// bit-identical to (and in the same order as) the serial
+    /// [`predict_batch`](Self::predict_batch).
     ///
     /// # Panics
     ///
     /// Panics if any query's dimensionality differs from the model's.
     #[must_use]
     pub fn predict_batch_par(&self, queries: &[BinaryHypervector]) -> Vec<usize> {
-        if queries.len() < minipool::MIN_PARALLEL_ITEMS {
-            return self.predict_batch(queries);
-        }
-        minipool::par_map_indexed(queries, |_, q| self.predict(q))
+        let work = queries.len() * self.row_word_ops();
+        minipool::par_map_indexed(queries, work, |_, q| self.predict(q))
     }
 
-    /// Classifies every row of a contiguous [`HypervectorBatch`] in
-    /// parallel — the allocation-free end of the batched inference path
-    /// (rows are compared against the class-vectors through borrowed
-    /// views).
+    /// Classifies every row of a contiguous [`HypervectorBatch`], forking
+    /// across the worker pool when the batch pays for it — the
+    /// allocation-free end of the batched inference path (rows are compared
+    /// against the class-vectors through borrowed views).
     ///
     /// # Panics
     ///
     /// Panics if the batch's dimensionality differs from the model's.
     #[must_use]
     pub fn predict_rows(&self, batch: &HypervectorBatch) -> Vec<usize> {
-        let row_label = |i: usize| {
+        let work = batch.len() * self.row_word_ops();
+        minipool::par_generate(batch.len(), work, |i| {
             hdc_core::similarity::nearest_to_row(batch.row(i), &self.class_vectors)
                 .expect("classifier always holds at least one class-vector")
                 .0
-        };
-        if batch.len() < minipool::MIN_PARALLEL_ITEMS {
-            return (0..batch.len()).map(row_label).collect();
-        }
-        minipool::par_generate(batch.len(), row_label)
+        })
     }
 }
 

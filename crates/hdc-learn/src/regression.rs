@@ -153,11 +153,12 @@ impl RegressionTrainer {
         self.observed += 1;
     }
 
-    /// Adds a whole batch of `(encoded sample, label)` pairs in one parallel
-    /// pass: rows are partitioned across the worker pool, each worker binds
-    /// and accumulates into a private partial accumulator, and the partials
-    /// are merged in row order. Counter addition commutes, so the resulting
-    /// state is **bit-identical** to observing the pairs one by one.
+    /// Adds a whole batch of `(encoded sample, label)` pairs in one pass.
+    /// When the batch is large enough to fork, rows are partitioned across
+    /// the worker pool, each worker binds and accumulates into a private
+    /// partial accumulator, and the partials are merged in row order.
+    /// Counter addition commutes, so the resulting state is
+    /// **bit-identical** to observing the pairs one by one.
     ///
     /// # Errors
     ///
@@ -190,11 +191,11 @@ impl RegressionTrainer {
             dim,
             batch.dim()
         );
-        // Forking pays a per-worker accumulator plus an O(workers · dim)
-        // zero-init and merge; below that, binding straight into the
-        // trainer does the same counter arithmetic (still bit-identical).
-        let workers = minipool::max_threads();
-        if workers <= 1 || batch.len() < workers.max(minipool::MIN_PARALLEL_ITEMS) {
+        // A forked call gives each worker its own partial accumulator; on
+        // the calling thread, bind straight into the trainer instead (same
+        // counter arithmetic, so still bit-identical).
+        let work = batch.len() * batch.words_per_row() * kernels::ACCUMULATE_WORD_OPS;
+        if minipool::workers(batch.len(), work) == 1 {
             for (i, &label) in labels.iter().enumerate() {
                 self.observe_row(batch.row(i), label);
             }
@@ -203,6 +204,7 @@ impl RegressionTrainer {
         let label_encoder = &self.label_encoder;
         let partial = minipool::par_fold_ranges(
             batch.len(),
+            work,
             |range| {
                 let mut acc = MajorityAccumulator::new(dim);
                 let mut words = vec![0u64; dim.div_ceil(64)];
@@ -624,6 +626,14 @@ impl RegressionModel {
         &self.label_encoder
     }
 
+    /// Estimated cost of predicting one row, in the word-ops `minipool`'s
+    /// fork rule counts: one walk per label level (the pruned integer
+    /// readout measures close to that; the full walk costs more).
+    #[must_use]
+    pub fn row_word_ops(&self) -> usize {
+        self.label_encoder.dim().div_ceil(64) * self.label_encoder.hypervectors().len()
+    }
+
     /// Predicts the label of an encoded query:
     /// `φ_ℓ⁻¹(argmin_L δ(M ⊗ φ(x̂), L))`, with the distance evaluated
     /// against the binarized or integer model depending on the readout.
@@ -867,9 +877,9 @@ impl RegressionModel {
         queries.into_iter().map(|q| self.predict(q)).collect()
     }
 
-    /// Predicts a slice of queries in parallel across the worker pool.
-    /// Queries are independent, so the predictions are bit-identical to
-    /// (and in the same order as) the serial
+    /// Predicts a slice of queries, forking across the worker pool when the
+    /// batch pays for it. Queries are independent, so the predictions are
+    /// bit-identical to (and in the same order as) the serial
     /// [`predict_batch`](Self::predict_batch).
     ///
     /// # Panics
@@ -877,24 +887,20 @@ impl RegressionModel {
     /// Panics if any query's dimensionality differs from the model's.
     #[must_use]
     pub fn predict_batch_par(&self, queries: &[BinaryHypervector]) -> Vec<f64> {
-        if queries.len() < minipool::MIN_PARALLEL_ITEMS {
-            return self.predict_batch(queries);
-        }
-        minipool::par_map_indexed(queries, |_, q| self.predict(q))
+        let work = queries.len() * self.row_word_ops();
+        minipool::par_map_indexed(queries, work, |_, q| self.predict(q))
     }
 
-    /// Predicts every row of a contiguous [`HypervectorBatch`](hdc_core::HypervectorBatch)
-    /// in parallel.
+    /// Predicts every row of a contiguous [`HypervectorBatch`](hdc_core::HypervectorBatch),
+    /// forking across the worker pool when the batch pays for it.
     ///
     /// # Panics
     ///
     /// Panics if the batch's dimensionality differs from the model's.
     #[must_use]
     pub fn predict_rows(&self, batch: &hdc_core::HypervectorBatch) -> Vec<f64> {
-        if batch.len() < minipool::MIN_PARALLEL_ITEMS {
-            return batch.rows().map(|row| self.predict_row(row)).collect();
-        }
-        minipool::par_generate(batch.len(), |i| self.predict_row(batch.row(i)))
+        let work = batch.len() * self.row_word_ops();
+        minipool::par_generate(batch.len(), work, |i| self.predict_row(batch.row(i)))
     }
 }
 

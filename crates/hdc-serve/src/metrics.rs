@@ -2,8 +2,9 @@
 //! and latency distributions of the micro-batching runtime.
 //!
 //! [`ServeMetrics`] is the live, shared instrument — lock-free counters for
-//! the hot path plus two [`dirstats::LinearHistogram`]s behind one mutex
-//! that is only taken once per *batch*, not per request. A
+//! the hot path plus a batch-size [`dirstats::LinearHistogram`] and a
+//! latency [`dirstats::LogHistogram`] behind one mutex that is only taken
+//! once per *batch*, not per request. A
 //! [`MetricsSnapshot`] is the plain-data copy exported through
 //! [`RuntimeStats`](crate::RuntimeStats) and the wire protocol's `stats`
 //! operation.
@@ -12,14 +13,15 @@ use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::Mutex;
 use std::time::{Duration, Instant};
 
-use dirstats::LinearHistogram;
+use dirstats::{LinearHistogram, LogHistogram};
 
-/// Upper bound (µs) of the latency histogram; slower requests clamp into
-/// the top bin. 100 ms is far beyond any healthy micro-batch wait.
-const LATENCY_RANGE_US: f64 = 100_000.0;
+/// Latency histogram range (µs): 1 µs to 60 s; slower requests clamp into
+/// the top bucket.
+const LATENCY_MIN_US: f64 = 1.0;
+const LATENCY_MAX_US: f64 = 60_000_000.0;
 
-/// Number of latency bins (400 µs resolution over the 100 ms range).
-const LATENCY_BINS: usize = 250;
+/// Relative error of the reported latency percentiles (log buckets).
+const LATENCY_RELATIVE_ERROR: f64 = 0.02;
 
 /// Live counters and histograms of one serving runtime, shared between the
 /// ingestion handles (enqueue side) and the dispatcher (dequeue/serve side).
@@ -38,7 +40,7 @@ pub struct ServeMetrics {
 #[derive(Debug)]
 struct Histograms {
     batch_sizes: LinearHistogram,
-    latency_us: LinearHistogram,
+    latency_us: LogHistogram,
 }
 
 impl ServeMetrics {
@@ -60,8 +62,12 @@ impl ServeMetrics {
             histograms: Mutex::new(Histograms {
                 batch_sizes: LinearHistogram::new(0.0, top, bins)
                     .expect("max_batch >= 1 yields a valid range"),
-                latency_us: LinearHistogram::new(0.0, LATENCY_RANGE_US, LATENCY_BINS)
-                    .expect("constant range is valid"),
+                latency_us: LogHistogram::new(
+                    LATENCY_MIN_US,
+                    LATENCY_MAX_US,
+                    LATENCY_RELATIVE_ERROR,
+                )
+                .expect("constant range is valid"),
             }),
         }
     }
@@ -199,11 +205,29 @@ mod tests {
         assert!((snapshot.mean_batch_size - 2.0).abs() < 1e-12);
         assert_eq!(snapshot.batch_sizes.iter().sum::<u64>(), 2);
         assert!(snapshot.latency_us_p50 > 0.0);
-        // The 90-second outlier clamps into the top bin instead of skewing
-        // the range.
-        assert!(snapshot.latency_us_p99 <= LATENCY_RANGE_US);
+        // The 90-second outlier clamps into the top bucket.
+        assert!(snapshot.latency_us_p99 <= LATENCY_MAX_US);
         assert!(snapshot.latency_us_p50 <= snapshot.latency_us_p95);
         assert!(snapshot.latency_us_p95 <= snapshot.latency_us_p99);
+    }
+
+    #[test]
+    fn latency_percentiles_resolve_microseconds() {
+        // 10..=1000 µs: every reported percentile lies within 3% of the
+        // exact one (400 µs linear bins reported p50 = 400 here).
+        let metrics = ServeMetrics::new(64);
+        metrics.record_batch(100, (1..=100).map(|i| Duration::from_micros(10 * i)));
+        let snapshot = metrics.snapshot();
+        for (reported, exact) in [
+            (snapshot.latency_us_p50, 500.0),
+            (snapshot.latency_us_p95, 950.0),
+            (snapshot.latency_us_p99, 990.0),
+        ] {
+            assert!(
+                (reported - exact).abs() <= 0.03 * exact,
+                "{reported} vs {exact}"
+            );
+        }
     }
 
     #[test]

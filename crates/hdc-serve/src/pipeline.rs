@@ -23,8 +23,9 @@ use rand::{rngs::StdRng, SeedableRng};
 use crate::snapshot::Snapshot;
 use crate::spec::{Basis, EncSpec, PipelineSpec, SpecInput, Task};
 
-/// Object-safe seam over [`hdc_encode::Encoder`]: the two methods a
-/// [`Model`] needs (`dim`, in-place `encode_into`), without the generic
+/// Object-safe seam over [`hdc_encode::Encoder`]: the three methods a
+/// [`Model`] needs (`dim`, in-place `encode_into`, and the per-row work
+/// estimate the batched fan-out forks on), without the generic
 /// `encode_batch` that keeps the full trait from being boxed. Every
 /// `Encoder<X> + Send + Sync + Debug` implements it via the blanket impl,
 /// so `Box<dyn DynEncoder<X>>` erases the concrete encoder type while the
@@ -35,6 +36,10 @@ pub trait DynEncoder<X: ?Sized>: Send + Sync + fmt::Debug {
 
     /// Encodes `input` into the provided row, overwriting its contents.
     fn encode_into(&self, input: &X, out: HvMut<'_>);
+
+    /// Estimated word-ops to encode one input (see
+    /// [`hdc_encode::Encoder::row_word_ops`]).
+    fn row_word_ops(&self) -> usize;
 }
 
 impl<X: ?Sized, E> DynEncoder<X> for E
@@ -47,6 +52,10 @@ where
 
     fn encode_into(&self, input: &X, out: HvMut<'_>) {
         Encoder::encode_into(self, input, out);
+    }
+
+    fn row_word_ops(&self) -> usize {
+        Encoder::row_word_ops(self)
     }
 }
 
@@ -620,8 +629,9 @@ impl<X: ?Sized + Sync> Model<X> {
     }
 
     /// Encodes a batch of samples into one contiguous arena, one row per
-    /// input in order, parallelized across the worker pool — bit-identical
-    /// to per-sample [`encode`](Self::encode) (rows are independent).
+    /// input in order, forking across the worker pool when the batch pays
+    /// for it — bit-identical to per-sample [`encode`](Self::encode) (rows
+    /// are independent).
     pub fn encode_batch<'a, I>(&self, inputs: I) -> HypervectorBatch
     where
         I: IntoIterator<Item = &'a X>,
@@ -631,25 +641,15 @@ impl<X: ?Sized + Sync> Model<X> {
         self.encode_refs(&refs)
     }
 
-    /// The shared parallel arena fill behind [`encode_batch`](Self::encode_batch):
+    /// The shared arena fill behind [`encode_batch`](Self::encode_batch):
     /// callers that must validate input counts first (against labels)
     /// collect the refs themselves, so validation failures cost nothing.
     fn encode_refs(&self, refs: &[&X]) -> HypervectorBatch {
-        let mut batch = HypervectorBatch::zeros(self.spec.dim, refs.len());
-        if refs.is_empty() {
-            return batch;
-        }
-        let rows_per_chunk = if refs.len() < minipool::MIN_PARALLEL_ITEMS {
-            refs.len()
-        } else {
-            refs.len().div_ceil(minipool::max_threads())
-        };
         let encoder = self.encoder.as_ref();
-        let mut chunks: Vec<_> = batch.chunks_mut(rows_per_chunk).collect();
-        minipool::par_fill_indexed(&mut chunks, |_, chunk| {
-            for (row_index, row) in chunk.rows_mut() {
-                encoder.encode_into(refs[row_index], row);
-            }
+        let work = refs.len() * encoder.row_word_ops();
+        let mut batch = HypervectorBatch::zeros(self.spec.dim, refs.len());
+        minipool::par_fill_indexed(&mut batch.rows_mut().collect::<Vec<_>>(), work, |i, row| {
+            encoder.encode_into(refs[i], row.reborrow());
         });
         batch
     }

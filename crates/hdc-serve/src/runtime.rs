@@ -660,6 +660,10 @@ where
         };
         let metrics = Arc::new(ServeMetrics::new(policy.max_batch));
         let generations = Arc::new(GenerationCell::new(Arc::new(head)));
+        // The generation the fleet's head belongs to, taken before any
+        // thread starts: an in-RAM fit goes straight to the trainer, which
+        // may publish before the dispatcher runs its first line.
+        let spawned = generations.load();
         let alive = Arc::new(AtomicBool::new(true));
 
         let (work_tx, work_rx) = mpsc::channel::<Work<X::Owned>>();
@@ -716,6 +720,7 @@ where
                         policy,
                         metrics,
                         generations,
+                        spawned,
                         trainer_tx,
                         identity,
                         durability,
@@ -1426,28 +1431,24 @@ impl<'a, X: ?Sized> RowSource<'a, X> {
 }
 
 /// Fills `batch` (already sized to `sources.len()`) from the row sources:
-/// raw inputs are encoded, pre-encoded rows copied — one parallel pass over
-/// disjoint chunks, bit-identical to the serial loop.
+/// raw inputs are encoded, pre-encoded rows copied — forking only when the
+/// rows' summed work pays for it, bit-identical to the serial loop.
 fn fill_batch<X: ?Sized + Sync>(
     encoder: &dyn DynEncoder<X>,
     sources: &[RowSource<'_, X>],
     batch: &mut HypervectorBatch,
 ) {
-    if sources.is_empty() {
-        return;
-    }
-    let rows_per_chunk = if sources.len() < minipool::MIN_PARALLEL_ITEMS {
-        sources.len()
-    } else {
-        sources.len().div_ceil(minipool::max_threads())
-    };
-    let mut chunks: Vec<_> = batch.chunks_mut(rows_per_chunk).collect();
-    minipool::par_fill_indexed(&mut chunks, |_, chunk| {
-        for (row_index, mut row) in chunk.rows_mut() {
-            match &sources[row_index] {
-                RowSource::Input(input) => encoder.encode_into(input, row),
-                RowSource::Encoded(hv) => row.copy_from(hv.view()),
-            }
+    let work: usize = sources
+        .iter()
+        .map(|source| match source {
+            RowSource::Input(_) => encoder.row_word_ops(),
+            RowSource::Encoded(_) => batch.words_per_row(),
+        })
+        .sum();
+    minipool::par_fill_indexed(&mut batch.rows_mut().collect::<Vec<_>>(), work, |i, row| {
+        match &sources[i] {
+            RowSource::Input(input) => encoder.encode_into(input, row.reborrow()),
+            RowSource::Encoded(hv) => row.copy_from(hv.view()),
         }
     });
 }
@@ -1585,6 +1586,8 @@ fn trigger_snapshot(
 /// blocked on until the WAL flush — `None` for fire-and-forget fits.
 type PendingFit<O, T> = (Payload<O>, T, Option<Sender<()>>);
 
+/// Serves the work queue until shutdown. `adopted` is the generation whose
+/// head `fleet` holds: every reply names the generation that served it.
 #[allow(clippy::too_many_lines, clippy::too_many_arguments)]
 fn dispatcher_loop<X>(
     work_rx: Receiver<Work<X::Owned>>,
@@ -1593,6 +1596,7 @@ fn dispatcher_loop<X>(
     policy: BatchPolicy,
     metrics: Arc<ServeMetrics>,
     generations: Arc<GenerationCell>,
+    mut adopted: Generation,
     trainer_tx: Sender<TrainerMsg>,
     identity: ShardIdentity,
     mut durability: Option<Durability>,
@@ -1616,7 +1620,6 @@ where
     let mut predict_scratch = HypervectorBatch::with_capacity(dim, predict_rows);
     let mut value_scratch = HypervectorBatch::with_capacity(dim, value_rows);
     let mut fit_scratch = HypervectorBatch::new(dim);
-    let mut adopted = generations.load();
 
     let mut pending: Vec<PredictJob<X::Owned, Prediction>> = Vec::new();
     let mut pending_values: Vec<PredictJob<X::Owned, ValuePrediction>> = Vec::new();
@@ -2169,6 +2172,89 @@ mod tests {
         assert!(stats.metrics.batches >= 1);
         assert!(stats.metrics.mean_batch_size >= 1.0);
         runtime.shutdown();
+    }
+
+    #[test]
+    fn replies_name_the_generation_whose_head_served_them() {
+        // The trainer publishes generation 1 before the dispatcher serves
+        // its first batch (an in-RAM fit skips the dispatcher, so this can
+        // happen before the dispatcher thread runs at all). The fleet still
+        // holds the spawn head, so the dispatcher must start from the spawn
+        // generation and adopt generation 1 at the batch boundary.
+        let model = trained_model(256, 3);
+        let inputs: Vec<Radians> = (0..24)
+            .map(|h| Radians::periodic(f64::from(h), 24.0))
+            .collect();
+        let encoded: Vec<BinaryHypervector> = inputs.iter().map(|x| model.encode(x)).collect();
+        let spawn_classifier = model.classifier().clone();
+        let (spec, encoder, _) = model.into_parts();
+        // Generation 1 swaps the class-vectors, so it answers every query
+        // the other way round.
+        let published_classifier = CentroidClassifier::from_class_vectors(vec![
+            spawn_classifier.class_vector(1).clone(),
+            spawn_classifier.class_vector(0).clone(),
+        ])
+        .unwrap();
+        let heads = [&spawn_classifier, &published_classifier];
+        for hv in &encoded {
+            assert_ne!(heads[0].predict(hv), heads[1].predict(hv));
+        }
+
+        let spawn_head = Head::Classes(spawn_classifier.clone());
+        let generations = Arc::new(GenerationCell::new(Arc::new(spawn_head.clone())));
+        let spawned = generations.load();
+        generations.publish(Arc::new(Head::Classes(published_classifier.clone())));
+        let fleet =
+            ShardedModel::with_head(spawn_head, spec.dim, 2, RingConfig::default(), 0).unwrap();
+
+        let (work_tx, work_rx) = mpsc::channel();
+        let (reply_tx, reply_rx) = mpsc::channel();
+        for (index, input) in inputs.iter().enumerate() {
+            work_tx
+                .send(Work::Predict(PredictJob {
+                    key: format!("k{index}"),
+                    payload: Payload::Input(*input),
+                    enqueued: Instant::now(),
+                    index,
+                    reply: reply_tx.clone(),
+                }))
+                .unwrap();
+        }
+        work_tx.send(Work::Shutdown).unwrap();
+        drop(reply_tx);
+        let (trainer_tx, _trainer_rx) = mpsc::channel();
+        let policy = BatchPolicy {
+            max_batch: 8,
+            max_wait: Duration::from_millis(1),
+        };
+        dispatcher_loop(
+            work_rx,
+            fleet,
+            encoder,
+            policy,
+            Arc::new(ServeMetrics::new(policy.max_batch)),
+            generations,
+            spawned,
+            trainer_tx,
+            ShardIdentity {
+                name: String::new(),
+                ring_positions: 0,
+            },
+            None,
+            None,
+        );
+
+        let replies: Vec<(usize, Prediction)> = reply_rx.iter().collect();
+        assert_eq!(replies.len(), inputs.len());
+        for (index, prediction) in replies {
+            let head = heads[prediction.generation as usize];
+            assert_eq!(
+                prediction.label,
+                head.predict(&encoded[index]),
+                "reply {index} names generation {}",
+                prediction.generation
+            );
+        }
     }
 
     #[test]

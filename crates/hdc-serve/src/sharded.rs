@@ -577,7 +577,9 @@ impl<K: Hash + Eq + Clone> ShardedModel<K> {
                 found: self.head.task_name(),
             });
         };
-        self.predict_routed(keys, queries, |sub| classifier.predict_rows(sub))
+        self.predict_routed(keys, queries, classifier.row_word_ops(), |sub| {
+            classifier.predict_rows(sub)
+        })
     }
 
     /// Serves a keyed **value** query batch — the regression twin of
@@ -604,19 +606,23 @@ impl<K: Hash + Eq + Clone> ShardedModel<K> {
                 found: self.head.task_name(),
             });
         };
-        self.predict_routed(keys, queries, |sub| model.predict_rows(sub))
+        self.predict_routed(keys, queries, model.row_word_ops(), |sub| {
+            model.predict_rows(sub)
+        })
     }
 
     /// The shared routed-serving path behind both prediction types: route
     /// rows to shards, ship each shard its own contiguous sub-batch (what a
     /// real fleet would put on the wire), run the head's batched predictor
-    /// per shard fanned out across the pool, and merge the answers back in
+    /// per shard fanned out across the pool when the batch's work
+    /// (`row_word_ops` per row) pays for it, and merge the answers back in
     /// input order. Workers write disjoint groups and the merge is by input
     /// order, so the output is deterministic regardless of scheduling.
     fn predict_routed<Q: Hash + Sync, T: Default + Clone + Send>(
         &self,
         keys: &[Q],
         queries: &HypervectorBatch,
+        row_word_ops: usize,
         predict: impl Fn(&HypervectorBatch) -> Vec<T> + Sync,
     ) -> Result<Vec<T>, HdcError> {
         if keys.len() != queries.len() {
@@ -642,7 +648,9 @@ impl<K: Hash + Eq + Clone> ShardedModel<K> {
                 sub
             })
             .collect();
-        let per_shard: Vec<Vec<T>> = minipool::par_map_indexed(&sub_batches, |_, sub| predict(sub));
+        let work = queries.len() * row_word_ops;
+        let per_shard: Vec<Vec<T>> =
+            minipool::par_map_indexed(&sub_batches, work, |_, sub| predict(sub));
         let mut merged = vec![T::default(); queries.len()];
         for ((_, rows), answers) in groups.iter().zip(&per_shard) {
             for (&row, answer) in rows.iter().zip(answers) {

@@ -1,29 +1,69 @@
 //! Property tests for the batched execution layer: every batch API must be
 //! **bit-identical** to the per-sample loop it replaces — including at
-//! dimensionalities that are not multiples of the 64-bit word size, and for
+//! dimensionalities that are not multiples of the 64-bit word size, for
+//! batch sizes on both sides of the fork break-even (so both the
+//! calling-thread path and the forked path are compared), and for
 //! accumulators driven through subtraction-heavy sequences under every
 //! [`TieBreak`] policy.
 
-use hdc::core::similarity;
-use hdc::encode::{Encoder, ScalarEncoder};
-use hdc::learn::{CentroidClassifier, CentroidTrainer, RegressionModel};
+use hdc::basis::BasisKind;
+use hdc::core::{kernels, similarity};
+use hdc::encode::{Encoder, FeatureRecordEncoder, FieldSpec, ScalarEncoder};
+use hdc::learn::{CentroidClassifier, CentroidTrainer, RegressionModel, RegressionTrainer};
 use hdc::{BinaryHypervector, HypervectorBatch, MajorityAccumulator, TieBreak};
 use proptest::prelude::*;
 use rand::{rngs::StdRng, Rng, SeedableRng};
 
+/// The batch size at which rows of `row_word_ops` each give two workers
+/// their break-even share — below it a batch call never forks.
+fn break_even_rows(row_word_ops: usize) -> usize {
+    (2 * minipool::FORK_WORD_OPS).div_ceil(row_word_ops)
+}
+
+/// A batch size drawn as `side` (in `0..2`) times the break-even.
+fn rows_around_break_even(side: f64, row_word_ops: usize) -> usize {
+    (side * break_even_rows(row_word_ops) as f64) as usize
+}
+
+/// Runs the batch call `f` over `rows` rows and checks that it took the
+/// forked path when the batch reached the break-even (with more than one
+/// worker available) — so the parity assertions cover both paths.
+fn batch_call<T>(rows: usize, row_word_ops: usize, f: impl FnOnce() -> T) -> T {
+    let before = minipool::spawned();
+    let out = f();
+    if rows >= break_even_rows(row_word_ops) && minipool::max_threads() > 1 {
+        assert!(minipool::spawned() > before, "{rows} rows did not fork");
+    }
+    out
+}
+
 proptest! {
     /// Batched encoding fills the arena with exactly the per-sample bits,
-    /// for dimensions straddling word boundaries.
+    /// for dimensions straddling word boundaries and batch sizes on both
+    /// sides of the fork break-even.
     #[test]
-    fn encode_batch_matches_per_sample(seed in 0u64..200, dim in 1usize..200, n in 0usize..40) {
+    fn encode_batch_matches_per_sample(
+        seed in 0u64..200,
+        dim in 1usize..200,
+        fields in 1usize..8,
+        side in 0.0f64..2.0,
+    ) {
         let mut rng = StdRng::seed_from_u64(seed);
-        let encoder = ScalarEncoder::with_levels(0.0, 1.0, 8, dim, &mut rng).unwrap();
-        let values: Vec<f64> = (0..n).map(|_| rng.random_range(-0.2f64..1.2)).collect();
-        let batch = encoder.encode_batch(&values);
+        let specs = vec![FieldSpec::scalar(0.0, 1.0); fields];
+        let encoder =
+            FeatureRecordEncoder::new(&specs, 8, dim, BasisKind::Level { randomness: 0.0 }, &mut rng)
+                .unwrap();
+        let n = rows_around_break_even(side, encoder.row_word_ops());
+        let rows: Vec<Vec<f64>> = (0..n)
+            .map(|_| (0..fields).map(|_| rng.random_range(-0.2f64..1.2)).collect())
+            .collect();
+        let batch = batch_call(n, encoder.row_word_ops(), || {
+            encoder.encode_batch(rows.iter().map(Vec::as_slice))
+        });
         prop_assert_eq!(batch.len(), n);
         prop_assert_eq!(batch.dim(), dim);
-        for (row, &x) in batch.rows().zip(&values) {
-            prop_assert_eq!(row.to_hypervector(), encoder.encode(x).clone());
+        for (row, x) in batch.rows().zip(&rows) {
+            prop_assert_eq!(row.to_hypervector(), encoder.encode_hv(x.as_slice()));
         }
     }
 
@@ -38,9 +78,15 @@ proptest! {
     }
 
     /// Parallel classification (slice and arena forms) returns the same
-    /// labels, in the same order, as the serial loop.
+    /// labels, in the same order, as the serial loop — for batch sizes on
+    /// both sides of the fork break-even.
     #[test]
-    fn predict_batch_matches_serial(seed in 0u64..100, dim in 65usize..400, classes in 2usize..6) {
+    fn predict_batch_matches_serial(
+        seed in 0u64..100,
+        dim in 960usize..1100,
+        classes in 2usize..24,
+        side in 0.0f64..2.0,
+    ) {
         let mut rng = StdRng::seed_from_u64(seed);
         let protos: Vec<BinaryHypervector> =
             (0..classes).map(|_| BinaryHypervector::random(dim, &mut rng)).collect();
@@ -49,23 +95,38 @@ proptest! {
             .collect();
         let model = CentroidClassifier::fit(
             train.iter().map(|(h, l)| (h, *l)), classes, dim, &mut rng).unwrap();
+        let n = rows_around_break_even(side, model.row_word_ops());
         let queries: Vec<BinaryHypervector> =
-            (0..17).map(|i| protos[i % classes].corrupt(0.2, &mut rng)).collect();
+            (0..n).map(|_| BinaryHypervector::random(dim, &mut rng)).collect();
 
         let serial: Vec<usize> = queries.iter().map(|q| model.predict(q)).collect();
-        prop_assert_eq!(model.predict_batch_par(&queries), serial.clone());
-        let arena = HypervectorBatch::from_vectors(&queries).unwrap();
-        prop_assert_eq!(model.predict_rows(&arena), serial);
+        let row_word_ops = model.row_word_ops();
+        prop_assert_eq!(
+            batch_call(n, row_word_ops, || model.predict_batch_par(&queries)),
+            serial.clone()
+        );
+        if n > 0 {
+            let arena = HypervectorBatch::from_vectors(&queries).unwrap();
+            prop_assert_eq!(batch_call(n, row_word_ops, || model.predict_rows(&arena)), serial);
+        }
     }
 
     /// Parallel batch fitting merges per-worker partial accumulators into
     /// exactly the serial counters, so with equal RNG streams the finished
-    /// models match bit for bit.
+    /// models match bit for bit — for batch sizes on both sides of the fork
+    /// break-even.
     #[test]
-    fn fit_batch_matches_serial_fit(seed in 0u64..100, dim in 1usize..300, classes in 1usize..5) {
+    fn fit_batch_matches_serial_fit(
+        seed in 0u64..100,
+        dim in 1usize..300,
+        classes in 1usize..5,
+        side in 0.0f64..2.0,
+    ) {
         let mut rng = StdRng::seed_from_u64(seed);
+        let row_word_ops = dim.div_ceil(64) * kernels::ACCUMULATE_WORD_OPS;
+        let n = rows_around_break_even(side, row_word_ops).max(1);
         let samples: Vec<BinaryHypervector> =
-            (0..classes * 5).map(|_| BinaryHypervector::random(dim, &mut rng)).collect();
+            (0..n).map(|_| BinaryHypervector::random(dim, &mut rng)).collect();
         let labels: Vec<usize> = (0..samples.len()).map(|i| i % classes).collect();
         let batch = HypervectorBatch::from_vectors(&samples).unwrap();
 
@@ -74,7 +135,7 @@ proptest! {
             serial.observe(hv, label).unwrap();
         }
         let mut batched = CentroidTrainer::new(classes, dim).unwrap();
-        batched.observe_batch(&batch, &labels).unwrap();
+        batch_call(n, row_word_ops, || batched.observe_batch(&batch, &labels)).unwrap();
         prop_assert_eq!(batched.counts(), serial.counts());
 
         let mut rng_a = StdRng::seed_from_u64(seed ^ 0xAB);
@@ -150,8 +211,9 @@ proptest! {
     }
 }
 
-/// Non-proptest check: parallel regression prediction is bit-identical to
-/// the serial loop on a realistic encoder pipeline.
+/// Non-proptest check: parallel regression prediction and batched
+/// observation are bit-identical to the serial loops on a realistic
+/// encoder pipeline, just below, at and well above the fork break-even.
 #[test]
 fn regression_parallel_prediction_matches_serial() {
     let mut rng = StdRng::seed_from_u64(0x9E6);
@@ -162,15 +224,35 @@ fn regression_parallel_prediction_matches_serial() {
             let x = i as f64 / 79.0;
             (input.encode(x), x)
         }),
-        label,
+        label.clone(),
         &mut rng,
     )
     .unwrap();
-    let queries: Vec<BinaryHypervector> = (0..31)
-        .map(|i| input.encode(i as f64 / 30.0).corrupt(0.05, &mut rng))
-        .collect();
-    let serial: Vec<f64> = queries.iter().map(|q| model.predict(q)).collect();
-    assert_eq!(model.predict_batch_par(&queries), serial);
-    let arena = HypervectorBatch::from_vectors(&queries).unwrap();
-    assert_eq!(model.predict_rows(&arena), serial);
+    let row_word_ops = model.row_word_ops();
+    let pivot = break_even_rows(row_word_ops);
+    for n in [31, pivot - 1, pivot, 2 * pivot + 3] {
+        let queries: Vec<BinaryHypervector> = (0..n)
+            .map(|i| input.encode(i as f64 / n as f64).corrupt(0.05, &mut rng))
+            .collect();
+        let serial: Vec<f64> = queries.iter().map(|q| model.predict(q)).collect();
+        let par = batch_call(n, row_word_ops, || model.predict_batch_par(&queries));
+        assert_eq!(par, serial, "n = {n}");
+        let arena = HypervectorBatch::from_vectors(&queries).unwrap();
+        let rows = batch_call(n, row_word_ops, || model.predict_rows(&arena));
+        assert_eq!(rows, serial, "n = {n}");
+
+        let values: Vec<f64> = (0..n).map(|i| i as f64 / n as f64).collect();
+        let mut one_by_one = RegressionTrainer::new(label.clone());
+        for (hv, &y) in queries.iter().zip(&values) {
+            one_by_one.observe(hv, y);
+        }
+        let mut batched = RegressionTrainer::new(label.clone());
+        let observe_word_ops = arena.words_per_row() * kernels::ACCUMULATE_WORD_OPS;
+        batch_call(n, observe_word_ops, || {
+            batched.observe_batch(&arena, &values)
+        })
+        .unwrap();
+        assert_eq!(batched.observed(), one_by_one.observed(), "n = {n}");
+        assert_eq!(batched.accumulator(), one_by_one.accumulator(), "n = {n}");
+    }
 }
