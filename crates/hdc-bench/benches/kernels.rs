@@ -1,5 +1,6 @@
 //! Dispatched SIMD kernel backends head to head against the scalar
-//! reference (PR 7).
+//! reference, and record bundling through `i32` counters against the
+//! bit-sliced bundle.
 //!
 //! Every backend the running CPU supports is benched through its
 //! function-pointer table — the same tables `kernels::dispatch::selected`
@@ -10,7 +11,7 @@
 
 use criterion::{criterion_group, criterion_main, BenchmarkId, Criterion};
 use hdc_core::kernels::dispatch::{available, table, KernelTable};
-use hdc_core::BinaryHypervector;
+use hdc_core::{kernels, BinaryHypervector, BitSlicedBundle, HvMut, TieBreak};
 use rand::{rngs::StdRng, Rng, SeedableRng};
 use std::hint::black_box;
 
@@ -103,5 +104,56 @@ fn bench_kernels_simd_vs_scalar(c: &mut Criterion) {
     group.finish();
 }
 
-criterion_group!(benches, bench_kernels_simd_vs_scalar);
+/// One record's bundle, `Kᵢ ⊗ Vᵢ` over `n` fields, both ways: through
+/// `i32` counters (zero, then per field `xor` + `accumulate` on the
+/// dispatched backend, then `majority_into`) and through the bit-sliced
+/// bundle the record encoders use. Both resolve ties with
+/// `TieBreak::Alternate` and must agree bit for bit.
+fn bench_bundle(c: &mut Criterion) {
+    let dim = 10_000usize;
+    let words = dim.div_ceil(64);
+    let mut group = c.benchmark_group("bundle");
+    for n in [3usize, 18] {
+        let mut rng = StdRng::seed_from_u64(0xB0D1 + n as u64);
+        let keys: Vec<_> = (0..n)
+            .map(|_| BinaryHypervector::random(dim, &mut rng))
+            .collect();
+        let values: Vec<_> = (0..n)
+            .map(|_| BinaryHypervector::random(dim, &mut rng))
+            .collect();
+        let mut counts = vec![0i32; dim];
+        let mut bound = vec![0u64; words];
+        let mut counter_out = vec![0u64; words];
+        let mut counter_bundle = |out: &mut [u64]| {
+            counts.fill(0);
+            for (key, value) in keys.iter().zip(&values) {
+                kernels::xor(key.as_words(), value.as_words(), &mut bound);
+                kernels::accumulate(&mut counts, &bound, 1);
+            }
+            kernels::majority_into(&counts, out, |i| TieBreak::Alternate.bit(i));
+        };
+        let mut bundle = BitSlicedBundle::new(dim);
+        let mut sliced_out = vec![0u64; words];
+        let mut sliced_bundle = |out: &mut [u64]| {
+            bundle.reset(dim);
+            for (key, value) in keys.iter().zip(&values) {
+                bundle.push_bound(key.view(), value.view());
+            }
+            bundle.finalize_into(TieBreak::Alternate, &mut HvMut::new(dim, out));
+        };
+        counter_bundle(&mut counter_out);
+        sliced_bundle(&mut sliced_out);
+        assert_eq!(sliced_out, counter_out, "n={n}: sliced bundle disagrees");
+
+        group.bench_with_input(BenchmarkId::new("i32_counters", n), &n, |bencher, _| {
+            bencher.iter(|| counter_bundle(black_box(&mut counter_out)));
+        });
+        group.bench_with_input(BenchmarkId::new("bit_sliced", n), &n, |bencher, _| {
+            bencher.iter(|| sliced_bundle(black_box(&mut sliced_out)));
+        });
+    }
+    group.finish();
+}
+
+criterion_group!(benches, bench_kernels_simd_vs_scalar, bench_bundle);
 criterion_main!(benches);

@@ -242,6 +242,11 @@ impl<'a> HvMut<'a> {
         kernels::xor_into(self.words, src.as_words());
     }
 
+    /// The row's words, for in-crate writers that keep the tail clean.
+    pub(crate) fn words_mut(&mut self) -> &mut [u64] {
+        self.words
+    }
+
     /// Clears the row to all zeros.
     pub fn clear(&mut self) {
         self.words.fill(0);

@@ -48,6 +48,15 @@ pub enum HdcError {
     },
     /// An operation that needs at least one input received none.
     EmptyInput,
+    /// An encoder input names a symbol outside its alphabet: a categorical
+    /// index or sequence symbol `>= symbols`, or a categorical record
+    /// value that does not round to one.
+    SymbolOutOfRange {
+        /// The offending value as given.
+        value: f64,
+        /// The alphabet size.
+        symbols: usize,
+    },
     /// A model was asked to train on a label outside its configured range.
     LabelOutOfRange {
         /// The offending label.
@@ -132,6 +141,9 @@ impl fmt::Display for HdcError {
                 "batch of {rows} rows does not match {labels} per-sample values"
             ),
             HdcError::EmptyInput => write!(f, "operation requires at least one input"),
+            HdcError::SymbolOutOfRange { value, symbols } => {
+                write!(f, "symbol {value} out of range for {symbols} symbols")
+            }
             HdcError::LabelOutOfRange { label, classes } => {
                 write!(f, "label {label} out of range for {classes} classes")
             }
@@ -188,6 +200,11 @@ mod tests {
             .to_string(),
             HdcError::BatchLengthMismatch { rows: 4, labels: 3 }.to_string(),
             HdcError::EmptyInput.to_string(),
+            HdcError::SymbolOutOfRange {
+                value: 7.0,
+                symbols: 5,
+            }
+            .to_string(),
             HdcError::LabelOutOfRange {
                 label: 9,
                 classes: 3,

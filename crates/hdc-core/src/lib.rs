@@ -11,8 +11,9 @@
 //! * **permutation** (`Π`) — cyclic bit rotation; encodes order.
 //!
 //! This crate provides the packed binary hypervector type used throughout the
-//! workspace, integer accumulators for exact majority bundling, a bipolar
-//! (±1) model for ablations, similarity search helpers and an associative
+//! workspace, integer accumulators for exact majority bundling (and a
+//! bit-sliced [`BitSlicedBundle`] for one sample's bounded bundle), a
+//! bipolar (±1) model for ablations, similarity search helpers and an associative
 //! item memory. For batched pipelines it adds a contiguous
 //! [`HypervectorBatch`] arena whose rows are borrowed [`HvRef`]/[`HvMut`]
 //! views, and the word-slice [`kernels`] that every hot path — owned or
@@ -55,6 +56,7 @@ mod accumulator;
 mod batch;
 mod binary;
 mod bipolar;
+mod bundle;
 mod error;
 pub mod kernels;
 mod memory;
@@ -65,6 +67,7 @@ pub use accumulator::{MajorityAccumulator, TieBreak};
 pub use batch::{HvMut, HvRef, HypervectorBatch};
 pub use binary::{BinaryHypervector, Bits};
 pub use bipolar::{BipolarAccumulator, BipolarHypervector};
+pub use bundle::BitSlicedBundle;
 pub use error::HdcError;
 pub use memory::ItemMemory;
 

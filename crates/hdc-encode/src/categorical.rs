@@ -103,6 +103,22 @@ impl Encoder<usize> for CategoricalEncoder {
     fn encode_into(&self, input: &usize, mut out: HvMut<'_>) {
         out.copy_from(self.encode(*input).view());
     }
+
+    fn check_input(&self, input: &usize) -> Result<(), HdcError> {
+        check_symbol(*input, self.table.len())
+    }
+}
+
+/// `Ok` if `symbol` indexes an alphabet of `symbols` entries.
+pub(crate) fn check_symbol(symbol: usize, symbols: usize) -> Result<(), HdcError> {
+    if symbol < symbols {
+        Ok(())
+    } else {
+        Err(HdcError::SymbolOutOfRange {
+            value: symbol as f64,
+            symbols,
+        })
+    }
 }
 
 #[cfg(test)]
@@ -142,6 +158,20 @@ mod tests {
         let mut r = rng();
         let enc = CategoricalEncoder::new(3, 64, &mut r).unwrap();
         let _ = enc.encode(3);
+    }
+
+    #[test]
+    fn check_input_rejects_bad_index() {
+        let mut r = rng();
+        let enc = CategoricalEncoder::new(3, 64, &mut r).unwrap();
+        assert_eq!(enc.check_input(&2), Ok(()));
+        assert_eq!(
+            enc.check_input(&3),
+            Err(HdcError::SymbolOutOfRange {
+                value: 3.0,
+                symbols: 3
+            })
+        );
     }
 
     #[test]

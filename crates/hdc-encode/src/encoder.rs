@@ -18,7 +18,7 @@
 //! Rows are independent, so the batched result is **bit-identical** to
 //! encoding samples one at a time.
 
-use hdc_core::{BinaryHypervector, HvMut, HypervectorBatch};
+use hdc_core::{BinaryHypervector, HdcError, HvMut, HypervectorBatch};
 
 /// An angle in radians (wrapped into `[0, 2π)` by the encoder) — the input
 /// type of [`AngleEncoder`](crate::AngleEncoder)'s [`Encoder`] impl.
@@ -88,8 +88,25 @@ pub trait Encoder<Input: ?Sized> {
     ///
     /// Panics if `out.dim() != self.dim()` or the input is invalid for this
     /// encoder (out-of-range symbol, wrong record arity, empty sequence —
-    /// see the implementing type's documentation).
+    /// see the implementing type's documentation and
+    /// [`check_input`](Self::check_input)).
     fn encode_into(&self, input: &Input, out: HvMut<'_>);
+
+    /// Checks `input` without encoding it: `Ok` exactly when
+    /// [`encode_into`](Self::encode_into) would accept it. A caller holding
+    /// untrusted input — a serving runtime's request — runs this first and
+    /// refuses the input instead of panicking. The default accepts every
+    /// input, as encoders without invalid inputs (scalars, angles) do.
+    ///
+    /// # Errors
+    ///
+    /// Returns [`HdcError::DimensionMismatch`] for a record of the wrong
+    /// arity (or a field value of the wrong width),
+    /// [`HdcError::EmptyInput`] for an empty sequence and
+    /// [`HdcError::SymbolOutOfRange`] for a symbol outside the alphabet.
+    fn check_input(&self, _input: &Input) -> Result<(), HdcError> {
+        Ok(())
+    }
 
     /// Encodes `input` into a freshly allocated owned hypervector.
     fn encode_hv(&self, input: &Input) -> BinaryHypervector {
@@ -181,16 +198,27 @@ mod tests {
     #[test]
     fn sequence_trait_form_is_deterministic_alternate_bundle() {
         let mut r = rng();
-        let enc = SequenceEncoder::new(5, 450, &mut r).unwrap();
-        let seq = [0usize, 3, 1, 4];
-        let via_trait = enc.encode_hv(&seq[..]);
-        // Reference: position-permuted bundle with the Alternate tie-break.
-        let mut acc = MajorityAccumulator::new(450);
-        for (i, &s) in seq.iter().enumerate() {
-            acc.push(&enc.symbols().encode(s).permute(i as isize));
+        // Every length from 1 to 40 (even ones tie on some dimensions);
+        // dims below the length make the position shifts wrap.
+        for dim in [1usize, 30, 65, 450, 10_000] {
+            let enc = SequenceEncoder::new(5, dim, &mut r).unwrap();
+            for len in 1..=40 {
+                let seq: Vec<usize> = (0..len).map(|_| r.random_range(0..5)).collect();
+                // Reference: position-permuted bundle with the Alternate
+                // tie-break.
+                let mut acc = MajorityAccumulator::new(dim);
+                for (i, &s) in seq.iter().enumerate() {
+                    acc.push(&enc.symbols().encode(s).permute(i as isize));
+                }
+                assert_eq!(
+                    enc.encode_hv(&seq[..]),
+                    acc.finalize(TieBreak::Alternate),
+                    "dim={dim} len={len}"
+                );
+            }
         }
-        assert_eq!(via_trait, acc.finalize(TieBreak::Alternate));
         // Batched form agrees row for row.
+        let enc = SequenceEncoder::new(5, 450, &mut r).unwrap();
         let seqs: Vec<Vec<usize>> = vec![vec![0, 1], vec![2, 3, 4], vec![4]];
         let batch = enc.encode_batch(seqs.iter().map(Vec::as_slice));
         for (row, seq) in batch.rows().zip(&seqs) {
@@ -201,17 +229,26 @@ mod tests {
     #[test]
     fn record_trait_form_matches_alternate_reference() {
         let mut r = rng();
-        let enc = RecordEncoder::new(3, 320, &mut r).unwrap();
-        let values: Vec<_> = (0..3)
-            .map(|_| hdc_core::BinaryHypervector::random(320, &mut r))
-            .collect();
-        let via_trait = enc.encode_hv(&values[..]);
-        let mut acc = MajorityAccumulator::new(320);
-        for (i, v) in values.iter().enumerate() {
-            acc.push(&enc.key(i).bind(v));
+        // Every arity from 1 to 20 fields; even ones tie on some
+        // dimensions.
+        for dim in [1usize, 63, 64, 65, 320, 10_000] {
+            for fields in 1..=20 {
+                let enc = RecordEncoder::new(fields, dim, &mut r).unwrap();
+                let values: Vec<_> = (0..fields)
+                    .map(|_| hdc_core::BinaryHypervector::random(dim, &mut r))
+                    .collect();
+                let mut acc = MajorityAccumulator::new(dim);
+                for (i, v) in values.iter().enumerate() {
+                    acc.push(&enc.key(i).bind(v));
+                }
+                assert_eq!(
+                    enc.encode_hv(&values[..]),
+                    acc.finalize(TieBreak::Alternate),
+                    "dim={dim} fields={fields}"
+                );
+                assert_eq!(Encoder::dim(&enc), dim);
+            }
         }
-        assert_eq!(via_trait, acc.finalize(TieBreak::Alternate));
-        assert_eq!(Encoder::dim(&enc), 320);
     }
 
     #[test]

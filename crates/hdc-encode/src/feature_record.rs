@@ -1,8 +1,8 @@
 use hdc_basis::BasisKind;
-use hdc_core::{kernels, BinaryHypervector, HdcError, HvMut, TieBreak};
+use hdc_core::{BinaryHypervector, BitSlicedBundle, HdcError, HvMut, TieBreak};
 use rand::Rng;
 
-use crate::scratch::with_bundle_scratch;
+use crate::scratch::with_bundle;
 use crate::{AngleEncoder, CategoricalEncoder, Encoder, ScalarEncoder};
 
 /// How one position of a [`FeatureRecordEncoder`] interprets its raw `f64`
@@ -69,8 +69,9 @@ enum FieldEncoder {
 ///
 /// Ties resolve with the deterministic
 /// [`TieBreak::Alternate`](hdc_core::TieBreak::Alternate) policy and the
-/// hot path reuses per-thread scratch buffers, so per-sample encoding is
-/// deterministic and allocation-free.
+/// hot path bundles through a per-thread
+/// [`BitSlicedBundle`](hdc_core::BitSlicedBundle), so per-sample encoding
+/// is deterministic and allocation-free.
 ///
 /// # Example
 ///
@@ -182,15 +183,22 @@ impl FeatureRecordEncoder {
             FieldEncoder::Angle(enc) => enc.encode(value),
             FieldEncoder::Categorical(enc) => {
                 let n = enc.categories();
-                let index = value.round();
-                assert!(
-                    index >= 0.0 && (index as usize) < n,
-                    "categorical field {field} value {value} out of range for {n} categories"
-                );
-                enc.encode(index as usize)
+                let Some(index) = category_index(value, n) else {
+                    panic!(
+                        "categorical field {field} value {value} out of range for {n} categories"
+                    );
+                };
+                enc.encode(index)
             }
         }
     }
+}
+
+/// The symbol a categorical field's raw value names: the value rounded to
+/// the nearest integer, if that indexes the field's `n` categories.
+fn category_index(value: f64, n: usize) -> Option<usize> {
+    let index = value.round();
+    (index >= 0.0 && (index as usize) < n).then_some(index as usize)
 }
 
 /// The input is the raw feature row, one `f64` per field in order.
@@ -199,11 +207,15 @@ impl Encoder<[f64]> for FeatureRecordEncoder {
         self.keys[0].dim()
     }
 
-    /// One bind and one accumulate per field.
+    /// One bound push per field.
     fn row_word_ops(&self) -> usize {
-        self.dim().div_ceil(64) * self.keys.len() * kernels::ACCUMULATE_WORD_OPS
+        self.dim().div_ceil(64) * self.keys.len() * BitSlicedBundle::PUSH_WORD_OPS
     }
 
+    /// Allocation-free: each bound pair `Kᵢ ⊗ φᵢ(xᵢ)` is added straight
+    /// into the per-thread bit-sliced bundle, and the vote is resolved
+    /// into the output row.
+    ///
     /// # Panics
     ///
     /// Panics if `input.len()` differs from the number of fields or a
@@ -216,15 +228,34 @@ impl Encoder<[f64]> for FeatureRecordEncoder {
             self.keys.len(),
             input.len()
         );
-        let dim = self.dim();
-        with_bundle_scratch(dim, |counts, bound| {
+        with_bundle(self.dim(), |bundle| {
             for (field, (key, &value)) in self.keys.iter().zip(input).enumerate() {
-                let value_hv = self.field_value(field, value);
-                kernels::xor(key.as_words(), value_hv.as_words(), bound);
-                kernels::accumulate(counts, bound, 1);
+                bundle.push_bound(key.view(), self.field_value(field, value).view());
             }
-            out.set_majority(counts, TieBreak::Alternate);
+            bundle.finalize_into(TieBreak::Alternate, &mut out);
         });
+    }
+
+    /// Rejects a row whose length differs from the number of fields
+    /// ([`HdcError::DimensionMismatch`]) or whose categorical value does
+    /// not round to one of its field's categories
+    /// ([`HdcError::SymbolOutOfRange`]).
+    fn check_input(&self, input: &[f64]) -> Result<(), HdcError> {
+        if input.len() != self.keys.len() {
+            return Err(HdcError::DimensionMismatch {
+                expected: self.keys.len(),
+                found: input.len(),
+            });
+        }
+        for (field, &value) in self.fields.iter().zip(input) {
+            if let FieldEncoder::Categorical(enc) = field {
+                let symbols = enc.categories();
+                if category_index(value, symbols).is_none() {
+                    return Err(HdcError::SymbolOutOfRange { value, symbols });
+                }
+            }
+        }
+        Ok(())
     }
 }
 
@@ -232,7 +263,7 @@ impl Encoder<[f64]> for FeatureRecordEncoder {
 mod tests {
     use super::*;
     use hdc_core::MajorityAccumulator;
-    use rand::{rngs::StdRng, SeedableRng};
+    use rand::{rngs::StdRng, Rng, SeedableRng};
 
     fn rng() -> StdRng {
         StdRng::seed_from_u64(0xFEA7)
@@ -255,17 +286,66 @@ mod tests {
 
     #[test]
     fn matches_manual_bind_bundle_reference() {
+        // Every arity from 1 to 20 fields: even counts tie on some
+        // dimensions, and the bit-sliced bundle must resolve them exactly
+        // as bind + `MajorityAccumulator` does.
+        let mut r = rng();
+        for dim in [1usize, 65, 130, 4_096, 10_000] {
+            for fields in 1..=20 {
+                let specs: Vec<FieldSpec> = (0..fields)
+                    .map(|f| match f % 3 {
+                        0 => FieldSpec::scalar(0.0, 1.0),
+                        1 => FieldSpec::angle(),
+                        _ => FieldSpec::categorical(5),
+                    })
+                    .collect();
+                let kind = BasisKind::Circular { randomness: 0.0 };
+                let enc = FeatureRecordEncoder::new(&specs, 8, dim, kind, &mut r).unwrap();
+                let sample: Vec<f64> = (0..fields)
+                    .map(|f| match f % 3 {
+                        0 => r.random_range(0.0..1.0),
+                        1 => r.random_range(0.0..std::f64::consts::TAU),
+                        _ => f64::from(r.random_range(0u32..5)),
+                    })
+                    .collect();
+                let mut acc = MajorityAccumulator::new(dim);
+                for (i, &x) in sample.iter().enumerate() {
+                    let mut keys_bound = enc.field_value(i, x).clone();
+                    keys_bound.bind_assign(&enc.keys[i]);
+                    acc.push(&keys_bound);
+                }
+                assert_eq!(
+                    enc.encode_hv(&sample[..]),
+                    acc.finalize(TieBreak::Alternate),
+                    "dim={dim} fields={fields}"
+                );
+            }
+        }
+    }
+
+    #[test]
+    fn check_input_rejects_exactly_what_encoding_panics_on() {
         let mut r = rng();
         let enc = three_field_encoder(&mut r);
-        let sample = [0.4f64, 2.0, 3.0];
-        let via_trait = enc.encode_hv(&sample[..]);
-        let mut acc = MajorityAccumulator::new(4_096);
-        for (i, &x) in sample.iter().enumerate() {
-            let mut keys_bound = enc.field_value(i, x).clone();
-            keys_bound.bind_assign(&enc.keys[i]);
-            acc.push(&keys_bound);
+        assert_eq!(enc.check_input(&[0.4, 2.0, 3.0][..]), Ok(()));
+        // Out-of-range scalars clamp and angles wrap: both are valid.
+        assert_eq!(enc.check_input(&[-9.0, 40.0, 4.4][..]), Ok(()));
+        assert_eq!(
+            enc.check_input(&[0.1][..]),
+            Err(HdcError::DimensionMismatch {
+                expected: 3,
+                found: 1
+            })
+        );
+        for bad in [7.0, -0.6, 4.5, f64::NAN, f64::INFINITY] {
+            assert!(
+                matches!(
+                    enc.check_input(&[0.1, 0.0, bad][..]),
+                    Err(HdcError::SymbolOutOfRange { symbols: 5, .. })
+                ),
+                "categorical value {bad}"
+            );
         }
-        assert_eq!(via_trait, acc.finalize(TieBreak::Alternate));
     }
 
     #[test]

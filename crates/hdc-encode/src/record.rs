@@ -1,7 +1,9 @@
-use hdc_core::{kernels, BinaryHypervector, HdcError, HvMut, MajorityAccumulator, TieBreak};
+use hdc_core::{
+    BinaryHypervector, BitSlicedBundle, HdcError, HvMut, MajorityAccumulator, TieBreak,
+};
 use rand::Rng;
 
-use crate::scratch::with_bundle_scratch;
+use crate::scratch::with_bundle;
 use crate::Encoder;
 
 /// Key–value record encoder: `⊕ᵢ Kᵢ ⊗ Vᵢ` (paper §6.1).
@@ -137,14 +139,14 @@ impl Encoder<[BinaryHypervector]> for RecordEncoder {
         self.keys[0].dim()
     }
 
-    /// One bind and one accumulate per field.
+    /// One bound push per field.
     fn row_word_ops(&self) -> usize {
-        self.dim().div_ceil(64) * self.keys.len() * kernels::ACCUMULATE_WORD_OPS
+        self.dim().div_ceil(64) * self.keys.len() * BitSlicedBundle::PUSH_WORD_OPS
     }
 
-    /// Allocation-free: each bound pair `Kᵢ ⊗ Vᵢ` is XORed into a reusable
-    /// per-thread word buffer, accumulated into reusable majority counters,
-    /// and the vote is resolved straight into the output row.
+    /// Allocation-free: each bound pair `Kᵢ ⊗ Vᵢ` is added straight into
+    /// the per-thread bit-sliced bundle, and the vote is resolved into the
+    /// output row.
     ///
     /// # Panics
     ///
@@ -158,28 +160,37 @@ impl Encoder<[BinaryHypervector]> for RecordEncoder {
             self.keys.len(),
             input.len()
         );
-        let dim = self.keys[0].dim();
-        with_bundle_scratch(dim, |counts, bound| {
+        with_bundle(self.dim(), |bundle| {
             for (key, value) in self.keys.iter().zip(input) {
-                assert_eq!(
-                    dim,
-                    value.dim(),
-                    "dimension mismatch: expected {}, found {}",
-                    dim,
-                    value.dim()
-                );
-                kernels::xor(key.as_words(), value.as_words(), bound);
-                kernels::accumulate(counts, bound, 1);
+                bundle.push_bound(key.view(), value.view());
             }
-            out.set_majority(counts, TieBreak::Alternate);
+            bundle.finalize_into(TieBreak::Alternate, &mut out);
         });
+    }
+
+    /// Rejects a record whose length differs from the number of fields or
+    /// with a value of the wrong width ([`HdcError::DimensionMismatch`]).
+    fn check_input(&self, input: &[BinaryHypervector]) -> Result<(), HdcError> {
+        if input.len() != self.keys.len() {
+            return Err(HdcError::DimensionMismatch {
+                expected: self.keys.len(),
+                found: input.len(),
+            });
+        }
+        match input.iter().find(|value| value.dim() != self.dim()) {
+            Some(value) => Err(HdcError::DimensionMismatch {
+                expected: self.dim(),
+                found: value.dim(),
+            }),
+            None => Ok(()),
+        }
     }
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::ScalarEncoder;
+    use crate::{Encoder, ScalarEncoder};
     use rand::{rngs::StdRng, SeedableRng};
 
     fn rng() -> StdRng {
@@ -260,5 +271,28 @@ mod tests {
         let mut r = rng();
         assert!(RecordEncoder::new(0, 64, &mut r).is_err());
         assert!(RecordEncoder::new(3, 0, &mut r).is_err());
+    }
+
+    #[test]
+    fn check_input_rejects_wrong_arity_and_width() {
+        let mut r = rng();
+        let enc = RecordEncoder::new(2, 128, &mut r).unwrap();
+        let good = BinaryHypervector::random(128, &mut r);
+        let narrow = BinaryHypervector::random(64, &mut r);
+        assert_eq!(enc.check_input(&[good.clone(), good.clone()]), Ok(()));
+        assert_eq!(
+            enc.check_input(std::slice::from_ref(&good)),
+            Err(HdcError::DimensionMismatch {
+                expected: 2,
+                found: 1
+            })
+        );
+        assert_eq!(
+            enc.check_input(&[good, narrow]),
+            Err(HdcError::DimensionMismatch {
+                expected: 128,
+                found: 64
+            })
+        );
     }
 }

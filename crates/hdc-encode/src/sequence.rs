@@ -1,7 +1,8 @@
-use hdc_core::{kernels, ops, BinaryHypervector, HdcError, HvMut, TieBreak};
+use hdc_core::{ops, BinaryHypervector, BitSlicedBundle, HdcError, HvMut, TieBreak};
 use rand::Rng;
 
-use crate::scratch::with_bundle_scratch;
+use crate::categorical::check_symbol;
+use crate::scratch::with_bundle;
 use crate::{CategoricalEncoder, Encoder};
 
 /// Order-aware encoder for sequences of symbols (paper §3.1):
@@ -132,35 +133,39 @@ impl Encoder<[usize]> for SequenceEncoder {
         self.symbols.dim()
     }
 
-    /// One rotate and one accumulate per symbol; the length is per input,
-    /// so this counts one symbol — a lower bound.
+    /// One rotated push per symbol; the length is per input, so this
+    /// counts one symbol — a lower bound.
     fn row_word_ops(&self) -> usize {
-        self.dim().div_ceil(64) * kernels::ACCUMULATE_WORD_OPS
+        self.dim().div_ceil(64) * BitSlicedBundle::PUSH_WORD_OPS
     }
 
-    /// Allocation-free: each symbol hypervector is rotated into a reusable
-    /// per-thread word buffer (`kernels::permute_into`), accumulated into
-    /// reusable majority counters, and the vote is resolved straight into
-    /// the output row.
+    /// Allocation-free: each symbol hypervector is rotated into the
+    /// per-thread bit-sliced bundle's input buffer and added, and the vote
+    /// is resolved straight into the output row.
     ///
     /// # Panics
     ///
     /// Panics if the sequence is empty or contains an out-of-range symbol.
     fn encode_into(&self, input: &[usize], mut out: HvMut<'_>) {
         assert!(!input.is_empty(), "cannot encode an empty sequence");
-        let dim = self.dim();
-        with_bundle_scratch(dim, |counts, permuted| {
-            for (i, &symbol) in input.iter().enumerate() {
-                kernels::permute_into(
-                    self.symbols.encode(symbol).as_words(),
-                    dim,
-                    i % dim,
-                    permuted,
-                );
-                kernels::accumulate(counts, permuted, 1);
+        with_bundle(self.dim(), |bundle| {
+            for (position, &symbol) in input.iter().enumerate() {
+                bundle.push_permuted(self.symbols.encode(symbol).view(), position);
             }
-            out.set_majority(counts, TieBreak::Alternate);
+            bundle.finalize_into(TieBreak::Alternate, &mut out);
         });
+    }
+
+    /// Rejects an empty sequence ([`HdcError::EmptyInput`]) and symbols
+    /// outside the alphabet ([`HdcError::SymbolOutOfRange`]).
+    fn check_input(&self, input: &[usize]) -> Result<(), HdcError> {
+        if input.is_empty() {
+            return Err(HdcError::EmptyInput);
+        }
+        let symbols = self.symbols.categories();
+        input
+            .iter()
+            .try_for_each(|&symbol| check_symbol(symbol, symbols))
     }
 }
 
@@ -225,6 +230,21 @@ mod tests {
         let encoded = enc.encode_ngram_stream(&stream, 3, &mut r).unwrap();
         let first = enc.encode_ngram(&[0, 1, 2]).unwrap();
         assert!(encoded.normalized_hamming(&first) < 0.45);
+    }
+
+    #[test]
+    fn check_input_rejects_empty_and_unknown_symbols() {
+        let mut r = rng();
+        let enc = SequenceEncoder::new(4, 64, &mut r).unwrap();
+        assert_eq!(enc.check_input(&[0, 3, 1][..]), Ok(()));
+        assert_eq!(enc.check_input(&[][..]), Err(HdcError::EmptyInput));
+        assert_eq!(
+            enc.check_input(&[0, 4][..]),
+            Err(HdcError::SymbolOutOfRange {
+                value: 4.0,
+                symbols: 4
+            })
+        );
     }
 
     #[test]

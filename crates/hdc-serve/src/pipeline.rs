@@ -23,8 +23,9 @@ use rand::{rngs::StdRng, SeedableRng};
 use crate::snapshot::Snapshot;
 use crate::spec::{Basis, EncSpec, PipelineSpec, SpecInput, Task};
 
-/// Object-safe seam over [`hdc_encode::Encoder`]: the three methods a
-/// [`Model`] needs (`dim`, in-place `encode_into`, and the per-row work
+/// Object-safe seam over [`hdc_encode::Encoder`]: the methods a [`Model`]
+/// and a serving runtime need (`dim`, in-place `encode_into`, the input
+/// check a runtime handle runs before enqueueing, and the per-row work
 /// estimate the batched fan-out forks on), without the generic
 /// `encode_batch` that keeps the full trait from being boxed. Every
 /// `Encoder<X> + Send + Sync + Debug` implements it via the blanket impl,
@@ -36,6 +37,14 @@ pub trait DynEncoder<X: ?Sized>: Send + Sync + fmt::Debug {
 
     /// Encodes `input` into the provided row, overwriting its contents.
     fn encode_into(&self, input: &X, out: HvMut<'_>);
+
+    /// Checks `input` without encoding it (see
+    /// [`hdc_encode::Encoder::check_input`]).
+    ///
+    /// # Errors
+    ///
+    /// Returns [`HdcError`] for an input `encode_into` would panic on.
+    fn check_input(&self, input: &X) -> Result<(), HdcError>;
 
     /// Estimated word-ops to encode one input (see
     /// [`hdc_encode::Encoder::row_word_ops`]).
@@ -52,6 +61,10 @@ where
 
     fn encode_into(&self, input: &X, out: HvMut<'_>) {
         Encoder::encode_into(self, input, out);
+    }
+
+    fn check_input(&self, input: &X) -> Result<(), HdcError> {
+        Encoder::check_input(self, input)
     }
 
     fn row_word_ops(&self) -> usize {

@@ -312,6 +312,9 @@ enum Payload<O> {
     Encoded(BinaryHypervector),
 }
 
+/// One request's keyed payloads, in order.
+type KeyedPayloads<O> = Vec<(String, Payload<O>)>;
+
 struct PredictJob<O, R> {
     key: String,
     payload: Payload<O>,
@@ -510,6 +513,7 @@ where
             durable_parts = Some(store.into_parts());
         }
         let (spec, encoder, state) = model.into_parts();
+        let encoder: Arc<dyn DynEncoder<X>> = Arc::from(encoder);
         let task = spec.task;
         let (mut head, mut learner) = match state {
             TaskState::Classify {
@@ -706,6 +710,7 @@ where
             let generations = Arc::clone(&generations);
             let trainer_tx = trainer_tx.clone();
             let alive = Arc::clone(&alive);
+            let dispatch_encoder = Arc::clone(&encoder);
             thread::Builder::new()
                 .name("hdc-serve-dispatch".into())
                 .spawn(move || {
@@ -716,7 +721,7 @@ where
                     dispatcher_loop(
                         work_rx,
                         fleet,
-                        encoder,
+                        dispatch_encoder,
                         policy,
                         metrics,
                         generations,
@@ -753,6 +758,7 @@ where
                 generations,
                 metrics,
                 alive,
+                encoder,
                 dim: spec.dim,
                 task,
                 spec: Arc::new(spec.clone()),
@@ -834,6 +840,9 @@ pub struct RuntimeHandle<X: ?Sized + ToOwned> {
     generations: Arc<GenerationCell>,
     metrics: Arc<ServeMetrics>,
     alive: Arc<AtomicBool>,
+    /// The dispatcher's encoder, shared so raw inputs are checked before
+    /// they are enqueued.
+    encoder: Arc<dyn DynEncoder<X>>,
     dim: usize,
     task: Task,
     spec: Arc<PipelineSpec>,
@@ -866,6 +875,7 @@ impl<X: ?Sized + ToOwned> Clone for RuntimeHandle<X> {
             generations: Arc::clone(&self.generations),
             metrics: Arc::clone(&self.metrics),
             alive: Arc::clone(&self.alive),
+            encoder: Arc::clone(&self.encoder),
             dim: self.dim,
             task: self.task,
             spec: Arc::clone(&self.spec),
@@ -964,15 +974,14 @@ where
     ///
     /// # Errors
     ///
-    /// Returns [`HdcError::TaskMismatch`] on a regression runtime and
-    /// [`HdcError::ServiceUnavailable`] after shutdown.
+    /// Returns [`HdcError::TaskMismatch`] on a regression runtime, the
+    /// encoder's input error (see [`hdc_encode::Encoder::check_input`]) for
+    /// an input it cannot encode and [`HdcError::ServiceUnavailable`] after
+    /// shutdown.
     pub fn predict(&self, key: impl Into<String>, input: &X) -> Result<Prediction, HdcError> {
         self.check_classification()?;
-        self.submit_jobs(
-            vec![(key.into(), Payload::Input(input.to_owned()))],
-            Work::Predict,
-        )
-        .map(|mut replies| replies.pop().expect("one prediction per request"))
+        self.submit_jobs(vec![(key.into(), self.raw(input)?)], Work::Predict)
+            .map(|mut replies| replies.pop().expect("one prediction per request"))
     }
 
     /// Predicts one already encoded query.
@@ -1000,21 +1009,16 @@ where
     ///
     /// # Errors
     ///
-    /// Returns [`HdcError::TaskMismatch`] on a regression runtime and
-    /// [`HdcError::ServiceUnavailable`] after shutdown.
+    /// Returns [`HdcError::TaskMismatch`] on a regression runtime, the
+    /// encoder's input error if any input cannot be encoded (nothing is
+    /// enqueued then) and [`HdcError::ServiceUnavailable`] after shutdown.
     pub fn predict_many<'a, I>(&self, inputs: I) -> Result<Vec<Prediction>, HdcError>
     where
         I: IntoIterator<Item = (String, &'a X)>,
         X: 'a,
     {
         self.check_classification()?;
-        self.submit_jobs(
-            inputs
-                .into_iter()
-                .map(|(key, input)| (key, Payload::Input(input.to_owned())))
-                .collect(),
-            Work::Predict,
-        )
+        self.submit_jobs(self.raw_jobs(inputs)?, Work::Predict)
     }
 
     /// Predicts a set of already encoded queries, in order.
@@ -1046,7 +1050,8 @@ where
     ///
     /// # Errors
     ///
-    /// Returns [`HdcError::TaskMismatch`] on a classification runtime and
+    /// Returns [`HdcError::TaskMismatch`] on a classification runtime, the
+    /// encoder's input error for an input it cannot encode and
     /// [`HdcError::ServiceUnavailable`] after shutdown.
     pub fn predict_value(
         &self,
@@ -1054,11 +1059,8 @@ where
         input: &X,
     ) -> Result<ValuePrediction, HdcError> {
         self.check_regression()?;
-        self.submit_jobs(
-            vec![(key.into(), Payload::Input(input.to_owned()))],
-            Work::PredictValue,
-        )
-        .map(|mut replies| replies.pop().expect("one prediction per request"))
+        self.submit_jobs(vec![(key.into(), self.raw(input)?)], Work::PredictValue)
+            .map(|mut replies| replies.pop().expect("one prediction per request"))
     }
 
     /// Predicts one already encoded query's real-valued label.
@@ -1083,21 +1085,35 @@ where
     ///
     /// # Errors
     ///
-    /// Returns [`HdcError::TaskMismatch`] on a classification runtime and
-    /// [`HdcError::ServiceUnavailable`] after shutdown.
+    /// Returns [`HdcError::TaskMismatch`] on a classification runtime, the
+    /// encoder's input error if any input cannot be encoded (nothing is
+    /// enqueued then) and [`HdcError::ServiceUnavailable`] after shutdown.
     pub fn predict_value_many<'a, I>(&self, inputs: I) -> Result<Vec<ValuePrediction>, HdcError>
     where
         I: IntoIterator<Item = (String, &'a X)>,
         X: 'a,
     {
         self.check_regression()?;
-        self.submit_jobs(
-            inputs
-                .into_iter()
-                .map(|(key, input)| (key, Payload::Input(input.to_owned())))
-                .collect(),
-            Work::PredictValue,
-        )
+        self.submit_jobs(self.raw_jobs(inputs)?, Work::PredictValue)
+    }
+
+    /// A raw input's payload, once the encoder has accepted it: an input
+    /// the dispatcher would panic on is refused here instead.
+    fn raw(&self, input: &X) -> Result<Payload<X::Owned>, HdcError> {
+        self.encoder.check_input(input)?;
+        Ok(Payload::Input(input.to_owned()))
+    }
+
+    /// [`raw`](Self::raw) over a keyed request, all-or-nothing.
+    fn raw_jobs<'a, I>(&self, inputs: I) -> Result<KeyedPayloads<X::Owned>, HdcError>
+    where
+        I: IntoIterator<Item = (String, &'a X)>,
+        X: 'a,
+    {
+        inputs
+            .into_iter()
+            .map(|(key, input)| Ok((key, self.raw(input)?)))
+            .collect()
     }
 
     /// Predicts a set of already encoded queries' values, in order.
@@ -1129,7 +1145,7 @@ where
     /// enqueue timestamp), then collect replies by index.
     fn submit_jobs<R: Clone + Default>(
         &self,
-        jobs: Vec<(String, Payload<X::Owned>)>,
+        jobs: KeyedPayloads<X::Owned>,
         wrap: impl Fn(PredictJob<X::Owned, R>) -> Work<X::Owned>,
     ) -> Result<Vec<R>, HdcError> {
         let expected = jobs.len();
@@ -1197,19 +1213,21 @@ where
     /// # Errors
     ///
     /// Returns [`HdcError::TaskMismatch`] on a regression runtime,
-    /// [`HdcError::LabelOutOfRange`] for an unknown label and
+    /// [`HdcError::LabelOutOfRange`] for an unknown label, the encoder's
+    /// input error for an input it cannot encode and
     /// [`HdcError::ServiceUnavailable`] after shutdown.
     pub fn fit(&self, input: &X, label: usize) -> Result<(), HdcError> {
         self.check_label(label)?;
+        let payload = self.raw(input)?;
         if self.durable {
             return self.rpc(|ack| Work::Fit {
-                payload: Payload::Input(input.to_owned()),
+                payload,
                 label,
                 ack: Some(ack),
             });
         }
         self.send_work(Work::Fit {
-            payload: Payload::Input(input.to_owned()),
+            payload,
             label,
             ack: None,
         })
@@ -1248,19 +1266,21 @@ where
     ///
     /// # Errors
     ///
-    /// Returns [`HdcError::TaskMismatch`] on a classification runtime and
+    /// Returns [`HdcError::TaskMismatch`] on a classification runtime, the
+    /// encoder's input error for an input it cannot encode and
     /// [`HdcError::ServiceUnavailable`] after shutdown.
     pub fn fit_value(&self, input: &X, value: f64) -> Result<(), HdcError> {
         self.check_regression()?;
+        let payload = self.raw(input)?;
         if self.durable {
             return self.rpc(|ack| Work::FitValue {
-                payload: Payload::Input(input.to_owned()),
+                payload,
                 value,
                 ack: Some(ack),
             });
         }
         self.send_work(Work::FitValue {
-            payload: Payload::Input(input.to_owned()),
+            payload,
             value,
             ack: None,
         })
@@ -1592,7 +1612,7 @@ type PendingFit<O, T> = (Payload<O>, T, Option<Sender<()>>);
 fn dispatcher_loop<X>(
     work_rx: Receiver<Work<X::Owned>>,
     mut fleet: ShardedModel<String>,
-    encoder: Box<dyn DynEncoder<X>>,
+    encoder: Arc<dyn DynEncoder<X>>,
     policy: BatchPolicy,
     metrics: Arc<ServeMetrics>,
     generations: Arc<GenerationCell>,
@@ -2082,7 +2102,7 @@ fn publish(learner: &OnlineLearner, generations: &GenerationCell) -> u64 {
 mod tests {
     use super::*;
     use crate::{Basis, Enc, Pipeline};
-    use hdc_encode::Radians;
+    use hdc_encode::{FieldSpec, Radians};
 
     fn trained_model(dim: usize, seed: u64) -> Model<Radians> {
         let mut model = Pipeline::builder(dim)
@@ -2230,7 +2250,7 @@ mod tests {
         dispatcher_loop(
             work_rx,
             fleet,
-            encoder,
+            encoder.into(),
             policy,
             Arc::new(ServeMetrics::new(policy.max_batch)),
             generations,
@@ -2309,6 +2329,73 @@ mod tests {
         let (_, learner) = runtime.shutdown();
         assert!(learner.as_regress().is_some());
         assert_eq!(learner.observed(), 48);
+    }
+
+    #[test]
+    fn malformed_raw_rows_are_refused_and_the_runtime_keeps_serving() {
+        // A 3-field record regressor: a 2-field row must come back as an
+        // error, not panic the dispatcher and take every later request
+        // (and shutdown) down with it.
+        let fields = vec![
+            FieldSpec::scalar(0.0, 1.0),
+            FieldSpec::angle(),
+            FieldSpec::categorical(4),
+        ];
+        let model = Pipeline::builder(512)
+            .seed(3)
+            .regression(0.0, 1.0, 8)
+            .encoder(Enc::record(fields))
+            .build()
+            .unwrap();
+        let good = [0.5, 1.0, 2.0];
+        let expected = model.predict_value(&good[..]);
+        let runtime = Runtime::spawn(model, config(1, 4)).unwrap();
+        let handle = runtime.handle();
+        assert_eq!(
+            handle.predict_value("k", &[0.5, 1.0][..]),
+            Err(HdcError::DimensionMismatch {
+                expected: 3,
+                found: 2
+            })
+        );
+        let bad_symbol = [0.5, 1.0, 4.0];
+        assert!(matches!(
+            handle.predict_value("k", &bad_symbol[..]),
+            Err(HdcError::SymbolOutOfRange { symbols: 4, .. })
+        ));
+        // One bad row refuses the whole request; nothing is enqueued.
+        let rows = [("a".to_string(), &good[..]), ("b".to_string(), &[0.5][..])];
+        assert!(handle.predict_value_many(rows).is_err());
+        assert!(handle.fit_value(&[0.5, 1.0][..], 0.3).is_err());
+
+        let served = handle.predict_value("k", &good[..]).unwrap();
+        assert_eq!(served.value, expected);
+        assert!(handle.is_alive());
+        let (_, learner) = runtime.shutdown();
+        assert_eq!(learner.observed(), 0);
+    }
+
+    #[test]
+    fn malformed_sequences_are_refused_by_predict_and_fit() {
+        let model = Pipeline::builder(256)
+            .seed(4)
+            .classes(2)
+            .encoder(Enc::sequence(5))
+            .build()
+            .unwrap();
+        let runtime = Runtime::spawn(model, config(1, 4)).unwrap();
+        let handle = runtime.handle();
+        let empty: &[usize] = &[];
+        assert_eq!(handle.predict("k", empty), Err(HdcError::EmptyInput));
+        assert!(matches!(
+            handle.fit(&[1, 5][..], 0),
+            Err(HdcError::SymbolOutOfRange { symbols: 5, .. })
+        ));
+        assert!(handle.predict_many([("k".to_string(), &[9][..])]).is_err());
+        handle.fit(&[1, 4][..], 1).unwrap();
+        assert!(handle.predict("k", &[1, 4][..]).is_ok());
+        let (_, learner) = runtime.shutdown();
+        assert_eq!(learner.observed(), 1);
     }
 
     #[test]

@@ -26,9 +26,11 @@ fn serving_batches_stay_on_the_calling_thread_and_setup_work_fans_out() {
     std::env::set_var("MINIPOOL_THREADS", "4");
     assert_eq!(minipool::max_threads(), 4);
     let mut rng = StdRng::seed_from_u64(12);
+    // Micro-batches of up to 128 rows: a raw 18-field row prices at
+    // 157 words × 18 bundled fields × 2, so 93 rows are the break-even.
     let config = RuntimeConfig {
         policy: BatchPolicy {
-            max_batch: 64,
+            max_batch: 128,
             max_wait: Duration::from_millis(50),
         },
         ..RuntimeConfig::default()
@@ -54,7 +56,7 @@ fn serving_batches_stay_on_the_calling_thread_and_setup_work_fans_out() {
         "fitting a training set fans out"
     );
 
-    let queries = angle_rows(&mut rng, 64, 18);
+    let queries = angle_rows(&mut rng, 128, 18);
     let encoded = model.encode_batch(queries.iter().map(Vec::as_slice));
     let expected = model.predict_encoded(&encoded);
     let runtime = Runtime::spawn(model, config.clone()).unwrap();
@@ -65,16 +67,17 @@ fn serving_batches_stay_on_the_calling_thread_and_setup_work_fans_out() {
     // A 64-row pre-encoded micro-batch: copy and readout on the dispatcher.
     let pairs: Vec<(String, BinaryHypervector)> = encoded
         .rows()
+        .take(64)
         .enumerate()
         .map(|(i, row)| (format!("k{i}"), row.to_hypervector()))
         .collect();
     let before = minipool::spawned();
     let served = handle.predict_encoded_many(pairs).unwrap();
     assert_eq!(minipool::spawned(), before, "64 pre-encoded rows forked");
-    assert_eq!(labels_of(served), expected);
+    assert_eq!(labels_of(served), expected[..64]);
 
-    // Raw rows: 8 stay below the break-even, 64 encode on the forked path;
-    // the answers are the same bits either way.
+    // Raw rows: 8 and 64 stay below the break-even, 128 encode on the
+    // forked path; the answers are the same bits either way.
     let keyed = |rows: &[Vec<f64>]| -> Vec<(String, Vec<f64>)> {
         rows.iter()
             .enumerate()
@@ -88,12 +91,19 @@ fn serving_batches_stay_on_the_calling_thread_and_setup_work_fans_out() {
         .unwrap();
     assert_eq!(minipool::spawned(), before, "8 raw rows forked");
     assert_eq!(labels_of(served), expected[..8]);
+    let half = keyed(&queries[..64]);
+    let before = minipool::spawned();
+    let served = handle
+        .predict_many(half.iter().map(|(k, row)| (k.clone(), row.as_slice())))
+        .unwrap();
+    assert_eq!(minipool::spawned(), before, "64 raw rows forked");
+    assert_eq!(labels_of(served), expected[..64]);
     let all = keyed(&queries);
     let before = minipool::spawned();
     let served = handle
         .predict_many(all.iter().map(|(k, row)| (k.clone(), row.as_slice())))
         .unwrap();
-    assert!(minipool::spawned() > before, "64 raw rows did not fork");
+    assert!(minipool::spawned() > before, "128 raw rows did not fork");
     assert_eq!(labels_of(served), expected);
     runtime.shutdown();
 
