@@ -12,11 +12,11 @@
 //!   `kernels::masked_signed_sum` walk with **zero** per-query heap
 //!   allocations (the old path materialized a `Vec<i64>` of flipped
 //!   counters per query); the bench tracks that hot path.
-//! * **serve_microbatch** — the PR 4 runtime: 256 concurrent-style
-//!   predictions pushed through the ingestion queue at micro-batch sizes
-//!   1/16/256, against the direct `predict_encoded` baseline. The delta at
-//!   size 1 is the full per-request queue+reply overhead; growing the batch
-//!   size amortizes it.
+//! * **serve_microbatch** — the PR 4 runtime: 256 keyed predictions sent
+//!   through the ingestion queue as requests of 1/16/256 rows, one after
+//!   another, against the direct `predict_encoded` baseline. A request is
+//!   one work item and one batch, so the delta at size 1 is the full
+//!   per-request queue+reply round trip; larger requests amortize it.
 //! * **serve_cluster** — the PR 6 multi-process tier: a 256-row keyed
 //!   batch served by the direct model, the in-process 3-shard
 //!   `ShardedModel`, a `ClusterRouter` over three in-process runtimes
@@ -29,10 +29,9 @@ use criterion::{criterion_group, criterion_main, BenchmarkId, Criterion};
 use hdc_core::{BinaryHypervector, HypervectorBatch};
 use hdc_encode::{Radians, ScalarEncoder};
 use hdc_learn::{CentroidClassifier, RegressionModel};
-use hdc_serve::{Basis, BatchPolicy, Enc, Model, Pipeline, Runtime, RuntimeConfig, ShardedModel};
+use hdc_serve::{Basis, Enc, Model, Pipeline, Runtime, RuntimeConfig, ShardedModel};
 use rand::{rngs::StdRng, SeedableRng};
 use std::hint::black_box;
-use std::time::Duration;
 
 const DIM: usize = 10_000;
 const BATCH: usize = 256;
@@ -278,8 +277,8 @@ fn runtime_model() -> Model<Radians> {
     model
 }
 
-/// 256 keyed requests through the runtime's ingestion queue at micro-batch
-/// sizes 1/16/256, vs the direct batched predict. Requests/sec =
+/// 256 keyed rows through the runtime's ingestion queue as requests of
+/// 1/16/256 rows, vs the direct batched predict. Rows/sec =
 /// `BATCH / (ns_per_iter · 1e-9)`.
 fn bench_microbatch(c: &mut Criterion) {
     let model = runtime_model();
@@ -298,47 +297,40 @@ fn bench_microbatch(c: &mut Criterion) {
     group.bench_with_input(BenchmarkId::new("direct", BATCH), &arena, |b, arena| {
         b.iter(|| black_box(&model).predict_encoded(black_box(arena)));
     });
-    let mut runtimes = Vec::new();
-    for max_batch in [1usize, 16, 256] {
-        let runtime = Runtime::spawn(
-            runtime_model(),
-            RuntimeConfig {
-                shards: 4,
-                policy: BatchPolicy {
-                    max_batch,
-                    max_wait: Duration::from_micros(200),
-                },
-                refresh_every: 0,
-                ..RuntimeConfig::default()
-            },
-        )
-        .expect("valid runtime");
-        let handle = runtime.handle();
-        let served = handle
-            .predict_encoded_many(pairs.clone())
-            .expect("runtime is live");
+    let runtime = Runtime::spawn(
+        runtime_model(),
+        RuntimeConfig {
+            shards: 4,
+            refresh_every: 0,
+            ..RuntimeConfig::default()
+        },
+    )
+    .expect("valid runtime");
+    let handle = runtime.handle();
+    for size in [1usize, 16, 256] {
+        let serve = |pairs: &[(String, BinaryHypervector)]| {
+            pairs
+                .chunks(size)
+                .flat_map(|request| {
+                    black_box(&handle)
+                        .predict_encoded_many(request.to_vec())
+                        .expect("runtime is live")
+                })
+                .collect::<Vec<_>>()
+        };
         assert_eq!(
-            served.iter().map(|p| p.label).collect::<Vec<_>>(),
+            serve(&pairs).iter().map(|p| p.label).collect::<Vec<_>>(),
             expected,
             "the runtime must stay bit-identical to the direct model"
         );
         group.bench_with_input(
-            BenchmarkId::new(format!("queue_{max_batch}"), BATCH),
+            BenchmarkId::new(format!("request_{size}"), BATCH),
             &pairs,
-            |b, pairs| {
-                b.iter(|| {
-                    black_box(&handle)
-                        .predict_encoded_many(black_box(pairs.clone()))
-                        .expect("runtime is live")
-                });
-            },
+            |b, pairs| b.iter(|| serve(black_box(pairs))),
         );
-        runtimes.push(runtime);
     }
     group.finish();
-    for runtime in runtimes {
-        runtime.shutdown();
-    }
+    runtime.shutdown();
 }
 
 /// Builds the trained regression model the value-serving and snapshot
@@ -361,8 +353,8 @@ fn value_model() -> Model<Radians> {
     model
 }
 
-/// The PR 5 regression serving path: 256 keyed `predict_value` requests
-/// through the ingestion queue at micro-batch sizes 1/16/256, vs the
+/// The PR 5 regression serving path: 256 keyed `predict_value` rows
+/// through the ingestion queue as requests of 1/16/256 rows, vs the
 /// direct batched value predict. Same protocol as `serve_microbatch`, but
 /// every answer is an integer-readout score over the label grid instead of
 /// a nearest-class-vector search.
@@ -383,47 +375,40 @@ fn bench_value_microbatch(c: &mut Criterion) {
     group.bench_with_input(BenchmarkId::new("direct", BATCH), &arena, |b, arena| {
         b.iter(|| black_box(&model).predict_values_encoded(black_box(arena)));
     });
-    let mut runtimes = Vec::new();
-    for max_batch in [1usize, 16, 256] {
-        let runtime = Runtime::spawn(
-            value_model(),
-            RuntimeConfig {
-                shards: 4,
-                policy: BatchPolicy {
-                    max_batch,
-                    max_wait: Duration::from_micros(200),
-                },
-                refresh_every: 0,
-                ..RuntimeConfig::default()
-            },
-        )
-        .expect("valid runtime");
-        let handle = runtime.handle();
-        let served = handle
-            .predict_value_encoded_many(pairs.clone())
-            .expect("runtime is live");
+    let runtime = Runtime::spawn(
+        value_model(),
+        RuntimeConfig {
+            shards: 4,
+            refresh_every: 0,
+            ..RuntimeConfig::default()
+        },
+    )
+    .expect("valid runtime");
+    let handle = runtime.handle();
+    for size in [1usize, 16, 256] {
+        let serve = |pairs: &[(String, BinaryHypervector)]| {
+            pairs
+                .chunks(size)
+                .flat_map(|request| {
+                    black_box(&handle)
+                        .predict_value_encoded_many(request.to_vec())
+                        .expect("runtime is live")
+                })
+                .collect::<Vec<_>>()
+        };
         assert_eq!(
-            served.iter().map(|p| p.value).collect::<Vec<_>>(),
+            serve(&pairs).iter().map(|p| p.value).collect::<Vec<_>>(),
             expected,
             "the runtime must stay bit-identical to the direct model"
         );
         group.bench_with_input(
-            BenchmarkId::new(format!("queue_{max_batch}"), BATCH),
+            BenchmarkId::new(format!("request_{size}"), BATCH),
             &pairs,
-            |b, pairs| {
-                b.iter(|| {
-                    black_box(&handle)
-                        .predict_value_encoded_many(black_box(pairs.clone()))
-                        .expect("runtime is live")
-                });
-            },
+            |b, pairs| b.iter(|| serve(black_box(pairs))),
         );
-        runtimes.push(runtime);
     }
     group.finish();
-    for runtime in runtimes {
-        runtime.shutdown();
-    }
+    runtime.shutdown();
 }
 
 /// The multi-process cluster tier against its in-process baselines: the

@@ -201,19 +201,60 @@ pub fn run_mars(data: &mars::MarsDataset, kind: BasisKind, config: &Table2Config
 mod tests {
     use super::*;
 
+    /// The quick configuration with every seed (bases, splits, and both
+    /// surrogate datasets) set from `seed`.
+    fn quick_seeded(seed: u64) -> Table2Config {
+        let mut config = Table2Config::quick();
+        config.seed = seed;
+        config.beijing.seed = seed;
+        config.mars.seed = seed;
+        config
+    }
+
+    /// The paper's Table 2 orderings, pinned over seeds 0–7 of the quick
+    /// configuration (≈0.2 s a seed). The margins sit below the smallest
+    /// ratio measured over those seeds: circular beat the better of level
+    /// and random by ≥1.77× on Beijing and ≥1.59× on Mars Express, and
+    /// level beat random on Beijing by ≥2.22×. Level vs random on Mars
+    /// Express is not asserted: level was worse on 5 of the 8 seeds
+    /// (random/level 0.56–1.32).
     #[test]
     fn quick_run_beats_variance_baseline_with_circular() {
-        let config = Table2Config::quick();
-        let data = mars::generate(&config.mars);
-        let truth: Vec<f64> = data.samples.iter().map(|s| s.power).collect();
-        let mean = truth.iter().sum::<f64>() / truth.len() as f64;
-        let variance = truth.iter().map(|t| (t - mean).powi(2)).sum::<f64>() / truth.len() as f64;
+        for seed in 0..8 {
+            let config = quick_seeded(seed);
+            let rows = run(&config);
+            let [beijing, mars] = &rows[..] else {
+                panic!("Table 2 has one row per dataset");
+            };
+            for row in [beijing, mars] {
+                let best_other = row.random.min(row.level);
+                assert!(
+                    best_other >= 1.5 * row.circular,
+                    "seed {seed}, {}: circular MSE {} must be ≥1.5× below level {} and random {}",
+                    row.dataset,
+                    row.circular,
+                    row.level,
+                    row.random
+                );
+            }
+            assert!(
+                beijing.random >= 2.0 * beijing.level,
+                "seed {seed}, Beijing: level MSE {} must be ≥2× below random {}",
+                beijing.level,
+                beijing.random
+            );
 
-        let mse = run_mars(&data, BasisKind::Circular { randomness: 0.01 }, &config);
-        assert!(
-            mse < variance,
-            "circular MSE {mse} must beat variance {variance}"
-        );
+            let data = mars::generate(&config.mars);
+            let truth: Vec<f64> = data.samples.iter().map(|s| s.power).collect();
+            let mean = truth.iter().sum::<f64>() / truth.len() as f64;
+            let variance =
+                truth.iter().map(|t| (t - mean).powi(2)).sum::<f64>() / truth.len() as f64;
+            assert!(
+                mars.circular < variance,
+                "seed {seed}: circular MSE {} must beat variance {variance}",
+                mars.circular
+            );
+        }
     }
 
     #[test]

@@ -6,7 +6,6 @@
 //! hdc-cluster shard  --listen ADDR --snapshot PATH [--name NAME]
 //!                    [--data-dir DIR] [--segment-bytes N] [--snapshot-every N]
 //!                    [--fsync always|batch|never] [--page-cache N]
-//!                    [--group-commit-us N] [--group-commit-max N]
 //!                    [--wal-codec raw|adaptive]
 //! hdc-cluster router --listen ADDR --shard ADDR [--shard ADDR ...] [--seed N]
 //! ```
@@ -29,16 +28,13 @@
 //! bit-identically from its own log — `--snapshot` then only seeds the
 //! model spec on the *first* boot; afterwards the store's recovery wins.
 //! `--segment-bytes` and `--snapshot-every` tune log rotation and snapshot
-//! cadence, `--fsync` picks the flush policy (`batch` by default: one
-//! `fsync` per micro-batch, before its acks), and `--page-cache N` moves
-//! the item memory to the paged file-backed store with at most `N`
-//! hypervectors resident. Warm joins still stream the full item set: a
-//! live snapshot reads the paged store around its cache.
+//! cadence, `--fsync` picks the flush policy (`batch` by default: acks
+//! wait for a group `fdatasync`; the flusher thread retires every commit
+//! parked when it wakes with one flush, and never waits on a timer), and
+//! `--page-cache N` moves the item memory to the paged file-backed store
+//! with at most `N` hypervectors resident. Warm joins still stream the
+//! full item set: a live snapshot reads the paged store around its cache.
 //!
-//! `--group-commit-us N` sets the group-commit collection window in
-//! microseconds (default 200; `0` disables the flusher thread and flushes
-//! inline per micro-batch — the classic schedule), `--group-commit-max N`
-//! caps how many commit tickets one flush may coalesce (default 256), and
 //! `--wal-codec raw|adaptive` picks the log record codec (`adaptive` by
 //! default: per record, the smallest of sparse/delta/run-length against a
 //! rolling dictionary, falling back to raw — never more than one byte
@@ -55,7 +51,6 @@
 
 use std::process::ExitCode;
 use std::thread;
-use std::time::Duration;
 
 use hdc_encode::Radians;
 use hdc_serve::{
@@ -69,8 +64,7 @@ fn usage() -> ExitCode {
         "usage:\n  \
          hdc-cluster shard  --listen ADDR --snapshot PATH [--name NAME]\n    \
          [--data-dir DIR] [--segment-bytes N] [--snapshot-every N]\n    \
-         [--fsync always|batch|never] [--page-cache N]\n    \
-         [--group-commit-us N] [--group-commit-max N] [--wal-codec raw|adaptive]\n  \
+         [--fsync always|batch|never] [--page-cache N] [--wal-codec raw|adaptive]\n  \
          hdc-cluster router --listen ADDR --shard ADDR [--shard ADDR ...] [--seed N]"
     );
     ExitCode::FAILURE
@@ -158,8 +152,6 @@ fn durability_flags(rest: &[String]) -> Result<Option<DurabilityConfig>, ParseEr
                 "--snapshot-every",
                 "--fsync",
                 "--page-cache",
-                "--group-commit-us",
-                "--group-commit-max",
                 "--wal-codec",
             ] {
                 if !flag_values(rest, flag)?.is_empty() {
@@ -180,12 +172,6 @@ fn durability_flags(rest: &[String]) -> Result<Option<DurabilityConfig>, ParseEr
     }
     if let Some(budget) = numeric_flag(rest, "--page-cache")? {
         config.page_cache = Some(budget as usize);
-    }
-    if let Some(micros) = numeric_flag(rest, "--group-commit-us")? {
-        config.group_commit_window = Duration::from_micros(micros);
-    }
-    if let Some(cap) = numeric_flag(rest, "--group-commit-max")? {
-        config.group_commit_max = cap as usize;
     }
     config.sync = match flag_values(rest, "--fsync")?.as_slice() {
         [] | ["batch"] => SyncPolicy::EveryBatch,

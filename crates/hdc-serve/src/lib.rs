@@ -16,8 +16,9 @@
 //!   remapping under shard churn — the serving setting circular
 //!   hypervectors were invented for (Heddes et al., DAC 2022).
 //! * [`Runtime`] — the long-running process around the fleet: an MPSC
-//!   ingestion queue micro-batching concurrent keyed predictions by a
-//!   deadline-or-size [`BatchPolicy`], a background trainer publishing
+//!   ingestion queue that serves whatever requests are queued as one
+//!   micro-batch, up to a [`BatchPolicy`] size cap and without waiting
+//!   for more, a background trainer publishing
 //!   `Arc`-snapshotted class-vector [`Generation`]s that swap atomically
 //!   across all shards (reads never block on training; every
 //!   [`Prediction`] carries its generation id), and live

@@ -633,6 +633,12 @@ impl<X: ?Sized + Sync> Model<X> {
     }
 
     /// Encodes one sample into an owned hypervector.
+    ///
+    /// # Panics
+    ///
+    /// Panics on an input the encoder cannot encode (see
+    /// [`hdc_encode::Encoder::check_input`]), e.g. a record of the wrong
+    /// arity.
     #[must_use]
     pub fn encode(&self, input: &X) -> BinaryHypervector {
         let mut words = vec![0u64; self.spec.dim.div_ceil(64)];
@@ -645,6 +651,12 @@ impl<X: ?Sized + Sync> Model<X> {
     /// input in order, forking across the worker pool when the batch pays
     /// for it — bit-identical to per-sample [`encode`](Self::encode) (rows
     /// are independent).
+    ///
+    /// # Panics
+    ///
+    /// Panics if any input is one the encoder cannot encode (see
+    /// [`hdc_encode::Encoder::check_input`]), e.g. a record of the wrong
+    /// arity.
     pub fn encode_batch<'a, I>(&self, inputs: I) -> HypervectorBatch
     where
         I: IntoIterator<Item = &'a X>,
@@ -667,6 +679,13 @@ impl<X: ?Sized + Sync> Model<X> {
         batch
     }
 
+    /// Checks every input before any is encoded: a malformed one is an
+    /// error instead of an encoder panic, and nothing is accumulated.
+    fn check_inputs(&self, refs: &[&X]) -> Result<(), HdcError> {
+        refs.iter()
+            .try_for_each(|input| self.encoder.check_input(input))
+    }
+
     /// Checks an input count against its per-sample values before any
     /// encoding work is spent.
     fn check_paired(refs: usize, values: usize) -> Result<(), HdcError> {
@@ -687,12 +706,14 @@ impl<X: ?Sized + Sync> Model<X> {
     ///
     /// # Errors
     ///
-    /// Returns [`HdcError::LabelOutOfRange`] for an unknown label and
+    /// Returns [`HdcError::LabelOutOfRange`] for an unknown label, the
+    /// encoder's input error for an input it cannot encode and
     /// [`HdcError::TaskMismatch`] on a regression pipeline.
     pub fn fit(&mut self, input: &X, label: usize) -> Result<(), HdcError> {
         if !matches!(self.state, TaskState::Classify { .. }) {
             return Err(self.task_mismatch("classification"));
         }
+        self.encoder.check_input(input)?;
         let hv = self.encode(input);
         let TaskState::Classify { trainer, .. } = &mut self.state else {
             unreachable!("task checked above");
@@ -710,8 +731,9 @@ impl<X: ?Sized + Sync> Model<X> {
     ///
     /// Returns [`HdcError::BatchLengthMismatch`] if `labels` does not match
     /// the number of inputs, [`HdcError::LabelOutOfRange`] for an unknown
-    /// label (in which case nothing is accumulated) and
-    /// [`HdcError::TaskMismatch`] on a regression pipeline.
+    /// label, the encoder's input error for an input it cannot encode (in
+    /// either case nothing is accumulated) and [`HdcError::TaskMismatch`]
+    /// on a regression pipeline.
     pub fn fit_batch<'a, I>(&mut self, inputs: I, labels: &[usize]) -> Result<(), HdcError>
     where
         I: IntoIterator<Item = &'a X>,
@@ -722,6 +744,7 @@ impl<X: ?Sized + Sync> Model<X> {
         }
         let refs: Vec<&X> = inputs.into_iter().collect();
         Self::check_paired(refs.len(), labels.len())?;
+        self.check_inputs(&refs)?;
         let batch = self.encode_refs(&refs);
         let TaskState::Classify { trainer, .. } = &mut self.state else {
             unreachable!("task checked above");
@@ -736,7 +759,9 @@ impl<X: ?Sized + Sync> Model<X> {
     /// # Panics
     ///
     /// Panics on a regression pipeline — use
-    /// [`predict_value`](Self::predict_value).
+    /// [`predict_value`](Self::predict_value) — and on an input the
+    /// encoder cannot encode (see [`hdc_encode::Encoder::check_input`]),
+    /// e.g. a record of the wrong arity.
     #[must_use]
     pub fn predict(&self, input: &X) -> usize {
         self.classifier().predict(&self.encode(input))
@@ -748,7 +773,8 @@ impl<X: ?Sized + Sync> Model<X> {
     ///
     /// # Panics
     ///
-    /// Panics on a regression pipeline.
+    /// Panics on a regression pipeline, and if any input is one the
+    /// encoder cannot encode (see [`hdc_encode::Encoder::check_input`]).
     pub fn predict_batch<'a, I>(&self, inputs: I) -> Vec<usize>
     where
         I: IntoIterator<Item = &'a X>,
@@ -774,7 +800,8 @@ impl<X: ?Sized + Sync> Model<X> {
     /// # Errors
     ///
     /// Returns [`HdcError::BatchLengthMismatch`] if `labels` does not match
-    /// the number of inputs, [`HdcError::EmptyInput`] for an empty set and
+    /// the number of inputs, [`HdcError::EmptyInput`] for an empty set, the
+    /// encoder's input error for an input it cannot encode and
     /// [`HdcError::TaskMismatch`] on a regression pipeline.
     pub fn evaluate<'a, I>(&self, inputs: I, labels: &[usize]) -> Result<f64, HdcError>
     where
@@ -789,6 +816,7 @@ impl<X: ?Sized + Sync> Model<X> {
         if refs.is_empty() {
             return Err(HdcError::EmptyInput);
         }
+        self.check_inputs(&refs)?;
         let batch = self.encode_refs(&refs);
         Ok(metrics::accuracy(&classifier.predict_rows(&batch), labels))
     }
@@ -801,11 +829,13 @@ impl<X: ?Sized + Sync> Model<X> {
     ///
     /// # Errors
     ///
-    /// Returns [`HdcError::TaskMismatch`] on a classification pipeline.
+    /// Returns the encoder's input error for an input it cannot encode and
+    /// [`HdcError::TaskMismatch`] on a classification pipeline.
     pub fn fit_value(&mut self, input: &X, value: f64) -> Result<(), HdcError> {
         if !matches!(self.state, TaskState::Regress { .. }) {
             return Err(self.task_mismatch("regression"));
         }
+        self.encoder.check_input(input)?;
         let hv = self.encode(input);
         let TaskState::Regress { trainer, .. } = &mut self.state else {
             unreachable!("task checked above");
@@ -823,8 +853,9 @@ impl<X: ?Sized + Sync> Model<X> {
     /// # Errors
     ///
     /// Returns [`HdcError::BatchLengthMismatch`] if `values` does not match
-    /// the number of inputs and [`HdcError::TaskMismatch`] on a
-    /// classification pipeline.
+    /// the number of inputs, the encoder's input error for an input it
+    /// cannot encode (nothing is accumulated then) and
+    /// [`HdcError::TaskMismatch`] on a classification pipeline.
     pub fn fit_value_batch<'a, I>(&mut self, inputs: I, values: &[f64]) -> Result<(), HdcError>
     where
         I: IntoIterator<Item = &'a X>,
@@ -835,6 +866,7 @@ impl<X: ?Sized + Sync> Model<X> {
         }
         let refs: Vec<&X> = inputs.into_iter().collect();
         Self::check_paired(refs.len(), values.len())?;
+        self.check_inputs(&refs)?;
         let batch = self.encode_refs(&refs);
         let TaskState::Regress { trainer, .. } = &mut self.state else {
             unreachable!("task checked above");
@@ -849,7 +881,9 @@ impl<X: ?Sized + Sync> Model<X> {
     /// # Panics
     ///
     /// Panics on a classification pipeline — use
-    /// [`predict`](Self::predict).
+    /// [`predict`](Self::predict) — and on an input the encoder cannot
+    /// encode (see [`hdc_encode::Encoder::check_input`]), e.g. a record of
+    /// the wrong arity.
     #[must_use]
     pub fn predict_value(&self, input: &X) -> f64 {
         self.regressor().predict(&self.encode(input))
@@ -861,7 +895,8 @@ impl<X: ?Sized + Sync> Model<X> {
     ///
     /// # Panics
     ///
-    /// Panics on a classification pipeline.
+    /// Panics on a classification pipeline, and if any input is one the
+    /// encoder cannot encode (see [`hdc_encode::Encoder::check_input`]).
     pub fn predict_value_batch<'a, I>(&self, inputs: I) -> Vec<f64>
     where
         I: IntoIterator<Item = &'a X>,
@@ -888,7 +923,8 @@ impl<X: ?Sized + Sync> Model<X> {
     /// # Errors
     ///
     /// Returns [`HdcError::BatchLengthMismatch`] if `values` does not match
-    /// the number of inputs, [`HdcError::EmptyInput`] for an empty set and
+    /// the number of inputs, [`HdcError::EmptyInput`] for an empty set, the
+    /// encoder's input error for an input it cannot encode and
     /// [`HdcError::TaskMismatch`] on a classification pipeline.
     pub fn evaluate_mae<'a, I>(&self, inputs: I, values: &[f64]) -> Result<f64, HdcError>
     where
@@ -903,6 +939,7 @@ impl<X: ?Sized + Sync> Model<X> {
         if refs.is_empty() {
             return Err(HdcError::EmptyInput);
         }
+        self.check_inputs(&refs)?;
         let batch = self.encode_refs(&refs);
         Ok(metrics::mae(&model.predict_rows(&batch), values))
     }
@@ -1310,5 +1347,70 @@ mod tests {
             .build()
             .unwrap();
         let _ = model.predict(&Radians(0.1));
+    }
+
+    #[test]
+    fn malformed_rows_are_errors_and_nothing_is_accumulated() {
+        // A 3-field record model: a 2-field row, or a category outside
+        // 0..4, is an error from every `Result`-returning raw-input method,
+        // and a refused batch accumulates none of its rows.
+        let fields = || {
+            vec![
+                FieldSpec::scalar(0.0, 1.0),
+                FieldSpec::angle(),
+                FieldSpec::categorical(4),
+            ]
+        };
+        let good = [0.5, 1.0, 2.0];
+        let short = [0.5, 1.0];
+        let bad_symbol = [0.5, 1.0, 9.0];
+        let rows: [&[f64]; 2] = [&good, &bad_symbol];
+
+        let mut regressor = Pipeline::builder(512)
+            .seed(3)
+            .regression(0.0, 1.0, 8)
+            .encoder(Enc::record(fields()))
+            .build()
+            .unwrap();
+        regressor.fit_value(&good[..], 0.3).unwrap();
+        assert_eq!(
+            regressor.fit_value(&short[..], 0.3),
+            Err(HdcError::DimensionMismatch {
+                expected: 3,
+                found: 2
+            })
+        );
+        assert!(matches!(
+            regressor.fit_value_batch(rows, &[0.1, 0.2]),
+            Err(HdcError::SymbolOutOfRange { symbols: 4, .. })
+        ));
+        assert!(matches!(
+            regressor.evaluate_mae(rows, &[0.1, 0.2]),
+            Err(HdcError::SymbolOutOfRange { symbols: 4, .. })
+        ));
+        assert_eq!(regressor.observed(), 1);
+
+        let mut classifier = Pipeline::builder(512)
+            .seed(3)
+            .classes(2)
+            .encoder(Enc::record(fields()))
+            .build()
+            .unwrap();
+        assert_eq!(
+            classifier.fit(&short[..], 0),
+            Err(HdcError::DimensionMismatch {
+                expected: 3,
+                found: 2
+            })
+        );
+        assert!(matches!(
+            classifier.fit_batch(rows, &[0, 1]),
+            Err(HdcError::SymbolOutOfRange { symbols: 4, .. })
+        ));
+        assert!(matches!(
+            classifier.evaluate(rows, &[0, 1]),
+            Err(HdcError::SymbolOutOfRange { symbols: 4, .. })
+        ));
+        assert_eq!(classifier.observed(), 0);
     }
 }

@@ -6,10 +6,13 @@
 //! A [`Runtime`] owns two background threads:
 //!
 //! * the **dispatcher** exclusively owns the [`ShardedModel`] and drains the
-//!   work queue, coalescing concurrent keyed predictions (label *and* value
-//!   predictions alike) into one [`HypervectorBatch`] by a deadline-or-size
-//!   [`BatchPolicy`] — so encode, ring routing and the minipool fan-out are
-//!   paid once per micro-batch instead of once per caller;
+//!   work queue. Each prediction request (label *or* value predictions, one
+//!   or many keyed rows) is one work item. When the dispatcher is free it
+//!   takes whatever is already queued, up to [`BatchPolicy::max_batch`]
+//!   rows, into one [`HypervectorBatch`] and serves it; it never waits for
+//!   more. Batches grow under load because requests queue while the
+//!   previous batch is served, so encode, ring routing and the minipool
+//!   fan-out are paid once per micro-batch instead of once per caller;
 //! * the **trainer** folds `fit`/`fit_value` observations into the task's
 //!   accumulators ([`CentroidTrainer`] or
 //!   [`RegressionTrainer`](hdc_learn::RegressionTrainer)) off the serving
@@ -53,7 +56,7 @@ use std::borrow::Borrow;
 use std::fmt;
 use std::path::PathBuf;
 use std::sync::atomic::{AtomicBool, Ordering};
-use std::sync::mpsc::{self, Receiver, RecvTimeoutError, Sender};
+use std::sync::mpsc::{self, Receiver, Sender};
 use std::sync::{Arc, RwLock};
 use std::thread::{self, JoinHandle};
 use std::time::{Duration, Instant};
@@ -72,26 +75,22 @@ use crate::snapshot::Snapshot;
 use crate::spec::{PipelineSpec, Task};
 use crate::{Model, ShardedModel};
 
-/// When a micro-batch closes: at `max_batch` pending predictions, or
-/// `max_wait` after the first one arrived — whichever comes first. A lone
-/// request on an idle queue therefore waits at most `max_wait`.
+/// How large a micro-batch may grow. There is no timer: the dispatcher
+/// serves whatever is queued when it becomes free, so a lone request on an
+/// idle queue is served at once.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct BatchPolicy {
-    /// Maximum predictions coalesced into one batch (`>= 1`; `0` is
-    /// clamped to `1`).
+    /// Maximum rows (predicted rows plus fits) served in one batch (`>= 1`;
+    /// `0` is clamped to `1`). A request is never split: one that would
+    /// push a non-empty batch past the cap opens the next batch, and one
+    /// larger than the cap is served as a batch of its own.
     pub max_batch: usize,
-    /// Maximum time the dispatcher holds an open batch waiting for more
-    /// requests.
-    pub max_wait: Duration,
 }
 
 impl Default for BatchPolicy {
-    /// 64 requests or 500 µs, whichever fills first.
+    /// Up to 64 rows per batch.
     fn default() -> Self {
-        Self {
-            max_batch: 64,
-            max_wait: Duration::from_micros(500),
-        }
+        Self { max_batch: 64 }
     }
 }
 
@@ -315,12 +314,41 @@ enum Payload<O> {
 /// One request's keyed payloads, in order.
 type KeyedPayloads<O> = Vec<(String, Payload<O>)>;
 
+/// One prediction request: its keyed rows, served together by one
+/// generation and answered, in order, by one reply.
 struct PredictJob<O, R> {
-    key: String,
-    payload: Payload<O>,
+    rows: KeyedPayloads<O>,
     enqueued: Instant,
-    index: usize,
-    reply: Sender<(usize, R)>,
+    reply: Sender<Vec<R>>,
+}
+
+/// What one observation teaches the trainer.
+#[derive(Debug, Clone, Copy)]
+enum FitTarget {
+    Label(usize),
+    Value(f64),
+}
+
+impl FitTarget {
+    /// The write-ahead-log record of the encoded observation `hv`.
+    fn record(self, hv: &BinaryHypervector) -> WalRecord {
+        let hv = hv.clone();
+        match self {
+            FitTarget::Label(label) => WalRecord::Fit {
+                hv,
+                label: label as u64,
+            },
+            FitTarget::Value(value) => WalRecord::FitValue { hv, value },
+        }
+    }
+
+    /// The trainer message that folds `hv` in.
+    fn observe(self, hv: BinaryHypervector) -> TrainerMsg {
+        match self {
+            FitTarget::Label(label) => TrainerMsg::Observe { hv, label },
+            FitTarget::Value(value) => TrainerMsg::ObserveValue { hv, value },
+        }
+    }
 }
 
 enum Work<O> {
@@ -337,15 +365,10 @@ enum Work<O> {
     },
     Fit {
         payload: Payload<O>,
-        label: usize,
+        target: FitTarget,
         /// `Some` on a durable runtime: the dispatcher acknowledges after
         /// the observation's WAL record is flushed, `None` keeps the
         /// fire-and-forget fast path.
-        ack: Option<Sender<()>>,
-    },
-    FitValue {
-        payload: Payload<O>,
-        value: f64,
         ack: Option<Sender<()>>,
     },
     Refresh {
@@ -660,7 +683,6 @@ where
         }
         let policy = BatchPolicy {
             max_batch: config.policy.max_batch.max(1),
-            max_wait: config.policy.max_wait,
         };
         let metrics = Arc::new(ServeMetrics::new(policy.max_batch));
         let generations = Arc::new(GenerationCell::new(Arc::new(head)));
@@ -980,7 +1002,7 @@ where
     /// shutdown.
     pub fn predict(&self, key: impl Into<String>, input: &X) -> Result<Prediction, HdcError> {
         self.check_classification()?;
-        self.submit_jobs(vec![(key.into(), self.raw(input)?)], Work::Predict)
+        self.submit(vec![(key.into(), self.raw(input)?)], Work::Predict)
             .map(|mut replies| replies.pop().expect("one prediction per request"))
     }
 
@@ -998,14 +1020,13 @@ where
     ) -> Result<Prediction, HdcError> {
         self.check_classification()?;
         self.check_dim(hv.dim())?;
-        self.submit_jobs(vec![(key.into(), Payload::Encoded(hv))], Work::Predict)
+        self.submit(vec![(key.into(), Payload::Encoded(hv))], Work::Predict)
             .map(|mut replies| replies.pop().expect("one prediction per request"))
     }
 
-    /// Predicts a set of raw inputs, in order. The requests enter the same
-    /// queue as everyone else's — the dispatcher is free to coalesce them
-    /// with concurrent callers or split them across micro-batches (each
-    /// prediction reports the generation that served it).
+    /// Predicts a set of raw inputs, in order. The set is one request: the
+    /// dispatcher may serve it beside other queued requests but never
+    /// splits it, so one generation answers every row.
     ///
     /// # Errors
     ///
@@ -1018,7 +1039,7 @@ where
         X: 'a,
     {
         self.check_classification()?;
-        self.submit_jobs(self.raw_jobs(inputs)?, Work::Predict)
+        self.submit(self.raw_jobs(inputs)?, Work::Predict)
     }
 
     /// Predicts a set of already encoded queries, in order.
@@ -1036,7 +1057,7 @@ where
         for (_, hv) in &pairs {
             self.check_dim(hv.dim())?;
         }
-        self.submit_jobs(
+        self.submit(
             pairs
                 .into_iter()
                 .map(|(key, hv)| (key, Payload::Encoded(hv)))
@@ -1059,7 +1080,7 @@ where
         input: &X,
     ) -> Result<ValuePrediction, HdcError> {
         self.check_regression()?;
-        self.submit_jobs(vec![(key.into(), self.raw(input)?)], Work::PredictValue)
+        self.submit(vec![(key.into(), self.raw(input)?)], Work::PredictValue)
             .map(|mut replies| replies.pop().expect("one prediction per request"))
     }
 
@@ -1077,7 +1098,7 @@ where
     ) -> Result<ValuePrediction, HdcError> {
         self.check_regression()?;
         self.check_dim(hv.dim())?;
-        self.submit_jobs(vec![(key.into(), Payload::Encoded(hv))], Work::PredictValue)
+        self.submit(vec![(key.into(), Payload::Encoded(hv))], Work::PredictValue)
             .map(|mut replies| replies.pop().expect("one prediction per request"))
     }
 
@@ -1094,7 +1115,7 @@ where
         X: 'a,
     {
         self.check_regression()?;
-        self.submit_jobs(self.raw_jobs(inputs)?, Work::PredictValue)
+        self.submit(self.raw_jobs(inputs)?, Work::PredictValue)
     }
 
     /// A raw input's payload, once the encoder has accepted it: an input
@@ -1131,7 +1152,7 @@ where
         for (_, hv) in &pairs {
             self.check_dim(hv.dim())?;
         }
-        self.submit_jobs(
+        self.submit(
             pairs
                 .into_iter()
                 .map(|(key, hv)| (key, Payload::Encoded(hv)))
@@ -1140,38 +1161,24 @@ where
         )
     }
 
-    /// The shared submit-and-collect path behind every prediction form:
-    /// enqueue one job per input (all sharing a reply channel and an
-    /// enqueue timestamp), then collect replies by index.
-    fn submit_jobs<R: Clone + Default>(
+    /// The shared path behind every prediction form: the rows travel as
+    /// one work item and come back as one reply, in order.
+    fn submit<R>(
         &self,
-        jobs: KeyedPayloads<X::Owned>,
-        wrap: impl Fn(PredictJob<X::Owned, R>) -> Work<X::Owned>,
+        rows: KeyedPayloads<X::Owned>,
+        wrap: impl FnOnce(PredictJob<X::Owned, R>) -> Work<X::Owned>,
     ) -> Result<Vec<R>, HdcError> {
-        let expected = jobs.len();
-        if expected == 0 {
+        if rows.is_empty() {
             return Ok(Vec::new());
         }
-        let (reply_tx, reply_rx) = mpsc::channel();
         let enqueued = Instant::now();
-        for (index, (key, payload)) in jobs.into_iter().enumerate() {
-            self.send_work(wrap(PredictJob {
-                key,
-                payload,
+        self.rpc(|reply| {
+            wrap(PredictJob {
+                rows,
                 enqueued,
-                index,
-                reply: reply_tx.clone(),
-            }))?;
-        }
-        drop(reply_tx);
-        let mut replies = vec![R::default(); expected];
-        let mut received = 0;
-        while received < expected {
-            let (index, reply) = reply_rx.recv().map_err(|_| HdcError::ServiceUnavailable)?;
-            replies[index] = reply;
-            received += 1;
-        }
-        Ok(replies)
+                reply,
+            })
+        })
     }
 
     /// Stores an encoded hypervector under `key` on its owning shard.
@@ -1218,19 +1225,7 @@ where
     /// [`HdcError::ServiceUnavailable`] after shutdown.
     pub fn fit(&self, input: &X, label: usize) -> Result<(), HdcError> {
         self.check_label(label)?;
-        let payload = self.raw(input)?;
-        if self.durable {
-            return self.rpc(|ack| Work::Fit {
-                payload,
-                label,
-                ack: Some(ack),
-            });
-        }
-        self.send_work(Work::Fit {
-            payload,
-            label,
-            ack: None,
-        })
+        self.send_fit(self.raw(input)?, FitTarget::Label(label))
     }
 
     /// Enqueues one already encoded training observation. On an in-RAM
@@ -1248,16 +1243,7 @@ where
     pub fn fit_encoded(&self, hv: BinaryHypervector, label: usize) -> Result<(), HdcError> {
         self.check_dim(hv.dim())?;
         self.check_label(label)?;
-        if self.durable {
-            return self.rpc(|ack| Work::Fit {
-                payload: Payload::Encoded(hv),
-                label,
-                ack: Some(ack),
-            });
-        }
-        self.trainer_tx
-            .send(TrainerMsg::Observe { hv, label })
-            .map_err(|_| HdcError::ServiceUnavailable)
+        self.send_encoded_fit(hv, FitTarget::Label(label))
     }
 
     /// Enqueues one raw `(input, value)` training observation — the
@@ -1271,19 +1257,7 @@ where
     /// [`HdcError::ServiceUnavailable`] after shutdown.
     pub fn fit_value(&self, input: &X, value: f64) -> Result<(), HdcError> {
         self.check_regression()?;
-        let payload = self.raw(input)?;
-        if self.durable {
-            return self.rpc(|ack| Work::FitValue {
-                payload,
-                value,
-                ack: Some(ack),
-            });
-        }
-        self.send_work(Work::FitValue {
-            payload,
-            value,
-            ack: None,
-        })
+        self.send_fit(self.raw(input)?, FitTarget::Value(value))
     }
 
     /// Enqueues one already encoded `(query, value)` training observation.
@@ -1298,15 +1272,34 @@ where
     pub fn fit_value_encoded(&self, hv: BinaryHypervector, value: f64) -> Result<(), HdcError> {
         self.check_regression()?;
         self.check_dim(hv.dim())?;
+        self.send_encoded_fit(hv, FitTarget::Value(value))
+    }
+
+    /// Enqueues one observation on the work queue: fire-and-forget in RAM,
+    /// blocking until its log record is flushed when durable.
+    fn send_fit(&self, payload: Payload<X::Owned>, target: FitTarget) -> Result<(), HdcError> {
         if self.durable {
-            return self.rpc(|ack| Work::FitValue {
-                payload: Payload::Encoded(hv),
-                value,
+            return self.rpc(|ack| Work::Fit {
+                payload,
+                target,
                 ack: Some(ack),
             });
         }
+        self.send_work(Work::Fit {
+            payload,
+            target,
+            ack: None,
+        })
+    }
+
+    /// An encoded observation needs no dispatcher encode, so in RAM it
+    /// goes straight to the trainer; a durable one is logged first.
+    fn send_encoded_fit(&self, hv: BinaryHypervector, target: FitTarget) -> Result<(), HdcError> {
+        if self.durable {
+            return self.send_fit(Payload::Encoded(hv), target);
+        }
         self.trainer_tx
-            .send(TrainerMsg::ObserveValue { hv, value })
+            .send(target.observe(hv))
             .map_err(|_| HdcError::ServiceUnavailable)
     }
 
@@ -1515,8 +1508,8 @@ impl Durability {
 
     /// Parks this micro-batch's acknowledgements on the flush scheduler:
     /// they fire when the group's single `fdatasync` retires everything
-    /// appended so far (inline, for a zero window or
-    /// [`SyncPolicy::Never`]). Fail-stop like [`append`](Durability::append).
+    /// appended so far (at once under [`SyncPolicy::Never`]). Fail-stop
+    /// like [`append`](Durability::append).
     fn commit(&mut self, acks: Vec<GroupAck>) {
         self.wal
             .commit(self.last_seq, acks)
@@ -1602,12 +1595,56 @@ fn trigger_snapshot(
 }
 
 /// A fit queued in the current micro-batch: the observation payload, its
-/// target (label or value), and the ack channel a durable caller is
-/// blocked on until the WAL flush — `None` for fire-and-forget fits.
-type PendingFit<O, T> = (Payload<O>, T, Option<Sender<()>>);
+/// target, and the ack channel a durable caller is blocked on until the
+/// WAL flush — `None` for fire-and-forget fits.
+type PendingFit<O> = (Payload<O>, FitTarget, Option<Sender<()>>);
+
+/// Serves queued prediction requests as one arena: every row is encoded
+/// (or copied) into `scratch`, `readout` answers the whole arena at once,
+/// and each request gets its own rows' answers back, in order.
+fn serve_requests<X, O, A, R>(
+    jobs: &mut Vec<PredictJob<O, R>>,
+    encoder: &dyn DynEncoder<X>,
+    scratch: &mut HypervectorBatch,
+    latencies: &mut Vec<Duration>,
+    readout: impl FnOnce(&[&str], &HypervectorBatch) -> Vec<A>,
+    answer: impl Fn(A) -> R,
+) where
+    X: ?Sized + Sync,
+    O: Borrow<X>,
+{
+    if jobs.is_empty() {
+        return;
+    }
+    let answers = {
+        let rows = || jobs.iter().flat_map(|job| &job.rows);
+        let sources: Vec<RowSource<'_, X>> =
+            rows().map(|(_, payload)| RowSource::of(payload)).collect();
+        scratch.resize_zeroed(sources.len());
+        fill_batch(encoder, &sources, scratch);
+        let keys: Vec<&str> = rows().map(|(key, _)| key.as_str()).collect();
+        readout(&keys, scratch)
+    };
+    let mut answers = answers.into_iter();
+    for job in jobs.drain(..) {
+        let n = job.rows.len();
+        latencies.extend(std::iter::repeat(job.enqueued.elapsed()).take(n));
+        let _ = job
+            .reply
+            .send(answers.by_ref().take(n).map(&answer).collect());
+    }
+}
 
 /// Serves the work queue until shutdown. `adopted` is the generation whose
 /// head `fleet` holds: every reply names the generation that served it.
+///
+/// One batching rule, no timer: the dispatcher blocks for the first work
+/// item, then takes whatever else is already queued, up to
+/// `policy.max_batch` rows, and serves it. A prediction request counts its
+/// rows and a fit counts one. A request is never split: one that would
+/// push a non-empty batch past the cap is held for the next batch (one
+/// larger than the cap is a batch of its own). Any other operation closes
+/// the batch and is served right after it, so queue order is kept.
 #[allow(clippy::too_many_lines, clippy::too_many_arguments)]
 fn dispatcher_loop<X>(
     work_rx: Receiver<Work<X::Owned>>,
@@ -1627,88 +1664,72 @@ where
     X::Owned: Send + 'static,
 {
     let dim = fleet.dim();
-    // Scratch arenas recycled across micro-batches (`resize_zeroed` keeps
-    // the allocation): one for label predictions, one for value
-    // predictions, one for fit observations — all riding the same parallel
-    // encode pass. The task is fixed at spawn, so only the head's own
-    // prediction arena is preallocated to a full micro-batch; the other
-    // kind of prediction can never arrive (handles reject it up front).
-    let (predict_rows, value_rows) = match fleet.head() {
-        Head::Classes(_) => (policy.max_batch, 0),
-        Head::Values(_) => (0, policy.max_batch),
-    };
-    let mut predict_scratch = HypervectorBatch::with_capacity(dim, predict_rows);
-    let mut value_scratch = HypervectorBatch::with_capacity(dim, value_rows);
-    let mut fit_scratch = HypervectorBatch::new(dim);
-
-    let mut pending: Vec<PredictJob<X::Owned, Prediction>> = Vec::new();
-    let mut pending_values: Vec<PredictJob<X::Owned, ValuePrediction>> = Vec::new();
-    let mut fits: Vec<PendingFit<X::Owned, usize>> = Vec::new();
-    let mut value_fits: Vec<PendingFit<X::Owned, f64>> = Vec::new();
+    // One scratch arena, recycled across micro-batches (`resize_zeroed`
+    // keeps the allocation) and shared by the batch's predictions and then
+    // its fits.
+    let mut scratch = HypervectorBatch::with_capacity(dim, policy.max_batch);
+    let mut labels: Vec<PredictJob<X::Owned, Prediction>> = Vec::new();
+    let mut values: Vec<PredictJob<X::Owned, ValuePrediction>> = Vec::new();
+    let mut fits: Vec<PendingFit<X::Owned>> = Vec::new();
     let mut fit_acks: Vec<Sender<()>> = Vec::new();
+    let mut latencies: Vec<Duration> = Vec::new();
+    // A request that did not fit under the cap: it opens the next batch.
+    let mut held: Option<Work<X::Owned>> = None;
 
     'runtime: loop {
-        let Ok(work) = work_rx.recv() else {
-            break 'runtime;
-        };
-        metrics.dequeued(1);
-        // Anything that is not a prediction or fit is handled immediately;
-        // a prediction opens a micro-batch collection window.
-        let mut stashed: Option<Work<X::Owned>> = None;
-        match work {
-            Work::Shutdown => break 'runtime,
-            Work::Predict(job) => pending.push(job),
-            Work::PredictValue(job) => pending_values.push(job),
-            Work::Fit {
-                payload,
-                label,
-                ack,
-            } => fits.push((payload, label, ack)),
-            Work::FitValue {
-                payload,
-                value,
-                ack,
-            } => value_fits.push((payload, value, ack)),
-            other => stashed = Some(other),
-        }
-        if stashed.is_none() && !(pending.is_empty() && pending_values.is_empty()) {
-            let deadline = Instant::now() + policy.max_wait;
-            while pending.len() + pending_values.len() < policy.max_batch {
-                let remaining = deadline.saturating_duration_since(Instant::now());
-                match work_rx.recv_timeout(remaining) {
-                    Ok(more) => {
-                        metrics.dequeued(1);
-                        match more {
-                            Work::Predict(job) => pending.push(job),
-                            Work::PredictValue(job) => pending_values.push(job),
-                            // Fit observations ride the same encode pass
-                            // as the batch they arrived with.
-                            Work::Fit {
-                                payload,
-                                label,
-                                ack,
-                            } => fits.push((payload, label, ack)),
-                            Work::FitValue {
-                                payload,
-                                value,
-                                ack,
-                            } => value_fits.push((payload, value, ack)),
-                            // Any other op closes the batch; it is served
-                            // first so queue order is preserved.
-                            other => {
-                                stashed = Some(other);
-                                break;
-                            }
-                        }
-                    }
-                    Err(RecvTimeoutError::Timeout) | Err(RecvTimeoutError::Disconnected) => break,
+        let mut work = match held.take() {
+            Some(work) => work,
+            None => match work_rx.recv() {
+                Ok(work) => {
+                    metrics.dequeued(1);
+                    work
                 }
+                Err(_) => break 'runtime,
+            },
+        };
+        // --- Collect what is queued, up to the cap. -----------------------
+        let mut rows = 0usize;
+        let stashed = loop {
+            let room = |size: usize| rows == 0 || rows + size <= policy.max_batch;
+            match work {
+                Work::Predict(job) if room(job.rows.len()) => {
+                    rows += job.rows.len();
+                    labels.push(job);
+                }
+                Work::PredictValue(job) if room(job.rows.len()) => {
+                    rows += job.rows.len();
+                    values.push(job);
+                }
+                Work::Fit {
+                    payload,
+                    target,
+                    ack,
+                } if room(1) => {
+                    rows += 1;
+                    fits.push((payload, target, ack));
+                }
+                Work::Predict(_) | Work::PredictValue(_) | Work::Fit { .. } => {
+                    held = Some(work);
+                    break None;
+                }
+                // Any other operation closes the batch; it is served right
+                // after it, so queue order is preserved.
+                other => break Some(other),
             }
-        }
+            if rows >= policy.max_batch {
+                break None;
+            }
+            match work_rx.try_recv() {
+                Ok(next) => {
+                    metrics.dequeued(1);
+                    work = next;
+                }
+                Err(_) => break None,
+            }
+        };
 
         // --- Serve the collected micro-batch. ---------------------------
-        let batch_size = pending.len() + pending_values.len();
-        if batch_size > 0 || !fits.is_empty() || !value_fits.is_empty() {
+        if rows > 0 {
             // Adopt the newest published generation at the batch boundary:
             // one swap covers every shard, so the whole batch — and every
             // reply in it — is served by exactly one generation.
@@ -1720,88 +1741,47 @@ where
                 adopted = published;
             }
             let generation = adopted.id();
-            let mut latencies = Vec::with_capacity(batch_size);
-
-            if !pending.is_empty() {
-                predict_scratch.resize_zeroed(pending.len());
-                let sources: Vec<RowSource<'_, X>> = pending
-                    .iter()
-                    .map(|job| RowSource::of(&job.payload))
-                    .collect();
-                fill_batch(encoder.as_ref(), &sources, &mut predict_scratch);
-                drop(sources);
-                let keys: Vec<&str> = pending.iter().map(|job| job.key.as_str()).collect();
-                let labels = fleet
-                    .predict_batch(&keys, &predict_scratch)
-                    .expect("keys and rows are constructed in lockstep on a classification fleet");
-                for (job, label) in pending.drain(..).zip(labels) {
-                    latencies.push(job.enqueued.elapsed());
-                    let _ = job
-                        .reply
-                        .send((job.index, Prediction { label, generation }));
-                }
-            }
-            if !pending_values.is_empty() {
-                value_scratch.resize_zeroed(pending_values.len());
-                let sources: Vec<RowSource<'_, X>> = pending_values
-                    .iter()
-                    .map(|job| RowSource::of(&job.payload))
-                    .collect();
-                fill_batch(encoder.as_ref(), &sources, &mut value_scratch);
-                drop(sources);
-                let keys: Vec<&str> = pending_values.iter().map(|job| job.key.as_str()).collect();
-                let values = fleet
-                    .predict_values(&keys, &value_scratch)
-                    .expect("keys and rows are constructed in lockstep on a regression fleet");
-                for (job, value) in pending_values.drain(..).zip(values) {
-                    latencies.push(job.enqueued.elapsed());
-                    let _ = job
-                        .reply
-                        .send((job.index, ValuePrediction { value, generation }));
-                }
-            }
-            if batch_size > 0 {
-                metrics.record_batch(batch_size, latencies);
+            serve_requests(
+                &mut labels,
+                encoder.as_ref(),
+                &mut scratch,
+                &mut latencies,
+                |keys, rows| {
+                    let labels = fleet.predict_batch(keys, rows);
+                    labels.expect("keys and rows are constructed in lockstep on a classifier")
+                },
+                |label| Prediction { label, generation },
+            );
+            serve_requests(
+                &mut values,
+                encoder.as_ref(),
+                &mut scratch,
+                &mut latencies,
+                |keys, rows| {
+                    fleet
+                        .predict_values(keys, rows)
+                        .expect("keys and rows are constructed in lockstep on a regression fleet")
+                },
+                |value| ValuePrediction { value, generation },
+            );
+            if !latencies.is_empty() {
+                metrics.record_batch(latencies.len(), latencies.drain(..));
             }
 
-            let fit_count = fits.len() + value_fits.len();
             if !fits.is_empty() {
-                fit_scratch.resize_zeroed(fits.len());
+                scratch.resize_zeroed(fits.len());
                 let sources: Vec<RowSource<'_, X>> = fits
                     .iter()
                     .map(|(payload, _, _)| RowSource::of(payload))
                     .collect();
-                fill_batch(encoder.as_ref(), &sources, &mut fit_scratch);
+                fill_batch(encoder.as_ref(), &sources, &mut scratch);
                 drop(sources);
-                for ((_, label, ack), row) in fits.drain(..).zip(fit_scratch.rows()) {
+                for ((_, target, ack), row) in fits.drain(..).zip(scratch.rows()) {
                     let hv = row.to_hypervector();
                     if let Some(dur) = durability.as_mut() {
-                        dur.append(&WalRecord::Fit {
-                            hv: hv.clone(),
-                            label: label as u64,
-                        });
+                        dur.append(&target.record(&hv));
                     }
-                    let _ = trainer_tx.send(TrainerMsg::Observe { hv, label });
-                    fit_acks.extend(ack);
-                }
-            }
-            if !value_fits.is_empty() {
-                fit_scratch.resize_zeroed(value_fits.len());
-                let sources: Vec<RowSource<'_, X>> = value_fits
-                    .iter()
-                    .map(|(payload, _, _)| RowSource::of(payload))
-                    .collect();
-                fill_batch(encoder.as_ref(), &sources, &mut fit_scratch);
-                drop(sources);
-                for ((_, value, ack), row) in value_fits.drain(..).zip(fit_scratch.rows()) {
-                    let hv = row.to_hypervector();
-                    if let Some(dur) = durability.as_mut() {
-                        dur.append(&WalRecord::FitValue {
-                            hv: hv.clone(),
-                            value,
-                        });
-                    }
-                    let _ = trainer_tx.send(TrainerMsg::ObserveValue { hv, value });
+                    let _ = trainer_tx.send(target.observe(hv));
                     fit_acks.extend(ack);
                 }
             }
@@ -1809,23 +1789,17 @@ where
             // scheduler as one group ticket: they release when a single
             // `fdatasync` covers every record appended above (possibly
             // shared with neighbouring micro-batches), so an acked fit is
-            // on stable storage (per the configured sync policy).
-            match durability.as_mut() {
-                Some(dur) if fit_count > 0 => {
-                    let acks: Vec<GroupAck> = fit_acks
-                        .drain(..)
-                        .map(|ack| -> GroupAck {
-                            Box::new(move || {
-                                let _ = ack.send(());
-                            })
-                        })
-                        .collect();
-                    dur.commit(acks);
-                }
-                _ => {
-                    for ack in fit_acks.drain(..) {
+            // on stable storage (per the configured sync policy). Only
+            // durable fits carry acks.
+            if !fit_acks.is_empty() {
+                let acks = fit_acks.drain(..).map(|ack| -> GroupAck {
+                    Box::new(move || {
                         let _ = ack.send(());
-                    }
+                    })
+                });
+                match durability.as_mut() {
+                    Some(dur) => dur.commit(acks.collect()),
+                    None => acks.for_each(|ack| ack()),
                 }
             }
         }
@@ -1995,10 +1969,7 @@ where
                 }
             }
             Some(Work::Shutdown) => break 'runtime,
-            Some(Work::Predict(_))
-            | Some(Work::PredictValue(_))
-            | Some(Work::Fit { .. })
-            | Some(Work::FitValue { .. }) => {
+            Some(Work::Predict(_)) | Some(Work::PredictValue(_)) | Some(Work::Fit { .. }) => {
                 unreachable!("predictions and fits are collected, never stashed")
             }
         }
@@ -2139,13 +2110,140 @@ mod tests {
     fn config(shards: usize, max_batch: usize) -> RuntimeConfig {
         RuntimeConfig {
             shards,
-            policy: BatchPolicy {
-                max_batch,
-                max_wait: Duration::from_micros(200),
-            },
+            policy: BatchPolicy { max_batch },
             refresh_every: 0,
             ..RuntimeConfig::default()
         }
+    }
+
+    /// Runs `dispatcher_loop` on the calling thread over a queue the caller
+    /// has already filled (ending in `Work::Shutdown`), so every batch
+    /// boundary is decided by the queue contents alone.
+    fn run_dispatcher(
+        work_rx: Receiver<Work<Radians>>,
+        fleet: ShardedModel<String>,
+        encoder: Box<dyn DynEncoder<Radians>>,
+        max_batch: usize,
+        metrics: &Arc<ServeMetrics>,
+        generations: Arc<GenerationCell>,
+        spawned: Generation,
+    ) {
+        let (trainer_tx, _trainer_rx) = mpsc::channel();
+        dispatcher_loop(
+            work_rx,
+            fleet,
+            encoder.into(),
+            BatchPolicy { max_batch },
+            Arc::clone(metrics),
+            generations,
+            spawned,
+            trainer_tx,
+            ShardIdentity {
+                name: String::new(),
+                ring_positions: 0,
+            },
+            None,
+            None,
+        );
+    }
+
+    /// A request of `rows` answered on `reply`.
+    fn request<R>(
+        rows: &[Radians],
+        first_key: usize,
+        reply: Sender<Vec<R>>,
+    ) -> PredictJob<Radians, R> {
+        PredictJob {
+            rows: rows
+                .iter()
+                .enumerate()
+                .map(|(i, row)| (format!("k{}", first_key + i), Payload::Input(*row)))
+                .collect(),
+            enqueued: Instant::now(),
+            reply,
+        }
+    }
+
+    #[test]
+    fn dispatcher_serves_whole_queued_requests_up_to_the_cap() {
+        // A pre-filled queue under `max_batch` 8. 3 + 5 rows fill the first
+        // batch. The next 3-row request is cut off by the `Stats` behind
+        // it, which is answered after that batch and before the 70-row
+        // request. 70 rows are a batch of their own. 5 + 4 would overflow,
+        // so the 4-row request waits for the next batch instead of being
+        // split: batches of 8, 3, 70, 5 and 4 rows.
+        let model = trained_model(256, 3);
+        let sizes = [3usize, 5, 3, 70, 5, 4];
+        let mut next = 0u32;
+        let requests: Vec<Vec<Radians>> = sizes
+            .iter()
+            .map(|&n| {
+                (0..n)
+                    .map(|_| {
+                        next += 1;
+                        Radians::periodic(f64::from(next) * 0.37, 24.0)
+                    })
+                    .collect()
+            })
+            .collect();
+        let expected: Vec<Vec<usize>> = requests
+            .iter()
+            .map(|rows| model.predict_batch(rows))
+            .collect();
+        let head = Head::Classes(model.classifier().clone());
+        let fleet =
+            ShardedModel::with_head(head.clone(), 256, 2, RingConfig::default(), 0).unwrap();
+        let (_, encoder, _) = model.into_parts();
+        let generations = Arc::new(GenerationCell::new(Arc::new(head)));
+        let spawned = generations.load();
+
+        let (work_tx, work_rx) = mpsc::channel();
+        let mut replies = Vec::new();
+        let mut first_key = 0;
+        for (i, rows) in requests.iter().enumerate() {
+            if i == 3 {
+                let (stats_tx, stats_rx) = mpsc::channel();
+                work_tx.send(Work::Stats { reply: stats_tx }).unwrap();
+                replies.push(Err(stats_rx));
+            }
+            let (reply_tx, reply_rx) = mpsc::channel();
+            work_tx
+                .send(Work::Predict(request(rows, first_key, reply_tx)))
+                .unwrap();
+            replies.push(Ok(reply_rx));
+            first_key += rows.len();
+        }
+        work_tx.send(Work::Shutdown).unwrap();
+        let metrics = Arc::new(ServeMetrics::new(80));
+        run_dispatcher(work_rx, fleet, encoder, 8, &metrics, generations, spawned);
+
+        let mut expected = expected.into_iter();
+        for reply in replies {
+            match reply {
+                Ok(rx) => {
+                    let served = rx.try_recv().expect("every request is answered");
+                    assert!(served.iter().all(|p| p.generation == 0));
+                    let labels: Vec<usize> = served.iter().map(|p| p.label).collect();
+                    assert_eq!(Some(labels), expected.next(), "rows answered in order");
+                }
+                Err(stats_rx) => {
+                    let stats = stats_rx.try_recv().expect("stats is answered");
+                    assert_eq!(
+                        (stats.metrics.requests, stats.metrics.batches),
+                        (11, 2),
+                        "stats is served after the rows queued before it, and only those"
+                    );
+                }
+            }
+        }
+        // One histogram bin per row count: the five batch sizes, each once.
+        let snapshot = metrics.snapshot();
+        assert_eq!((snapshot.requests, snapshot.batches), (90, 5));
+        let batch_sizes: Vec<usize> = (0..snapshot.batch_sizes.len())
+            .filter(|&size| snapshot.batch_sizes[size] > 0)
+            .collect();
+        assert_eq!(batch_sizes, [3, 4, 5, 8, 70]);
+        assert!(snapshot.batch_sizes.iter().all(|&count| count <= 1));
     }
 
     #[test]
@@ -2231,42 +2329,31 @@ mod tests {
         let (reply_tx, reply_rx) = mpsc::channel();
         for (index, input) in inputs.iter().enumerate() {
             work_tx
-                .send(Work::Predict(PredictJob {
-                    key: format!("k{index}"),
-                    payload: Payload::Input(*input),
-                    enqueued: Instant::now(),
+                .send(Work::Predict(request(
+                    std::slice::from_ref(input),
                     index,
-                    reply: reply_tx.clone(),
-                }))
+                    reply_tx.clone(),
+                )))
                 .unwrap();
         }
         work_tx.send(Work::Shutdown).unwrap();
         drop(reply_tx);
-        let (trainer_tx, _trainer_rx) = mpsc::channel();
-        let policy = BatchPolicy {
-            max_batch: 8,
-            max_wait: Duration::from_millis(1),
-        };
-        dispatcher_loop(
+        run_dispatcher(
             work_rx,
             fleet,
-            encoder.into(),
-            policy,
-            Arc::new(ServeMetrics::new(policy.max_batch)),
+            encoder,
+            8,
+            &Arc::new(ServeMetrics::new(8)),
             generations,
             spawned,
-            trainer_tx,
-            ShardIdentity {
-                name: String::new(),
-                ring_positions: 0,
-            },
-            None,
-            None,
         );
 
-        let replies: Vec<(usize, Prediction)> = reply_rx.iter().collect();
+        // One request per row, answered in queue order.
+        let replies: Vec<Vec<Prediction>> = reply_rx.iter().collect();
         assert_eq!(replies.len(), inputs.len());
-        for (index, prediction) in replies {
+        for (index, reply) in replies.into_iter().enumerate() {
+            assert_eq!(reply.len(), 1);
+            let prediction = reply[0];
             let head = heads[prediction.generation as usize];
             assert_eq!(
                 prediction.label,

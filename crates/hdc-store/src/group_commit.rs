@@ -1,45 +1,31 @@
 //! The group-commit flush scheduler: a dedicated flusher thread owns the
 //! WAL tail, concurrent durable writers append records and park an ack
-//! ticket, and the flusher coalesces every ticket that arrives within a
-//! bounded window into **one** `fdatasync` — then releases the whole
-//! group. The per-write durability *guarantee* is unchanged (an ack still
-//! means the record is on stable storage per the configured
-//! [`SyncPolicy`]); only the flush *count* is amortized.
+//! ticket, and the flusher retires every parked ticket with **one**
+//! `fdatasync` — then releases the whole group. The per-write durability
+//! *guarantee* is unchanged (an ack still means the record is on stable
+//! storage per the configured [`SyncPolicy`]); only the flush *count* is
+//! amortized.
 //!
 //! # Flow
 //!
 //! ```text
 //! writer:   append(record) ──► ticket (seq)
 //!           commit(seq, ack) ──► parked
-//! flusher:  wake ── linger ≤ window − last fsync cost (or max_group) ──►
-//!           one fdatasync covering every parked seq ──►
+//! flusher:  wake ── take every parked ticket ──►
+//!           one fdatasync covering every appended seq ──►
 //!           release every ack in the group
 //! ```
 //!
-//! The `fdatasync` itself runs on a duplicated file handle **off** the
-//! WAL lock, so appends for the *next* group proceed while the platters
-//! spin — that pipelining, not the window alone, is what lets sixteen
-//! concurrent writers share one flush.
+//! The flusher never waits on a timer. It takes what is parked when it
+//! wakes, and the `fdatasync` itself runs on a duplicated file handle
+//! **off** the WAL lock, so appends and tickets for the *next* group
+//! collect while the platters spin. The in-flight flush is the collection
+//! window: a lone writer pays one flush and nothing more, and sixteen
+//! concurrent writers share flushes because each one parks while the
+//! previous flush runs.
 //!
-//! The collection linger is **adaptive**: the flusher deducts the
-//! measured duration of the previous `fdatasync` from the window. On
-//! storage where the flush itself is slower than the window the flusher
-//! therefore flushes eagerly — the in-flight `fdatasync` is already a
-//! better collection window than any timer, and a lone writer sees no
-//! added latency. On storage that flushes faster than the window, the
-//! flusher lingers the remainder so sparse committers still coalesce.
-//! Either way `window` bounds the extra latency coalescing may add on
-//! top of the flush itself.
-//!
-//! # Degeneration
-//!
-//! A zero window disables the flusher entirely: `commit` flushes inline
-//! on the caller's thread and releases its acks before returning —
-//! byte-for-byte and `fsync`-for-`fsync` the pre-group-commit
-//! one-flush-per-micro-batch schedule (under [`SyncPolicy::Always`],
-//! appends keep their inline per-record `fsync` too). Under
-//! [`SyncPolicy::Never`] acks always release immediately; there is no
-//! flush to wait for.
+//! Under [`SyncPolicy::Never`] there is nothing to flush: no flusher runs
+//! and `commit` fires its acks at once.
 //!
 //! # Failure
 //!
@@ -50,7 +36,6 @@
 
 use std::sync::{Arc, Condvar, Mutex, MutexGuard};
 use std::thread::JoinHandle;
-use std::time::{Duration, Instant};
 
 use hdc_core::HdcError;
 
@@ -58,30 +43,13 @@ use crate::record::WalRecord;
 use crate::wal::Wal;
 use crate::SyncPolicy;
 
-/// Tuning of the [`GroupCommitWal`] flusher.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub struct GroupCommitConfig {
-    /// Upper bound on the extra latency coalescing may add: after
-    /// waking, the flusher lingers at most `window` **minus the
-    /// measured duration of the previous `fdatasync`** before issuing
-    /// the group's flush (an in-flight flush already collects tickets,
-    /// so slow storage gets eager flushes and natural batching; fast
-    /// storage lingers the remainder). Zero disables the flusher
-    /// entirely (inline per-commit flushes — the classic schedule).
-    pub window: Duration,
-    /// Ticket cap per group: collection stops early at this many parked
-    /// commits, bounding ack latency under sustained load.
-    pub max_group: usize,
-}
-
-impl Default for GroupCommitConfig {
-    fn default() -> Self {
-        Self {
-            window: Duration::from_micros(200),
-            max_group: 256,
-        }
-    }
-}
+/// Settings of the [`GroupCommitWal`] flusher — there are none left. The
+/// flusher takes every parked ticket when it wakes and never lingers, so
+/// there is no window to size and no group to cap. The type stays so that
+/// code building a [`GroupCommitWal`] from a
+/// [`DurabilityConfig`](crate::DurabilityConfig) keeps compiling.
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
+pub struct GroupCommitConfig;
 
 /// A parked acknowledgement: invoked exactly once, after the records it
 /// covers are durable. Dropped without invocation if the flush fails —
@@ -103,8 +71,6 @@ struct Shared {
     state: Mutex<FlushState>,
     /// Wakes the flusher on new tickets and shutdown.
     tickets: Condvar,
-    window: Duration,
-    max_group: usize,
 }
 
 /// The WAL behind a group-commit flush scheduler — the shape the serving
@@ -113,18 +79,14 @@ struct Shared {
 /// which retires whole groups with one `fdatasync` each.
 pub struct GroupCommitWal {
     shared: Arc<Shared>,
+    /// The flusher thread; `None` under [`SyncPolicy::Never`].
     flusher: Option<JoinHandle<()>>,
-    /// `true` when a flusher thread is running (non-zero window and a
-    /// policy that flushes at all).
-    grouped: bool,
 }
 
 impl std::fmt::Debug for GroupCommitWal {
     fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
         f.debug_struct("GroupCommitWal")
-            .field("grouped", &self.grouped)
-            .field("window", &self.shared.window)
-            .field("max_group", &self.shared.max_group)
+            .field("flusher", &self.flusher.is_some())
             .finish_non_exhaustive()
     }
 }
@@ -136,43 +98,35 @@ fn lock<'a, T>(mutex: &'a Mutex<T>, what: &str) -> Result<MutexGuard<'a, T>, Hdc
 }
 
 impl GroupCommitWal {
-    /// Wraps an opened [`Wal`], spawning the flusher thread when the
-    /// window is non-zero (and the policy flushes at all).
+    /// Wraps an opened [`Wal`], spawning the flusher thread unless the
+    /// policy is [`SyncPolicy::Never`].
     #[must_use]
-    pub fn new(wal: Wal, config: GroupCommitConfig) -> Self {
-        let policy = wal.sync_policy();
-        let synced = wal.next_seq();
-        let grouped = !config.window.is_zero() && !matches!(policy, SyncPolicy::Never);
+    pub fn new(wal: Wal, _config: GroupCommitConfig) -> Self {
+        let flushes = !matches!(wal.sync_policy(), SyncPolicy::Never);
         let shared = Arc::new(Shared {
-            wal: Mutex::new(wal),
             state: Mutex::new(FlushState {
                 pending: Vec::new(),
-                synced,
+                synced: wal.next_seq(),
                 failed: None,
                 shutdown: false,
             }),
+            wal: Mutex::new(wal),
             tickets: Condvar::new(),
-            window: config.window,
-            max_group: config.max_group.max(1),
         });
-        let flusher = grouped.then(|| {
+        let flusher = flushes.then(|| {
             let shared = Arc::clone(&shared);
             std::thread::Builder::new()
                 .name("hdc-wal-flush".into())
                 .spawn(move || flusher_loop(&shared))
                 .expect("spawning the WAL flusher thread")
         });
-        Self {
-            shared,
-            flusher,
-            grouped,
-        }
+        Self { shared, flusher }
     }
 
     /// Appends one record, returning its sequence number — the ticket a
-    /// later [`commit`](Self::commit) parks on. With the flusher running,
-    /// the append is deferred (no inline `fsync`, whatever the policy);
-    /// without it, [`SyncPolicy::Always`] keeps its per-record `fsync`.
+    /// later [`commit`](Self::commit) parks on. The append is deferred
+    /// (no inline `fsync`, whatever the policy): the flusher's group
+    /// `fdatasync` makes it durable.
     ///
     /// # Errors
     ///
@@ -180,41 +134,25 @@ impl GroupCommitWal {
     /// flush (fail-stop).
     pub fn append(&self, record: &WalRecord) -> Result<u64, HdcError> {
         self.check_failed()?;
-        let mut wal = lock(&self.shared.wal, "WAL")?;
-        if self.grouped {
-            wal.append_deferred(record)
-        } else {
-            wal.append(record)
-        }
+        lock(&self.shared.wal, "WAL")?.append_deferred(record)
     }
 
     /// Parks `acks` until every record up to and including `upto` is
-    /// durable, then fires them. With the flusher running this returns
-    /// immediately (acks release with the group); with a zero window it
-    /// flushes inline and fires the acks before returning — the classic
-    /// one-flush-per-batch schedule. Under [`SyncPolicy::Never`] acks
-    /// fire immediately.
+    /// durable, then fires them; returns immediately (the acks release
+    /// with their group). Acks whose records an earlier flush already
+    /// covered fire at once, and so does every ack under
+    /// [`SyncPolicy::Never`].
     ///
     /// # Errors
     ///
-    /// Returns [`HdcError::Storage`] on I/O failure or after a failed
-    /// flush (fail-stop); the acks are dropped unfired in that case.
+    /// Returns [`HdcError::Storage`] after a failed flush (fail-stop); the
+    /// acks are dropped unfired in that case.
     pub fn commit(&self, upto: u64, acks: Vec<GroupAck>) -> Result<(), HdcError> {
-        if !self.grouped {
-            // Inline schedule: one flush per commit boundary (a no-op
-            // under `Never` and for `Always`'s already-synced appends).
-            lock(&self.shared.wal, "WAL")?.sync()?;
-            for ack in acks {
-                ack();
-            }
-            return Ok(());
-        }
         let mut state = lock(&self.shared.state, "flush scheduler")?;
         if let Some(reason) = &state.failed {
             return Err(HdcError::Storage(reason.clone()));
         }
-        if upto < state.synced {
-            // Already covered by an earlier group's flush.
+        if self.flusher.is_none() || upto < state.synced {
             drop(state);
             for ack in acks {
                 ack();
@@ -291,10 +229,6 @@ impl Drop for GroupCommitWal {
 }
 
 fn flusher_loop(shared: &Shared) {
-    // Seeded to the window so the very first flush is eager — no linger
-    // until a measured fsync proves the storage is faster than the
-    // window.
-    let mut last_fsync = shared.window;
     loop {
         let Ok(mut state) = shared.state.lock() else {
             return;
@@ -305,29 +239,11 @@ fn flusher_loop(shared: &Shared) {
                 Err(_) => return,
             };
         }
-        if state.pending.is_empty() && state.shutdown {
+        if state.pending.is_empty() {
             return;
         }
-        // Adaptive collection linger: the previous flush's duration is
-        // deducted from the window, because an in-flight fdatasync is
-        // itself a collection window — tickets park while it runs. Slow
-        // storage therefore flushes eagerly (lone writers see no added
-        // latency); fast storage lingers the remainder to coalesce
-        // sparse committers.
-        let deadline = Instant::now() + shared.window.saturating_sub(last_fsync);
-        while state.pending.len() < shared.max_group && !state.shutdown {
-            let now = Instant::now();
-            if now >= deadline {
-                break;
-            }
-            let Ok((guard, timeout)) = shared.tickets.wait_timeout(state, deadline - now) else {
-                return;
-            };
-            state = guard;
-            if timeout.timed_out() {
-                break;
-            }
-        }
+        // Every parked ticket joins this group; tickets that park while
+        // its fdatasync runs form the next one.
         let group = std::mem::take(&mut state.pending);
         drop(state);
         // One fdatasync for the whole group, issued on a duplicated
@@ -337,10 +253,8 @@ fn flusher_loop(shared: &Shared) {
             Err(_) => Err(HdcError::Storage("WAL lock poisoned".into())),
         };
         let synced = begun.and_then(|(file, covered)| {
-            let flush_started = Instant::now();
             file.sync_data()
                 .map_err(|e| HdcError::Storage(format!("group fdatasync failed: {e}")))?;
-            last_fsync = flush_started.elapsed();
             Ok(covered)
         });
         match synced {
@@ -380,6 +294,7 @@ mod tests {
     use rand::{rngs::StdRng, SeedableRng};
     use std::path::PathBuf;
     use std::sync::mpsc;
+    use std::time::Duration;
 
     fn tmp_dir(tag: &str) -> PathBuf {
         let dir = std::env::temp_dir().join(format!("hdc-group-{tag}-{}", std::process::id()));
@@ -416,89 +331,82 @@ mod tests {
         )
     }
 
-    /// The satellite contract: a zero window degenerates exactly to the
-    /// classic schedule — one inline flush per commit boundary, acks
-    /// released synchronously before `commit` returns.
+    /// An awaited commit costs exactly one flush: the flusher wakes for the
+    /// lone ticket and retires it with one `fdatasync`, whatever was
+    /// appended before it.
     #[test]
-    fn zero_window_is_exactly_the_per_batch_schedule() {
-        let dir = tmp_dir("degenerate");
-        let wal = open(&dir, SyncPolicy::EveryBatch);
-        let group = GroupCommitWal::new(
-            wal,
-            GroupCommitConfig {
-                window: Duration::ZERO,
-                max_group: 256,
-            },
-        );
+    fn each_awaited_commit_costs_one_flush() {
+        let dir = tmp_dir("one-flush");
+        let group = GroupCommitWal::new(open(&dir, SyncPolicy::EveryBatch), GroupCommitConfig);
         let batches: Vec<Vec<WalRecord>> = records(7).chunks(2).map(<[_]>::to_vec).collect();
-        let n_batches = batches.len() as u64;
-        for batch in batches {
+        for (flushes, batch) in (1..).zip(batches) {
             let mut upto = 0;
             for record in &batch {
                 upto = group.append(record).unwrap();
             }
             let (ack, rx) = ack_pair();
             group.commit(upto, vec![ack]).unwrap();
-            // Inline release: the ack fired before commit returned.
-            rx.try_recv().expect("zero-window commit acks inline");
+            rx.recv_timeout(Duration::from_secs(5))
+                .expect("the flusher retires a lone ticket");
+            assert_eq!(group.sync_count().unwrap(), flushes);
         }
-        // Exactly one fsync per micro-batch, like the pre-group-commit
-        // dispatcher issued.
-        assert_eq!(group.sync_count().unwrap(), n_batches);
         std::fs::remove_dir_all(&dir).unwrap();
     }
 
+    /// Under `Always` appends are deferred to the flusher, and an ack
+    /// fires only once its record is synced: one flush per awaited commit,
+    /// never one per append on top.
     #[test]
-    fn zero_window_always_keeps_per_record_fsyncs() {
-        let dir = tmp_dir("degenerate-always");
-        let wal = open(&dir, SyncPolicy::Always);
-        let group = GroupCommitWal::new(
-            wal,
-            GroupCommitConfig {
-                window: Duration::ZERO,
-                max_group: 256,
-            },
-        );
+    fn always_acks_only_synced_records() {
+        let dir = tmp_dir("always");
+        let group = GroupCommitWal::new(open(&dir, SyncPolicy::Always), GroupCommitConfig);
         let all = records(5);
-        for record in &all {
+        for (flushes, record) in (1..).zip(&all) {
             let upto = group.append(record).unwrap();
+            assert_eq!(
+                group.sync_count().unwrap(),
+                flushes - 1,
+                "append is deferred"
+            );
             let (ack, rx) = ack_pair();
             group.commit(upto, vec![ack]).unwrap();
-            rx.try_recv().unwrap();
+            rx.recv_timeout(Duration::from_secs(5))
+                .expect("the flusher retires a lone ticket");
+            assert!(
+                group.shared.state.lock().unwrap().synced > upto,
+                "acked means synced"
+            );
+            assert_eq!(group.sync_count().unwrap(), flushes);
         }
-        // Always + no flusher: the classic one fsync per appended record
-        // (the commit's own sync is a no-op on a clean segment).
-        assert_eq!(group.sync_count().unwrap(), all.len() as u64);
         std::fs::remove_dir_all(&dir).unwrap();
     }
 
+    /// Tickets that park while a flush is held up share it. The test holds
+    /// the WAL lock while all 16 tickets park, so the flusher can take at
+    /// most the first tickets before its first flush and the rest after
+    /// it: at most two flushes. No timing assumption.
     #[test]
     fn grouped_commits_coalesce_into_fewer_fsyncs() {
         let dir = tmp_dir("coalesce");
-        let wal = open(&dir, SyncPolicy::Always);
-        let group = GroupCommitWal::new(
-            wal,
-            GroupCommitConfig {
-                window: Duration::from_millis(50),
-                max_group: 256,
-            },
-        );
+        let group = GroupCommitWal::new(open(&dir, SyncPolicy::Always), GroupCommitConfig);
         let all = records(16);
+        let tickets: Vec<u64> = all.iter().map(|r| group.append(r).unwrap()).collect();
+        let wal = group.shared.wal.lock().unwrap();
         let mut receivers = Vec::new();
-        for record in &all {
-            let upto = group.append(record).unwrap();
+        for upto in tickets {
             let (ack, rx) = ack_pair();
             group.commit(upto, vec![ack]).unwrap();
             receivers.push(rx);
         }
+        drop(wal);
         for rx in receivers {
             rx.recv_timeout(Duration::from_secs(5))
                 .expect("every parked ack fires");
         }
         let syncs = group.sync_count().unwrap();
         assert!(
-            syncs < all.len() as u64 / 2,
-            "16 commits inside one window must share flushes, saw {syncs}"
+            syncs <= 2,
+            "16 parked commits must share flushes, saw {syncs}"
         );
         drop(group);
         // Everything acked is on disk and replays bit-identically.
@@ -524,17 +432,11 @@ mod tests {
     fn drop_drains_parked_tickets() {
         let dir = tmp_dir("drain");
         let wal = open(&dir, SyncPolicy::EveryBatch);
-        let group = GroupCommitWal::new(
-            wal,
-            GroupCommitConfig {
-                window: Duration::from_millis(200),
-                max_group: 256,
-            },
-        );
+        let group = GroupCommitWal::new(wal, GroupCommitConfig);
         let upto = group.append(&records(1)[0]).unwrap();
         let (ack, rx) = ack_pair();
         group.commit(upto, vec![ack]).unwrap();
-        drop(group); // shutdown before the window elapses
+        drop(group); // shutdown with the ticket possibly still parked
         rx.recv_timeout(Duration::from_secs(5))
             .expect("drop flushes and fires parked acks");
         std::fs::remove_dir_all(&dir).unwrap();
@@ -544,7 +446,7 @@ mod tests {
     fn never_policy_acks_immediately() {
         let dir = tmp_dir("never");
         let wal = open(&dir, SyncPolicy::Never);
-        let group = GroupCommitWal::new(wal, GroupCommitConfig::default());
+        let group = GroupCommitWal::new(wal, GroupCommitConfig);
         let upto = group.append(&records(1)[0]).unwrap();
         let (ack, rx) = ack_pair();
         group.commit(upto, vec![ack]).unwrap();

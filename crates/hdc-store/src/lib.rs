@@ -51,7 +51,6 @@ pub use store::{Recovery, SnapshotInstaller, Store, MANIFEST_MAGIC, SNAPSHOT_BLO
 pub use wal::{Wal, DEFAULT_SEGMENT_BYTES, SEGMENT_MAGIC, SEGMENT_VERSION};
 
 use std::path::PathBuf;
-use std::time::Duration;
 
 /// When appended log records reach the platters.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
@@ -129,21 +128,6 @@ pub struct DurabilityConfig {
     /// file-backed [`PagedStore`] with at most `budget` hypervectors
     /// resident in its LRU cache; `None` keeps items in RAM.
     pub page_cache: Option<usize>,
-    /// Group-commit collection window: the bound on the extra latency
-    /// coalescing may add. Once the flusher wakes for a commit ticket it
-    /// lingers at most this long **minus the previous `fdatasync`'s
-    /// measured duration** (or until
-    /// [`group_commit_max`](Self::group_commit_max) tickets are parked),
-    /// then retires the whole group with **one** `fdatasync` — on slow
-    /// storage the in-flight flush is itself the collection window, so
-    /// the flusher flushes eagerly. `Duration::ZERO` disables the
-    /// flusher and degenerates exactly to the inline
-    /// one-flush-per-micro-batch schedule.
-    pub group_commit_window: Duration,
-    /// Ticket cap per flush group: the flusher stops collecting early
-    /// once this many commits are parked, bounding ack latency under
-    /// sustained load.
-    pub group_commit_max: usize,
     /// How WAL record payloads are encoded in newly created segments.
     pub codec: WalCodec,
 }
@@ -151,8 +135,7 @@ pub struct DurabilityConfig {
 impl DurabilityConfig {
     /// A store rooted at `dir` with default tuning: 4 MiB segments,
     /// a background snapshot every 4096 records, one `fsync` per
-    /// flush group, a 200 µs group-commit window, adaptive record
-    /// compression, in-RAM item memory.
+    /// flush group, adaptive record compression, in-RAM item memory.
     pub fn new(dir: impl Into<PathBuf>) -> Self {
         Self {
             dir: dir.into(),
@@ -160,8 +143,6 @@ impl DurabilityConfig {
             snapshot_every: 4096,
             sync: SyncPolicy::EveryBatch,
             page_cache: None,
-            group_commit_window: Duration::from_micros(200),
-            group_commit_max: 256,
             codec: WalCodec::Adaptive,
         }
     }
@@ -177,12 +158,11 @@ impl DurabilityConfig {
     }
 
     /// The group-commit slice of this configuration, as
-    /// [`GroupCommitWal::new`] wants it.
+    /// [`GroupCommitWal::new`] wants it. The flusher has no settings left
+    /// (see [`GroupCommitConfig`]); this stays so callers that build a
+    /// [`GroupCommitWal`] from a `DurabilityConfig` keep compiling.
     #[must_use]
     pub fn group_commit_config(&self) -> GroupCommitConfig {
-        GroupCommitConfig {
-            window: self.group_commit_window,
-            max_group: self.group_commit_max,
-        }
+        GroupCommitConfig
     }
 }

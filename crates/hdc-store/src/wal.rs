@@ -415,7 +415,7 @@ impl Wal {
     /// Data `fsync`s issued since open (appends under
     /// [`SyncPolicy::Always`], [`sync`](Self::sync) calls that had work,
     /// segment seals, and group flushes) — the observable flush schedule,
-    /// which the group-commit degeneration test pins down.
+    /// which the group-commit tests pin down.
     #[must_use]
     pub fn sync_count(&self) -> u64 {
         self.syncs

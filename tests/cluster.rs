@@ -76,10 +76,7 @@ fn shard_config(name: &str) -> RuntimeConfig {
     RuntimeConfig {
         name: name.to_owned(),
         shards: 1,
-        policy: BatchPolicy {
-            max_batch: 8,
-            max_wait: Duration::from_micros(200),
-        },
+        policy: BatchPolicy { max_batch: 8 },
         refresh_every: 0,
         ..RuntimeConfig::default()
     }

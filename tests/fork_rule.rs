@@ -7,7 +7,6 @@
 //! are process-wide, so nothing may run beside it.
 
 use std::f64::consts::TAU;
-use std::time::Duration;
 
 use hdc::{
     Basis, BatchPolicy, BinaryHypervector, Enc, FieldSpec, Pipeline, Runtime, RuntimeConfig,
@@ -28,11 +27,9 @@ fn serving_batches_stay_on_the_calling_thread_and_setup_work_fans_out() {
     let mut rng = StdRng::seed_from_u64(12);
     // Micro-batches of up to 128 rows: a raw 18-field row prices at
     // 157 words × 18 bundled fields × 2, so 93 rows are the break-even.
+    // A request is never split, so each request below is one batch.
     let config = RuntimeConfig {
-        policy: BatchPolicy {
-            max_batch: 128,
-            max_wait: Duration::from_millis(50),
-        },
+        policy: BatchPolicy { max_batch: 128 },
         ..RuntimeConfig::default()
     };
 

@@ -49,10 +49,7 @@ fn trained_model(dim: usize, seed: u64) -> Model<Radians> {
 fn serving_config(shards: usize, max_batch: usize) -> RuntimeConfig {
     RuntimeConfig {
         shards,
-        policy: BatchPolicy {
-            max_batch,
-            max_wait: Duration::from_micros(300),
-        },
+        policy: BatchPolicy { max_batch },
         refresh_every: 0,
         ..RuntimeConfig::default()
     }
@@ -376,10 +373,7 @@ proptest! {
             .expect("valid pipeline");
         let config = RuntimeConfig {
             shards: 2,
-            policy: BatchPolicy {
-                max_batch: 4,
-                max_wait: Duration::from_micros(100),
-            },
+            policy: BatchPolicy { max_batch: 4 },
             refresh_every,
             ..RuntimeConfig::default()
         };
