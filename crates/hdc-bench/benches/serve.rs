@@ -391,7 +391,8 @@ fn bench_value_microbatch(c: &mut Criterion) {
                 .chunks(size)
                 .flat_map(|request| {
                     black_box(&handle)
-                        .predict_value_encoded_many(request.to_vec())
+                        .answer_encoded(request.to_vec())
+                        .and_then(hdc_serve::Answers::into_values)
                         .expect("runtime is live")
                 })
                 .collect::<Vec<_>>()
@@ -541,15 +542,14 @@ fn bench_cluster(c: &mut Criterion) {
     }
 }
 
-/// The PR 7 concurrent router fan-out against the serial mode it
-/// replaces as the default: the same 256-row keyed batch through a
-/// 3-`LocalShard` router with `FanOut::Serial` and `FanOut::Concurrent`.
-/// Answers are bit-identical in both modes (asserted); the delta is the
-/// overlap of the per-shard queue waits. On a single-core runner the
-/// win is bounded by how much of each shard call is genuine waiting —
-/// the loopback-TCP and multi-core cases are where it widens.
+/// The router's concurrent fan-out: the same 256-row keyed batch through
+/// a 3-`LocalShard` router, each shard's sub-batch on its own scoped
+/// thread. Answers are bit-identical to the unsharded model (asserted).
+/// On a single-core runner the overlap of the per-shard queue waits is
+/// bounded by how much of each shard call is genuine waiting — the
+/// loopback-TCP and multi-core cases are where it widens.
 fn bench_router_concurrent(c: &mut Criterion) {
-    use hdc_serve::{ClusterRouter, FanOut, LocalShard, RingConfig, ShardBackend};
+    use hdc_serve::{ClusterRouter, LocalShard, RingConfig, ShardBackend};
 
     const SHARDS: usize = 3;
     let model = runtime_model();
@@ -584,22 +584,15 @@ fn bench_router_concurrent(c: &mut Criterion) {
     let mut router = ClusterRouter::new(backends, RingConfig::default(), 0).expect("valid cluster");
 
     let mut group = c.benchmark_group("router_concurrent");
-    for mode in [FanOut::Serial, FanOut::Concurrent] {
-        router.set_fan_out(mode);
-        let served = router.predict_batch(&pairs).expect("routable");
-        assert_eq!(
-            served.iter().map(|p| p.label).collect::<Vec<_>>(),
-            expected,
-            "fan-out mode must never change an answer"
-        );
-        let name = match mode {
-            FanOut::Serial => "serial",
-            FanOut::Concurrent => "concurrent",
-        };
-        group.bench_with_input(BenchmarkId::new(name, BATCH), &pairs, |b, pairs| {
-            b.iter(|| router.predict_batch(black_box(pairs)).expect("routable"));
-        });
-    }
+    let served = router.predict_batch(&pairs).expect("routable");
+    assert_eq!(
+        served.iter().map(|p| p.label).collect::<Vec<_>>(),
+        expected,
+        "fan-out must never change an answer"
+    );
+    group.bench_with_input(BenchmarkId::new("concurrent", BATCH), &pairs, |b, pairs| {
+        b.iter(|| router.predict_batch(black_box(pairs)).expect("routable"));
+    });
     group.finish();
 
     drop(router);

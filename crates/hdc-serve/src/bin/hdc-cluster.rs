@@ -28,12 +28,18 @@
 //! bit-identically from its own log — `--snapshot` then only seeds the
 //! model spec on the *first* boot; afterwards the store's recovery wins.
 //! `--segment-bytes` and `--snapshot-every` tune log rotation and snapshot
-//! cadence, `--fsync` picks the flush policy (`batch` by default: acks
-//! wait for a group `fdatasync`; the flusher thread retires every commit
-//! parked when it wakes with one flush, and never waits on a timer), and
-//! `--page-cache N` moves the item memory to the paged file-backed store
-//! with at most `N` hypervectors resident. Warm joins still stream the
-//! full item set: a live snapshot reads the paged store around its cache.
+//! cadence, and `--page-cache N` moves the item memory to the paged
+//! file-backed store with at most `N` hypervectors resident. Warm joins
+//! still stream the full item set: a live snapshot reads the paged store
+//! around its cache.
+//!
+//! `--fsync` picks the flush policy. Under `batch` (the default) and
+//! `always` alike, every fit, insert and remove is acknowledged after one
+//! group `fdatasync` covers its log record: the flusher thread retires
+//! every commit parked when it wakes with one flush, and never waits on a
+//! timer. `always` adds one thing: with `--page-cache`, the paged item
+//! files are fsynced before an insert or a remove is acknowledged. `never`
+//! acknowledges without syncing (the page cache decides).
 //!
 //! `--wal-codec raw|adaptive` picks the log record codec (`adaptive` by
 //! default: per record, the smallest of sparse/delta/run-length against a
@@ -59,30 +65,44 @@ use hdc_serve::{
     SyncPolicy, WalCodec,
 };
 
-fn usage() -> ExitCode {
-    eprintln!(
-        "usage:\n  \
-         hdc-cluster shard  --listen ADDR --snapshot PATH [--name NAME]\n    \
-         [--data-dir DIR] [--segment-bytes N] [--snapshot-every N]\n    \
-         [--fsync always|batch|never] [--page-cache N] [--wal-codec raw|adaptive]\n  \
-         hdc-cluster router --listen ADDR --shard ADDR [--shard ADDR ...] [--seed N]"
-    );
-    ExitCode::FAILURE
-}
+const USAGE: &str = "usage:\n  \
+     hdc-cluster shard  --listen ADDR --snapshot PATH [--name NAME]\n    \
+     [--data-dir DIR] [--segment-bytes N] [--snapshot-every N]\n    \
+     [--fsync always|batch|never] [--page-cache N] [--wal-codec raw|adaptive]\n  \
+     hdc-cluster router --listen ADDR --shard ADDR [--shard ADDR ...] [--seed N]\n\
+     --fsync: batch (default) and always ack after one group fdatasync;\n  \
+     always also fsyncs the paged item files; never acks without syncing";
+
+/// The flags a shard accepts, each followed by one value.
+const SHARD_FLAGS: &[&str] = &[
+    "--listen",
+    "--snapshot",
+    "--name",
+    "--data-dir",
+    "--segment-bytes",
+    "--snapshot-every",
+    "--fsync",
+    "--page-cache",
+    "--wal-codec",
+];
+
+/// The flags a router accepts, each followed by one value.
+const ROUTER_FLAGS: &[&str] = &["--listen", "--shard", "--seed"];
 
 fn main() -> ExitCode {
     let args: Vec<String> = std::env::args().skip(1).collect();
-    let Some((role, rest)) = args.split_first() else {
-        return usage();
-    };
-    let result = match role.as_str() {
-        "shard" => run_shard_command(rest),
-        "router" => run_router_command(rest),
-        _ => return usage(),
+    let result = match args.split_first() {
+        Some((role, rest)) if role == "shard" => shard_args(rest).and_then(run_shard),
+        Some((role, rest)) if role == "router" => router_args(rest).and_then(run_router),
+        Some((role, _)) => Err(ParseError::Usage(format!("unknown role {role:?}"))),
+        None => Err(ParseError::Usage("missing role".into())),
     };
     match result {
         Ok(()) => ExitCode::SUCCESS,
-        Err(ParseError::Usage) => usage(),
+        Err(ParseError::Usage(reason)) => {
+            eprintln!("hdc-cluster: {reason}\n{USAGE}");
+            ExitCode::FAILURE
+        }
         Err(ParseError::Runtime(message)) => {
             eprintln!("hdc-cluster: {message}");
             ExitCode::FAILURE
@@ -90,8 +110,11 @@ fn main() -> ExitCode {
     }
 }
 
+#[derive(Debug)]
 enum ParseError {
-    Usage,
+    /// A command line the role does not accept; the reason names the
+    /// offending argument.
+    Usage(String),
     Runtime(String),
 }
 
@@ -107,102 +130,140 @@ impl From<std::io::Error> for ParseError {
     }
 }
 
-/// Pulls `--flag value` pairs out of `rest`; repeated flags accumulate.
-fn flag_values<'a>(rest: &'a [String], flag: &str) -> Result<Vec<&'a str>, ParseError> {
-    let mut values = Vec::new();
-    let mut arguments = rest.iter();
-    while let Some(argument) = arguments.next() {
-        if argument == flag {
-            match arguments.next() {
-                Some(value) => values.push(value.as_str()),
-                None => return Err(ParseError::Usage),
+/// A role's command line as `--flag value` pairs, every flag one the role
+/// accepts (repeats are kept, in order).
+struct Flags<'a>(Vec<(&'a str, &'a str)>);
+
+impl<'a> Flags<'a> {
+    /// Splits `rest` into pairs, refusing any argument that is not one of
+    /// `known` followed by its value.
+    fn parse(rest: &'a [String], known: &[&str]) -> Result<Self, ParseError> {
+        let mut pairs = Vec::new();
+        let mut arguments = rest.iter();
+        while let Some(flag) = arguments.next() {
+            if !known.contains(&flag.as_str()) {
+                return Err(ParseError::Usage(format!("unexpected argument {flag:?}")));
             }
+            let Some(value) = arguments.next() else {
+                return Err(ParseError::Usage(format!("{flag} needs a value")));
+            };
+            pairs.push((flag.as_str(), value.as_str()));
+        }
+        Ok(Self(pairs))
+    }
+
+    /// Every value given for `flag`, in order.
+    fn all(&self, flag: &str) -> Vec<&'a str> {
+        self.0
+            .iter()
+            .filter(|(name, _)| *name == flag)
+            .map(|(_, value)| *value)
+            .collect()
+    }
+
+    /// The value of a flag given at most once.
+    fn optional(&self, flag: &str) -> Result<Option<&'a str>, ParseError> {
+        match self.all(flag).as_slice() {
+            [] => Ok(None),
+            [value] => Ok(Some(value)),
+            _ => Err(ParseError::Usage(format!("{flag} given more than once"))),
         }
     }
-    Ok(values)
-}
 
-fn one_flag<'a>(rest: &'a [String], flag: &str) -> Result<&'a str, ParseError> {
-    let values = flag_values(rest, flag)?;
-    match values.as_slice() {
-        [value] => Ok(value),
-        _ => Err(ParseError::Usage),
+    /// The value of a flag that must be given exactly once.
+    fn required(&self, flag: &str) -> Result<&'a str, ParseError> {
+        self.optional(flag)?
+            .ok_or_else(|| ParseError::Usage(format!("missing {flag}")))
+    }
+
+    /// An optional `--flag N` integer, erroring loudly on garbage.
+    fn number(&self, flag: &str) -> Result<Option<u64>, ParseError> {
+        self.optional(flag)?
+            .map(|value| {
+                value
+                    .parse::<u64>()
+                    .map_err(|_| ParseError::Runtime(format!("invalid {flag} {value:?}")))
+            })
+            .transpose()
     }
 }
 
-/// Parses an optional `--flag N` integer, erroring loudly on garbage.
-fn numeric_flag(rest: &[String], flag: &str) -> Result<Option<u64>, ParseError> {
-    match flag_values(rest, flag)?.as_slice() {
-        [] => Ok(None),
-        [value] => value
-            .parse::<u64>()
-            .map(Some)
-            .map_err(|_| ParseError::Runtime(format!("invalid {flag} {value:?}"))),
-        _ => Err(ParseError::Usage),
-    }
+/// A parsed `shard` command line.
+#[derive(Debug)]
+struct ShardArgs<'a> {
+    listen: &'a str,
+    snapshot: &'a str,
+    name: &'a str,
+    durability: Option<DurabilityConfig>,
+}
+
+fn shard_args(rest: &[String]) -> Result<ShardArgs<'_>, ParseError> {
+    let flags = Flags::parse(rest, SHARD_FLAGS)?;
+    Ok(ShardArgs {
+        listen: flags.required("--listen")?,
+        snapshot: flags.required("--snapshot")?,
+        name: flags.optional("--name")?.unwrap_or(""),
+        durability: durability_flags(&flags)?,
+    })
 }
 
 /// Builds the shard's [`DurabilityConfig`] from the command line; `None`
 /// without `--data-dir` (the tuning flags then must not appear).
-fn durability_flags(rest: &[String]) -> Result<Option<DurabilityConfig>, ParseError> {
-    let dir = match flag_values(rest, "--data-dir")?.as_slice() {
-        [] => {
-            for flag in [
-                "--segment-bytes",
-                "--snapshot-every",
-                "--fsync",
-                "--page-cache",
-                "--wal-codec",
-            ] {
-                if !flag_values(rest, flag)?.is_empty() {
-                    return Err(ParseError::Runtime(format!("{flag} requires --data-dir")));
-                }
+fn durability_flags(flags: &Flags<'_>) -> Result<Option<DurabilityConfig>, ParseError> {
+    let Some(dir) = flags.optional("--data-dir")? else {
+        for flag in [
+            "--segment-bytes",
+            "--snapshot-every",
+            "--fsync",
+            "--page-cache",
+            "--wal-codec",
+        ] {
+            if !flags.all(flag).is_empty() {
+                return Err(ParseError::Runtime(format!("{flag} requires --data-dir")));
             }
-            return Ok(None);
         }
-        [dir] => *dir,
-        _ => return Err(ParseError::Usage),
+        return Ok(None);
     };
     let mut config = DurabilityConfig::new(dir);
-    if let Some(bytes) = numeric_flag(rest, "--segment-bytes")? {
+    if let Some(bytes) = flags.number("--segment-bytes")? {
         config.segment_bytes = bytes;
     }
-    if let Some(every) = numeric_flag(rest, "--snapshot-every")? {
+    if let Some(every) = flags.number("--snapshot-every")? {
         config.snapshot_every = every;
     }
-    if let Some(budget) = numeric_flag(rest, "--page-cache")? {
+    if let Some(budget) = flags.number("--page-cache")? {
         config.page_cache = Some(budget as usize);
     }
-    config.sync = match flag_values(rest, "--fsync")?.as_slice() {
-        [] | ["batch"] => SyncPolicy::EveryBatch,
-        ["always"] => SyncPolicy::Always,
-        ["never"] => SyncPolicy::Never,
-        [value] => {
+    config.sync = match flags.optional("--fsync")? {
+        None | Some("batch") => SyncPolicy::EveryBatch,
+        Some("always") => SyncPolicy::Always,
+        Some("never") => SyncPolicy::Never,
+        Some(value) => {
             return Err(ParseError::Runtime(format!(
                 "invalid --fsync {value:?}; expected always, batch or never"
             )))
         }
-        _ => return Err(ParseError::Usage),
     };
-    config.codec = match flag_values(rest, "--wal-codec")?.as_slice() {
-        [] | ["adaptive"] => WalCodec::Adaptive,
-        ["raw"] => WalCodec::Raw,
-        [value] => {
+    config.codec = match flags.optional("--wal-codec")? {
+        None | Some("adaptive") => WalCodec::Adaptive,
+        Some("raw") => WalCodec::Raw,
+        Some(value) => {
             return Err(ParseError::Runtime(format!(
                 "invalid --wal-codec {value:?}; expected raw or adaptive"
             )))
         }
-        _ => return Err(ParseError::Usage),
     };
     Ok(Some(config))
 }
 
-fn run_shard_command(rest: &[String]) -> Result<(), ParseError> {
-    let listen = one_flag(rest, "--listen")?;
-    let path = one_flag(rest, "--snapshot")?;
-    let name = flag_values(rest, "--name")?.first().copied().unwrap_or("");
-    let durability = durability_flags(rest)?;
-    let snapshot = Snapshot::read(path)?;
+fn run_shard(args: ShardArgs<'_>) -> Result<(), ParseError> {
+    let ShardArgs {
+        listen,
+        snapshot,
+        name,
+        durability,
+    } = args;
+    let snapshot = Snapshot::read(snapshot)?;
     // The snapshot's spec names the encoder input type; dispatch to the
     // matching monomorphization of the runtime.
     match snapshot.spec().encoder {
@@ -241,29 +302,38 @@ where
     park_forever();
 }
 
-fn run_router_command(rest: &[String]) -> Result<(), ParseError> {
-    let listen = one_flag(rest, "--listen")?;
-    let shard_addrs = flag_values(rest, "--shard")?;
-    if shard_addrs.is_empty() {
-        return Err(ParseError::Usage);
+/// A parsed `router` command line.
+#[derive(Debug)]
+struct RouterArgs<'a> {
+    listen: &'a str,
+    shards: Vec<&'a str>,
+    seed: u64,
+}
+
+fn router_args(rest: &[String]) -> Result<RouterArgs<'_>, ParseError> {
+    let flags = Flags::parse(rest, ROUTER_FLAGS)?;
+    let shards = flags.all("--shard");
+    if shards.is_empty() {
+        return Err(ParseError::Usage("missing --shard".into()));
     }
-    let seed = match flag_values(rest, "--seed")?.as_slice() {
-        [] => 0,
-        [value] => value
-            .parse::<u64>()
-            .map_err(|_| ParseError::Runtime(format!("invalid --seed {value:?}")))?,
-        _ => return Err(ParseError::Usage),
-    };
+    Ok(RouterArgs {
+        listen: flags.required("--listen")?,
+        shards,
+        seed: flags.number("--seed")?.unwrap_or(0),
+    })
+}
+
+fn run_router(args: RouterArgs<'_>) -> Result<(), ParseError> {
     let clients = ClientConfig::default();
-    let mut backends: Vec<Box<dyn ShardBackend>> = Vec::with_capacity(shard_addrs.len());
-    for addr in &shard_addrs {
+    let mut backends: Vec<Box<dyn ShardBackend>> = Vec::with_capacity(args.shards.len());
+    for addr in &args.shards {
         backends.push(Box::new(RemoteShard::connect_with(addr, clients)?));
     }
-    let router = ClusterRouter::new(backends, RingConfig::default(), seed)?;
-    let server = ClusterServer::spawn(listen, router, clients)?;
+    let router = ClusterRouter::new(backends, RingConfig::default(), args.seed)?;
+    let server = ClusterServer::spawn(args.listen, router, clients)?;
     println!(
         "hdc-cluster router over {} shard(s) on {}",
-        shard_addrs.len(),
+        args.shards.len(),
         server.local_addr()
     );
     park_forever();
@@ -272,5 +342,83 @@ fn run_router_command(rest: &[String]) -> Result<(), ParseError> {
 fn park_forever() -> ! {
     loop {
         thread::park();
+    }
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+
+    fn argv(line: &str) -> Vec<String> {
+        line.split_whitespace().map(str::to_owned).collect()
+    }
+
+    fn refused(result: Result<impl std::fmt::Debug, ParseError>, argument: &str) {
+        match result {
+            Err(ParseError::Usage(reason)) => {
+                assert!(reason.contains(argument), "{reason:?} names {argument:?}");
+            }
+            other => panic!("expected a usage error naming {argument:?}, got {other:?}"),
+        }
+    }
+
+    #[test]
+    fn misspelt_flags_and_stray_arguments_are_refused() {
+        let typo = argv("--listen 127.0.0.1:0 --snapshot m.hdcs --data-dir d --fsnc always");
+        refused(shard_args(&typo), "--fsnc");
+        let stray = argv("--listen 127.0.0.1:0 --snapshot m.hdcs extra");
+        refused(shard_args(&stray), "extra");
+        let stray = argv("stray --listen 127.0.0.1:0 --shard 127.0.0.1:1");
+        refused(router_args(&stray), "stray");
+        // A flag of the other role is unknown to this one.
+        let foreign = argv("--listen 127.0.0.1:0 --shard 127.0.0.1:1 --fsync always");
+        refused(router_args(&foreign), "--fsync");
+        let dangling = argv("--listen 127.0.0.1:0 --snapshot m.hdcs --name");
+        refused(shard_args(&dangling), "--name");
+    }
+
+    #[test]
+    fn every_documented_flag_parses() {
+        let line = argv(
+            "--listen 127.0.0.1:7101 --snapshot m.hdcs --name s0 --data-dir d \
+             --segment-bytes 4096 --snapshot-every 64 --fsync always --page-cache 8 \
+             --wal-codec raw",
+        );
+        let args = shard_args(&line).expect("every shard flag parses");
+        assert_eq!(
+            (args.listen, args.snapshot, args.name),
+            ("127.0.0.1:7101", "m.hdcs", "s0")
+        );
+        let durability = args.durability.expect("--data-dir turns durability on");
+        assert_eq!(durability.segment_bytes, 4096);
+        assert_eq!(durability.snapshot_every, 64);
+        assert_eq!(durability.sync, SyncPolicy::Always);
+        assert_eq!(durability.page_cache, Some(8));
+        assert_eq!(durability.codec, WalCodec::Raw);
+        for (value, policy) in [
+            ("batch", SyncPolicy::EveryBatch),
+            ("never", SyncPolicy::Never),
+        ] {
+            let line = argv(&format!(
+                "--listen a --snapshot m --data-dir d --fsync {value} --wal-codec adaptive"
+            ));
+            let durability = shard_args(&line)
+                .expect("parses")
+                .durability
+                .expect("durable");
+            assert_eq!(
+                (durability.sync, durability.codec),
+                (policy, WalCodec::Adaptive)
+            );
+        }
+        let line = argv("--listen 127.0.0.1:7100 --shard a:1 --shard b:2 --seed 7");
+        let args = router_args(&line).expect("every router flag parses");
+        assert_eq!(
+            (args.listen, args.shards, args.seed),
+            ("127.0.0.1:7100", vec!["a:1", "b:2"], 7)
+        );
+        // Tuning flags still need --data-dir.
+        let line = argv("--listen a --snapshot m --fsync always");
+        assert!(matches!(shard_args(&line), Err(ParseError::Runtime(_))));
     }
 }

@@ -5,7 +5,7 @@
 //!
 //! ```text
 //!                         ┌────────────────┐
-//!   clients ── wire v3 ──▶│  ClusterRouter │ (optionally behind a
+//!   clients ── wire v4 ──▶│  ClusterRouter │ (optionally behind a
 //!                         │  (ring lookup) │  ClusterServer front-end)
 //!                         └───┬────┬────┬──┘
 //!              keyed ops ──────┘    │    └────── replicated ops
@@ -36,7 +36,19 @@
 //! The [`ShardBackend`] trait is the transport seam: a shard can live in
 //! this process ([`LocalShard`] wrapping a [`RuntimeHandle`]) or in
 //! another one ([`RemoteShard`] speaking the framed wire protocol over a
-//! [`BlockingClient`]); the router cannot tell the difference.
+//! [`BlockingClient`]); the router cannot tell the difference. It has one
+//! predict call ([`ShardBackend::answer`]: the shard's head decides
+//! whether the rows are answered with labels or values) and one fit call
+//! ([`ShardBackend::observe`], carrying its [`Target`]), whatever the
+//! task.
+//!
+//! # Fan-out
+//!
+//! A call that involves several shards (a routed batch, a replicated fit,
+//! a refresh, a stats or ping probe) pays its per-shard calls
+//! concurrently, one scoped thread and one in-flight request per shard;
+//! replies are merged in input order and errors reported in shard order.
+//! A call that involves one shard runs on the caller's thread.
 //!
 //! # Warm joins
 //!
@@ -52,24 +64,21 @@
 use std::collections::BTreeSet;
 use std::fmt;
 use std::hash::Hash;
-use std::io::{self, BufReader, BufWriter};
-use std::net::{
-    IpAddr, Ipv4Addr, Ipv6Addr, Shutdown, SocketAddr, TcpListener, TcpStream, ToSocketAddrs,
-};
-use std::sync::atomic::{AtomicBool, Ordering};
+use std::io;
+use std::net::{SocketAddr, ToSocketAddrs};
 use std::sync::{Arc, Mutex};
-use std::thread::{self, JoinHandle};
+use std::thread;
 
 use hdc_core::{BinaryHypervector, HdcError};
 use hdc_hash::HdcHashRing;
 use rand::{rngs::StdRng, SeedableRng};
 
 use crate::metrics::MetricsSnapshot;
-use crate::runtime::{Prediction, RuntimeHandle, RuntimeStats, ValuePrediction};
-use crate::server::{BlockingClient, ClientConfig};
+use crate::runtime::{Answers, Prediction, RuntimeHandle, RuntimeStats, Target, ValuePrediction};
+use crate::server::{fail, BlockingClient, ClientConfig, Listener};
 use crate::sharded::RingConfig;
 use crate::snapshot::Snapshot;
-use crate::wire::{self, Request, Response};
+use crate::wire::{Request, Response};
 
 /// Rows per `predict_batch` frame a [`RemoteShard`] sends at once — far
 /// below the wire's `u16` row cap, keeping every frame well under
@@ -87,27 +96,14 @@ pub trait ShardBackend: Send {
     /// Human-readable address/identity for diagnostics.
     fn describe(&self) -> String;
 
-    /// Predicts a batch of keyed, encoded queries, answered in order.
+    /// Answers a batch of keyed, encoded queries in order, with labels or
+    /// values as the shard's head decides.
     ///
     /// # Errors
     ///
     /// Returns [`HdcError::Timeout`]/[`HdcError::Transport`] on transport
     /// failure, or the shard's own error.
-    fn predict_encoded_many(
-        &mut self,
-        pairs: Vec<(String, BinaryHypervector)>,
-    ) -> Result<Vec<Prediction>, HdcError>;
-
-    /// Predicts a batch of keyed, encoded queries' real-valued labels.
-    ///
-    /// # Errors
-    ///
-    /// Returns [`HdcError::Timeout`]/[`HdcError::Transport`] on transport
-    /// failure, or the shard's own error.
-    fn predict_value_encoded_many(
-        &mut self,
-        pairs: Vec<(String, BinaryHypervector)>,
-    ) -> Result<Vec<ValuePrediction>, HdcError>;
+    fn answer(&mut self, pairs: Vec<(String, BinaryHypervector)>) -> Result<Answers, HdcError>;
 
     /// Stores an encoded hypervector under `key`; `true` if replaced.
     ///
@@ -125,23 +121,14 @@ pub trait ShardBackend: Send {
     /// failure, or the shard's own error.
     fn remove(&mut self, key: &str) -> Result<bool, HdcError>;
 
-    /// Folds one encoded training observation into the shard's online
-    /// trainer.
+    /// Folds one encoded observation, with its target, into the shard's
+    /// online trainer.
     ///
     /// # Errors
     ///
     /// Returns [`HdcError::Timeout`]/[`HdcError::Transport`] on transport
     /// failure, or the shard's own error.
-    fn fit_encoded(&mut self, hv: BinaryHypervector, label: usize) -> Result<(), HdcError>;
-
-    /// Folds one encoded `(query, value)` observation into the shard's
-    /// online regression trainer.
-    ///
-    /// # Errors
-    ///
-    /// Returns [`HdcError::Timeout`]/[`HdcError::Transport`] on transport
-    /// failure, or the shard's own error.
-    fn fit_value_encoded(&mut self, hv: BinaryHypervector, value: f64) -> Result<(), HdcError>;
+    fn observe(&mut self, hv: BinaryHypervector, target: Target) -> Result<(), HdcError>;
 
     /// Publishes a new generation from the shard's accumulated
     /// observations, returning its id.
@@ -217,18 +204,8 @@ where
         "local".into()
     }
 
-    fn predict_encoded_many(
-        &mut self,
-        pairs: Vec<(String, BinaryHypervector)>,
-    ) -> Result<Vec<Prediction>, HdcError> {
-        self.handle.predict_encoded_many(pairs)
-    }
-
-    fn predict_value_encoded_many(
-        &mut self,
-        pairs: Vec<(String, BinaryHypervector)>,
-    ) -> Result<Vec<ValuePrediction>, HdcError> {
-        self.handle.predict_value_encoded_many(pairs)
+    fn answer(&mut self, pairs: Vec<(String, BinaryHypervector)>) -> Result<Answers, HdcError> {
+        self.handle.answer_encoded(pairs)
     }
 
     fn insert(&mut self, key: String, hv: BinaryHypervector) -> Result<bool, HdcError> {
@@ -239,12 +216,8 @@ where
         self.handle.remove(key)
     }
 
-    fn fit_encoded(&mut self, hv: BinaryHypervector, label: usize) -> Result<(), HdcError> {
-        self.handle.fit_encoded(hv, label)
-    }
-
-    fn fit_value_encoded(&mut self, hv: BinaryHypervector, value: f64) -> Result<(), HdcError> {
-        self.handle.fit_value_encoded(hv, value)
+    fn observe(&mut self, hv: BinaryHypervector, target: Target) -> Result<(), HdcError> {
+        self.handle.observe_encoded(hv, target)
     }
 
     fn refresh(&mut self) -> Result<u64, HdcError> {
@@ -335,38 +308,24 @@ impl ShardBackend for RemoteShard {
         self.addr.clone()
     }
 
-    fn predict_encoded_many(
-        &mut self,
-        pairs: Vec<(String, BinaryHypervector)>,
-    ) -> Result<Vec<Prediction>, HdcError> {
-        let mut out = Vec::with_capacity(pairs.len());
-        let mut rest = pairs;
-        while !rest.is_empty() {
-            let chunk: Vec<_> = rest.drain(..rest.len().min(REMOTE_BATCH_ROWS)).collect();
-            out.extend(
-                self.client
-                    .predict_batch(chunk)
-                    .map_err(|e| transport("predict", &e))?,
-            );
+    fn answer(&mut self, mut pairs: Vec<(String, BinaryHypervector)>) -> Result<Answers, HdcError> {
+        // One frame per `REMOTE_BATCH_ROWS` rows; an empty request is
+        // still asked, so its answer names the shard's task.
+        let len = pairs.len();
+        let mut parts = Vec::new();
+        loop {
+            let start = len - pairs.len();
+            let chunk: Vec<_> = pairs.drain(..pairs.len().min(REMOTE_BATCH_ROWS)).collect();
+            let indices = (start..start + chunk.len()).collect();
+            let answers = self
+                .client
+                .answer(chunk)
+                .map_err(|e| transport("predict", &e))?;
+            parts.push((indices, answers));
+            if pairs.is_empty() {
+                return merge(len, parts);
+            }
         }
-        Ok(out)
-    }
-
-    fn predict_value_encoded_many(
-        &mut self,
-        pairs: Vec<(String, BinaryHypervector)>,
-    ) -> Result<Vec<ValuePrediction>, HdcError> {
-        let mut out = Vec::with_capacity(pairs.len());
-        let mut rest = pairs;
-        while !rest.is_empty() {
-            let chunk: Vec<_> = rest.drain(..rest.len().min(REMOTE_BATCH_ROWS)).collect();
-            out.extend(
-                self.client
-                    .predict_value_batch(chunk)
-                    .map_err(|e| transport("predict_value", &e))?,
-            );
-        }
-        Ok(out)
     }
 
     fn insert(&mut self, key: String, hv: BinaryHypervector) -> Result<bool, HdcError> {
@@ -379,16 +338,10 @@ impl ShardBackend for RemoteShard {
         self.client.remove(key).map_err(|e| transport("remove", &e))
     }
 
-    fn fit_encoded(&mut self, hv: BinaryHypervector, label: usize) -> Result<(), HdcError> {
+    fn observe(&mut self, hv: BinaryHypervector, target: Target) -> Result<(), HdcError> {
         self.client
-            .fit(&hv, label)
+            .observe(&hv, target)
             .map_err(|e| transport("fit", &e))
-    }
-
-    fn fit_value_encoded(&mut self, hv: BinaryHypervector, value: f64) -> Result<(), HdcError> {
-        self.client
-            .fit_value(&hv, value)
-            .map_err(|e| transport("fit_value", &e))
     }
 
     fn refresh(&mut self) -> Result<u64, HdcError> {
@@ -416,73 +369,67 @@ impl ShardBackend for RemoteShard {
     }
 }
 
-/// How the router pays its per-shard sub-requests.
-///
-/// Routed batches, replicated fits, refreshes and stats probes all touch
-/// several shards per call; this chooses whether those shard calls run
-/// one at a time or overlapped.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, Default)]
-pub enum FanOut {
-    /// One shard at a time, in shard order — the pre-concurrency
-    /// behaviour, kept selectable for benchmarking and debugging.
-    Serial,
-    /// One scoped thread per involved shard, one in-flight request each
-    /// (default). Shard calls are mostly transport waits, so overlapping
-    /// them helps even on a single core; responses are still merged in
-    /// input order and errors reported in shard order, so results are
-    /// identical to [`FanOut::Serial`] in every outcome.
-    #[default]
-    Concurrent,
-}
-
-/// Applies `op` to every shard not in `skip` — serially, or overlapped
-/// with one scoped thread per shard — returning one slot per shard **in
-/// shard order** (`None` for skipped shards). Shard-order results are
-/// what keeps error reporting identical between the two modes. A panic
-/// inside `op` is resumed on the caller.
-fn par_each<R: Send>(
+/// Runs `op` on every shard that has an input, returning one slot per
+/// shard **in shard order** (`None` where there was no input). Several
+/// involved shards each get a scoped thread, so their waits overlap; a
+/// lone one runs on the caller's thread. A panic inside `op` is resumed on
+/// the caller.
+fn fan_out<I: Send, R: Send>(
     shards: &mut [(usize, Box<dyn ShardBackend>)],
-    skip: &BTreeSet<usize>,
-    concurrent: bool,
-    op: impl Fn(&mut dyn ShardBackend) -> Result<R, HdcError> + Sync,
+    inputs: Vec<Option<I>>,
+    op: impl Fn(&mut dyn ShardBackend, I) -> Result<R, HdcError> + Sync,
 ) -> Vec<Option<Result<R, HdcError>>> {
-    let involved = shards.iter().filter(|(id, _)| !skip.contains(id)).count();
-    if concurrent && involved > 1 {
-        thread::scope(|scope| {
-            let handles: Vec<_> = shards
-                .iter_mut()
-                .map(|(id, shard)| {
-                    if skip.contains(id) {
-                        None
-                    } else {
-                        let op = &op;
-                        Some(scope.spawn(move || op(shard.as_mut())))
-                    }
+    let involved = inputs.iter().filter(|input| input.is_some()).count();
+    let calls = shards.iter_mut().zip(inputs);
+    if involved <= 1 {
+        return calls
+            .map(|((_, shard), input)| input.map(|input| op(shard.as_mut(), input)))
+            .collect();
+    }
+    thread::scope(|scope| {
+        let handles: Vec<_> = calls
+            .map(|((_, shard), input)| {
+                let op = &op;
+                input.map(|input| scope.spawn(move || op(shard.as_mut(), input)))
+            })
+            .collect();
+        handles
+            .into_iter()
+            .map(|handle| {
+                handle.map(|handle| {
+                    handle
+                        .join()
+                        .unwrap_or_else(|panic| std::panic::resume_unwind(panic))
                 })
-                .collect();
-            handles
-                .into_iter()
-                .map(|handle| {
-                    handle.map(|handle| {
-                        handle
-                            .join()
-                            .unwrap_or_else(|panic| std::panic::resume_unwind(panic))
-                    })
-                })
-                .collect()
-        })
-    } else {
-        shards
-            .iter_mut()
-            .map(|(id, shard)| {
-                if skip.contains(id) {
-                    None
-                } else {
-                    Some(op(shard.as_mut()))
-                }
             })
             .collect()
+    })
+}
+
+/// Reassembles partial answers into input order: each part answers the
+/// input positions listed beside it, and together they cover `len` inputs.
+fn merge(len: usize, parts: Vec<(Vec<usize>, Answers)>) -> Result<Answers, HdcError> {
+    fn place<T: Clone + Default>(len: usize, parts: Vec<(Vec<usize>, Vec<T>)>) -> Vec<T> {
+        let mut merged = vec![T::default(); len];
+        for (indices, answers) in parts {
+            for (index, answer) in indices.into_iter().zip(answers) {
+                merged[index] = answer;
+            }
+        }
+        merged
     }
+    if matches!(parts.first(), Some((_, Answers::Values(_)))) {
+        let parts = parts
+            .into_iter()
+            .map(|(indices, answers)| Ok((indices, answers.into_values()?)))
+            .collect::<Result<_, HdcError>>()?;
+        return Ok(Answers::Values(place(len, parts)));
+    }
+    let parts = parts
+        .into_iter()
+        .map(|(indices, answers)| Ok((indices, answers.into_labels()?)))
+        .collect::<Result<_, HdcError>>()?;
+    Ok(Answers::Labels(place(len, parts)))
 }
 
 /// The routing front-end of a shard cluster: maps keys to shard processes
@@ -497,15 +444,13 @@ fn par_each<R: Send>(
 /// in-process fleet's for any shard count.
 ///
 /// Multi-shard operations (batch predicts, replicated fits, refresh,
-/// stats, ping) pay their per-shard calls **concurrently** by default —
-/// see [`FanOut`] and [`set_fan_out`](Self::set_fan_out).
+/// stats, ping) pay their per-shard calls concurrently.
 pub struct ClusterRouter {
     ring: HdcHashRing<usize>,
     shards: Vec<(usize, Box<dyn ShardBackend>)>,
     next_id: usize,
     config: RingConfig,
     dim: usize,
-    fan_out_mode: FanOut,
     /// Shards whose online trainer missed a replicated observation (the
     /// transport failed mid-fan-out). They stop receiving replicated
     /// observations and are healed from a healthy peer's trainer snapshot
@@ -577,7 +522,6 @@ impl ClusterRouter {
             dim,
             lagging: BTreeSet::new(),
             pending_removals: Vec::new(),
-            fan_out_mode: FanOut::default(),
         })
     }
 
@@ -585,20 +529,6 @@ impl ClusterRouter {
     #[must_use]
     pub fn shard_count(&self) -> usize {
         self.shards.len()
-    }
-
-    /// How multi-shard operations pay their per-shard calls (see
-    /// [`FanOut`]).
-    #[must_use]
-    pub fn fan_out_mode(&self) -> FanOut {
-        self.fan_out_mode
-    }
-
-    /// Selects serial or concurrent shard fan-out. Both modes produce
-    /// identical results — [`FanOut::Serial`] exists for benchmarking the
-    /// overlap and for debugging with deterministic shard call order.
-    pub fn set_fan_out(&mut self, mode: FanOut) {
-        self.fan_out_mode = mode;
     }
 
     /// The ids of the live shards, in join order.
@@ -632,6 +562,15 @@ impl ClusterRouter {
             .expect("every ring node has a backend")
     }
 
+    /// One [`fan_out`] input per shard: a call for each shard `involve`
+    /// picks by id.
+    fn inputs(&self, involve: impl Fn(usize) -> bool) -> Vec<Option<()>> {
+        self.shards
+            .iter()
+            .map(|(id, _)| involve(*id).then_some(()))
+            .collect()
+    }
+
     fn check_dim(&self, found: usize) -> Result<(), HdcError> {
         if found != self.dim {
             return Err(HdcError::DimensionMismatch {
@@ -642,94 +581,17 @@ impl ClusterRouter {
         Ok(())
     }
 
-    /// Predicts one keyed, encoded query on its owning shard.
-    ///
-    /// # Errors
-    ///
-    /// Returns a transport error for an unreachable owner, or the shard's
-    /// own error.
-    pub fn predict(&mut self, key: &str, hv: &BinaryHypervector) -> Result<Prediction, HdcError> {
-        self.check_dim(hv.dim())?;
-        let position = self.position_of(&key);
-        let mut replies = self.shards[position]
-            .1
-            .predict_encoded_many(vec![(key.to_owned(), hv.clone())])?;
-        replies
-            .pop()
-            .ok_or_else(|| HdcError::Transport("shard answered an empty batch".into()))
-    }
-
-    /// Predicts a batch of keyed, encoded queries: grouped per owning
+    /// Answers a batch of keyed, encoded queries: grouped per owning
     /// shard, fanned out, merged back **in input order** — the same
     /// route/merge contract as
     /// [`ShardedModel::predict_batch`](crate::ShardedModel::predict_batch).
+    /// The shards' head decides whether the answers are labels or values.
     ///
     /// # Errors
     ///
     /// Returns a transport error for an unreachable shard, or a shard's
-    /// own error.
-    pub fn predict_batch(
-        &mut self,
-        pairs: &[(String, BinaryHypervector)],
-    ) -> Result<Vec<Prediction>, HdcError> {
-        self.fan_out(pairs, Prediction::default(), |shard, sub| {
-            shard.predict_encoded_many(sub)
-        })
-    }
-
-    /// Predicts one keyed, encoded query's real-valued label on its
-    /// owning shard.
-    ///
-    /// # Errors
-    ///
-    /// Returns a transport error for an unreachable owner, or the shard's
-    /// own error.
-    pub fn predict_value(
-        &mut self,
-        key: &str,
-        hv: &BinaryHypervector,
-    ) -> Result<ValuePrediction, HdcError> {
-        self.check_dim(hv.dim())?;
-        let position = self.position_of(&key);
-        let mut replies = self.shards[position]
-            .1
-            .predict_value_encoded_many(vec![(key.to_owned(), hv.clone())])?;
-        replies
-            .pop()
-            .ok_or_else(|| HdcError::Transport("shard answered an empty batch".into()))
-    }
-
-    /// Predicts a batch of keyed, encoded queries' real-valued labels,
-    /// merged in input order — the regression twin of
-    /// [`predict_batch`](Self::predict_batch).
-    ///
-    /// # Errors
-    ///
-    /// Returns a transport error for an unreachable shard, or a shard's
-    /// own error.
-    pub fn predict_value_batch(
-        &mut self,
-        pairs: &[(String, BinaryHypervector)],
-    ) -> Result<Vec<ValuePrediction>, HdcError> {
-        self.fan_out(pairs, ValuePrediction::default(), |shard, sub| {
-            shard.predict_value_encoded_many(sub)
-        })
-    }
-
-    /// The shared route → fan out → merge path behind both batch forms.
-    ///
-    /// Each involved shard receives its owned sub-batch on its own scoped
-    /// thread (under [`FanOut::Concurrent`]; serially otherwise), keeping
-    /// exactly one in-flight request per shard. Replies are merged back in
-    /// input order and a failure reports the first error **in shard
-    /// order**, so both modes are observationally identical.
-    fn fan_out<R: Clone + Send>(
-        &mut self,
-        pairs: &[(String, BinaryHypervector)],
-        placeholder: R,
-        call: impl Fn(&mut dyn ShardBackend, Vec<(String, BinaryHypervector)>) -> Result<Vec<R>, HdcError>
-            + Sync,
-    ) -> Result<Vec<R>, HdcError> {
+    /// own error (the first **in shard order**).
+    pub fn answer(&mut self, pairs: &[(String, BinaryHypervector)]) -> Result<Answers, HdcError> {
         for (_, hv) in pairs {
             self.check_dim(hv.dim())?;
         }
@@ -742,65 +604,61 @@ impl ClusterRouter {
         let subs: Vec<Option<Vec<(String, BinaryHypervector)>>> = routed
             .iter()
             .map(|indices| {
-                if indices.is_empty() {
-                    None
-                } else {
-                    Some(indices.iter().map(|&index| pairs[index].clone()).collect())
-                }
+                (!indices.is_empty())
+                    .then(|| indices.iter().map(|&index| pairs[index].clone()).collect())
             })
             .collect();
-        let involved = subs.iter().filter(|sub| sub.is_some()).count();
-        let replies: Vec<Option<Result<Vec<R>, HdcError>>> =
-            if self.fan_out_mode == FanOut::Concurrent && involved > 1 {
-                thread::scope(|scope| {
-                    let handles: Vec<_> = self
-                        .shards
-                        .iter_mut()
-                        .zip(subs)
-                        .map(|((_, shard), sub)| {
-                            sub.map(|sub| {
-                                let call = &call;
-                                scope.spawn(move || call(shard.as_mut(), sub))
-                            })
-                        })
-                        .collect();
-                    handles
-                        .into_iter()
-                        .map(|handle| {
-                            handle.map(|handle| {
-                                handle
-                                    .join()
-                                    .unwrap_or_else(|panic| std::panic::resume_unwind(panic))
-                            })
-                        })
-                        .collect()
-                })
-            } else {
-                self.shards
-                    .iter_mut()
-                    .zip(subs)
-                    .map(|((_, shard), sub)| sub.map(|sub| call(shard.as_mut(), sub)))
-                    .collect()
-            };
-        let mut merged = vec![placeholder; pairs.len()];
+        let replies = fan_out(&mut self.shards, subs, |shard, sub| shard.answer(sub));
+        let mut parts = Vec::new();
         for ((position, indices), reply) in routed.into_iter().enumerate().zip(replies) {
             let Some(reply) = reply else {
                 continue;
             };
-            let shard_replies = reply?;
-            if shard_replies.len() != indices.len() {
+            let answers = reply?;
+            if answers.len() != indices.len() {
                 return Err(HdcError::Transport(format!(
                     "shard {} answered {} of {} queries",
                     self.shards[position].0,
-                    shard_replies.len(),
+                    answers.len(),
                     indices.len()
                 )));
             }
-            for (index, reply) in indices.into_iter().zip(shard_replies) {
-                merged[index] = reply;
-            }
+            parts.push((indices, answers));
         }
-        Ok(merged)
+        if parts.is_empty() {
+            // An empty request: the first shard answers it, so the empty
+            // answer still names the task.
+            return self.shards[0].1.answer(Vec::new());
+        }
+        merge(pairs.len(), parts)
+    }
+
+    /// Predicts a batch of keyed, encoded queries' labels (see
+    /// [`answer`](Self::answer)).
+    ///
+    /// # Errors
+    ///
+    /// As [`answer`](Self::answer), plus [`HdcError::TaskMismatch`] on a
+    /// regression cluster.
+    pub fn predict_batch(
+        &mut self,
+        pairs: &[(String, BinaryHypervector)],
+    ) -> Result<Vec<Prediction>, HdcError> {
+        self.answer(pairs)?.into_labels()
+    }
+
+    /// Predicts a batch of keyed, encoded queries' values (see
+    /// [`answer`](Self::answer)).
+    ///
+    /// # Errors
+    ///
+    /// As [`answer`](Self::answer), plus [`HdcError::TaskMismatch`] on a
+    /// classification cluster.
+    pub fn predict_value_batch(
+        &mut self,
+        pairs: &[(String, BinaryHypervector)],
+    ) -> Result<Vec<ValuePrediction>, HdcError> {
+        self.answer(pairs)?.into_values()
     }
 
     /// Stores an encoded hypervector on the owning shard; `true` if an
@@ -846,27 +704,19 @@ impl ClusterRouter {
     /// Returns the first shard's error only if **no** shard accepted the
     /// observation; the cluster is then unchanged and the call is safe to
     /// retry.
-    pub fn fit_encoded(&mut self, hv: &BinaryHypervector, label: usize) -> Result<(), HdcError> {
+    pub fn observe(&mut self, hv: &BinaryHypervector, target: Target) -> Result<(), HdcError> {
         self.check_dim(hv.dim())?;
-        self.replicate(|shard| shard.fit_encoded(hv.clone(), label))
+        self.replicate(|shard| shard.observe(hv.clone(), target))
     }
 
-    /// Replicates one encoded `(query, value)` observation to every shard
-    /// — the regression twin of [`fit_encoded`](Self::fit_encoded), with
-    /// the same partial-failure recovery.
+    /// Replicates one encoded `(query, label)` observation (see
+    /// [`observe`](Self::observe)).
     ///
     /// # Errors
     ///
-    /// Returns the first shard's error only if **no** shard accepted the
-    /// observation; the cluster is then unchanged and the call is safe to
-    /// retry.
-    pub fn fit_value_encoded(
-        &mut self,
-        hv: &BinaryHypervector,
-        value: f64,
-    ) -> Result<(), HdcError> {
-        self.check_dim(hv.dim())?;
-        self.replicate(|shard| shard.fit_value_encoded(hv.clone(), value))
+    /// As [`observe`](Self::observe).
+    pub fn fit_encoded(&mut self, hv: &BinaryHypervector, label: usize) -> Result<(), HdcError> {
+        self.observe(hv, Target::Label(label))
     }
 
     /// Fans one training observation out to every non-lagging shard.
@@ -879,8 +729,8 @@ impl ClusterRouter {
         &mut self,
         apply: impl Fn(&mut dyn ShardBackend) -> Result<(), HdcError> + Sync,
     ) -> Result<(), HdcError> {
-        let concurrent = self.fan_out_mode == FanOut::Concurrent;
-        let outcomes = par_each(&mut self.shards, &self.lagging, concurrent, apply);
+        let inputs = self.inputs(|id| !self.lagging.contains(&id));
+        let outcomes = fan_out(&mut self.shards, inputs, |shard, ()| apply(shard));
         let mut failed: Vec<usize> = Vec::new();
         let mut first_error = None;
         let mut applied = 0usize;
@@ -1006,10 +856,8 @@ impl ClusterRouter {
     }
 
     fn refresh_all(&mut self) -> Result<u64, HdcError> {
-        let concurrent = self.fan_out_mode == FanOut::Concurrent;
-        let outcomes = par_each(&mut self.shards, &BTreeSet::new(), concurrent, |shard| {
-            shard.refresh()
-        });
+        let inputs = self.inputs(|_| true);
+        let outcomes = fan_out(&mut self.shards, inputs, |shard, ()| shard.refresh());
         let mut latest = 0;
         for outcome in outcomes.into_iter().flatten() {
             latest = latest.max(outcome?);
@@ -1025,10 +873,8 @@ impl ClusterRouter {
     /// Returns the first unreachable/dead shard's error: one dead shard
     /// makes the cluster probe unhealthy.
     pub fn ping(&mut self) -> Result<(u64, u64), HdcError> {
-        let concurrent = self.fan_out_mode == FanOut::Concurrent;
-        let outcomes = par_each(&mut self.shards, &BTreeSet::new(), concurrent, |shard| {
-            shard.ping()
-        });
+        let inputs = self.inputs(|_| true);
+        let outcomes = fan_out(&mut self.shards, inputs, |shard, ()| shard.ping());
         let mut generation = 0;
         let mut uptime = u64::MAX;
         for outcome in outcomes.into_iter().flatten() {
@@ -1047,10 +893,8 @@ impl ClusterRouter {
     ///
     /// Returns the first unreachable shard's error.
     pub fn shard_stats(&mut self) -> Result<Vec<(usize, RuntimeStats)>, HdcError> {
-        let concurrent = self.fan_out_mode == FanOut::Concurrent;
-        let outcomes = par_each(&mut self.shards, &BTreeSet::new(), concurrent, |shard| {
-            shard.stats()
-        });
+        let inputs = self.inputs(|_| true);
+        let outcomes = fan_out(&mut self.shards, inputs, |shard, ()| shard.stats());
         let mut out = Vec::with_capacity(self.shards.len());
         for ((id, _), outcome) in self.shards.iter().zip(outcomes) {
             let Some(stats) = outcome.transpose()? else {
@@ -1294,9 +1138,7 @@ impl ClusterRouter {
 /// stalls become a problem at scale.
 #[derive(Debug)]
 pub struct ClusterServer {
-    local_addr: SocketAddr,
-    stop: Arc<AtomicBool>,
-    accept: Option<JoinHandle<()>>,
+    listener: Listener,
     router: Arc<Mutex<ClusterRouter>>,
 }
 
@@ -1314,30 +1156,22 @@ impl ClusterServer {
         router: ClusterRouter,
         clients: ClientConfig,
     ) -> io::Result<Self> {
-        let listener = TcpListener::bind(addr)?;
-        let local_addr = listener.local_addr()?;
-        let stop = Arc::new(AtomicBool::new(false));
         let router = Arc::new(Mutex::new(router));
-        let accept = {
-            let stop = Arc::clone(&stop);
-            let router = Arc::clone(&router);
-            thread::Builder::new()
-                .name("hdc-cluster-accept".into())
-                .spawn(move || accept_loop(&listener, &stop, &router, clients))
-                .expect("spawning the cluster accept thread")
-        };
-        Ok(Self {
-            local_addr,
-            stop,
-            accept: Some(accept),
-            router,
-        })
+        let shared = Arc::clone(&router);
+        let listener = Listener::spawn(addr, "hdc-cluster", move || {
+            let router = Arc::clone(&shared);
+            move |request| {
+                let mut router = router.lock().expect("cluster router lock");
+                answer(&mut router, clients, request)
+            }
+        })?;
+        Ok(Self { listener, router })
     }
 
     /// The bound address (with the ephemeral port resolved).
     #[must_use]
     pub fn local_addr(&self) -> SocketAddr {
-        self.local_addr
+        self.listener.local_addr()
     }
 
     /// Runs `with` against the router behind the front-end (e.g. to join
@@ -1354,101 +1188,18 @@ impl ClusterServer {
     ///
     /// Panics if a connection handler panicked while holding the router.
     #[must_use]
-    pub fn shutdown(mut self) -> ClusterRouter {
-        self.stop_and_join();
-        let router = Arc::clone(&self.router);
-        drop(self);
+    pub fn shutdown(self) -> ClusterRouter {
+        let Self {
+            mut listener,
+            router,
+        } = self;
+        // Joining the accept thread drops its answerer, the last other
+        // owner of the router.
+        listener.stop_and_join();
+        drop(listener);
         let router = Arc::try_unwrap(router)
             .unwrap_or_else(|_| panic!("all router references are joined at shutdown"));
         router.into_inner().expect("cluster router lock")
-    }
-
-    fn stop_and_join(&mut self) {
-        if self.stop.swap(true, Ordering::SeqCst) {
-            return;
-        }
-        let mut wake = self.local_addr;
-        if wake.ip().is_unspecified() {
-            wake.set_ip(match wake {
-                SocketAddr::V4(_) => IpAddr::V4(Ipv4Addr::LOCALHOST),
-                SocketAddr::V6(_) => IpAddr::V6(Ipv6Addr::LOCALHOST),
-            });
-        }
-        let _ = TcpStream::connect(wake);
-        if let Some(accept) = self.accept.take() {
-            let _ = accept.join();
-        }
-    }
-}
-
-impl Drop for ClusterServer {
-    fn drop(&mut self) {
-        self.stop_and_join();
-    }
-}
-
-fn accept_loop(
-    listener: &TcpListener,
-    stop: &Arc<AtomicBool>,
-    router: &Arc<Mutex<ClusterRouter>>,
-    clients: ClientConfig,
-) {
-    let mut connections: Vec<(TcpStream, JoinHandle<()>)> = Vec::new();
-    for stream in listener.incoming() {
-        if stop.load(Ordering::SeqCst) {
-            break;
-        }
-        let Ok(stream) = stream else { continue };
-        connections.retain(|(_, worker)| !worker.is_finished());
-        let Ok(clone) = stream.try_clone() else {
-            continue;
-        };
-        let router = Arc::clone(router);
-        let worker = thread::Builder::new()
-            .name("hdc-cluster-conn".into())
-            .spawn(move || {
-                let _ = serve_connection(stream, &router, clients);
-            })
-            .expect("spawning a cluster connection thread");
-        connections.push((clone, worker));
-    }
-    for (stream, _) in &connections {
-        let _ = stream.shutdown(Shutdown::Both);
-    }
-    for (_, worker) in connections {
-        let _ = worker.join();
-    }
-}
-
-fn serve_connection(
-    stream: TcpStream,
-    router: &Mutex<ClusterRouter>,
-    clients: ClientConfig,
-) -> io::Result<()> {
-    stream.set_nodelay(true)?;
-    let mut reader = BufReader::new(stream.try_clone()?);
-    let mut writer = BufWriter::new(stream.try_clone()?);
-    loop {
-        let request = match wire::read_request(&mut reader) {
-            Ok(Some(request)) => request,
-            Ok(None) => return Ok(()),
-            Err(error) if error.kind() == io::ErrorKind::InvalidData => {
-                let _ = wire::write_response(
-                    &mut writer,
-                    &Response::Error {
-                        message: error.to_string(),
-                    },
-                );
-                let _ = stream.shutdown(Shutdown::Both);
-                return Err(error);
-            }
-            Err(error) => return Err(error),
-        };
-        let response = {
-            let mut router = router.lock().expect("cluster router lock");
-            answer(&mut router, clients, request)
-        };
-        wire::write_response(&mut writer, &response)?;
     }
 }
 
@@ -1456,90 +1207,43 @@ fn serve_connection(
 /// [`Response::Error`] — the connection survives bad requests and dead
 /// shards alike.
 fn answer(router: &mut ClusterRouter, clients: ClientConfig, request: Request) -> Response {
-    fn fail(error: &HdcError) -> Response {
-        Response::Error {
-            message: error.to_string(),
-        }
-    }
     match request {
-        Request::Predict { key, hv } => match router.predict(&key, &hv) {
-            Ok(prediction) => Response::Label {
-                label: prediction.label as u32,
-                generation: prediction.generation,
-            },
-            Err(error) => fail(&error),
-        },
-        Request::PredictBatch { pairs } => match router.predict_batch(&pairs) {
-            Ok(predictions) => Response::Labels {
-                predictions: predictions
-                    .into_iter()
-                    .map(|p| (p.label as u32, p.generation))
-                    .collect(),
-            },
-            Err(error) => fail(&error),
-        },
-        Request::PredictValue { key, hv } => match router.predict_value(&key, &hv) {
-            Ok(prediction) => Response::Value {
-                value: prediction.value,
-                generation: prediction.generation,
-            },
-            Err(error) => fail(&error),
-        },
-        Request::PredictValueBatch { pairs } => match router.predict_value_batch(&pairs) {
-            Ok(predictions) => Response::Values {
-                predictions: predictions
-                    .into_iter()
-                    .map(|p| (p.value, p.generation))
-                    .collect(),
-            },
-            Err(error) => fail(&error),
-        },
-        Request::Insert { key, hv } => match router.insert(&key, &hv) {
-            Ok(replaced) => Response::Inserted { replaced },
-            Err(error) => fail(&error),
-        },
-        Request::Remove { key } => match router.remove(&key) {
-            Ok(removed) => Response::Removed { removed },
-            Err(error) => fail(&error),
-        },
-        Request::Fit { label, hv } => match router.fit_encoded(&hv, label as usize) {
-            Ok(()) => Response::FitAck,
-            Err(error) => fail(&error),
-        },
-        Request::FitValue { value, hv } => match router.fit_value_encoded(&hv, value) {
-            Ok(()) => Response::FitAck,
-            Err(error) => fail(&error),
-        },
-        Request::Refresh => match router.refresh() {
-            Ok(generation) => Response::Refreshed { generation },
-            Err(error) => fail(&error),
-        },
-        Request::Stats => match router.cluster_stats() {
-            Ok(stats) => Response::Stats(stats),
-            Err(error) => fail(&error),
-        },
-        Request::Ping => match router.ping() {
-            Ok((generation, uptime_us)) => Response::Pong {
-                generation,
-                uptime_us,
-            },
-            Err(error) => fail(&error),
-        },
-        Request::ShardJoin { addr } => {
-            match RemoteShard::connect_with(&addr, clients)
-                .and_then(|shard| router.join(Box::new(shard)))
-            {
-                Ok((id, moved)) => Response::ShardJoined {
-                    id: id as u32,
-                    moved,
-                },
-                Err(error) => fail(&error),
-            }
+        Request::PredictBatch { pairs } => router.answer(&pairs).map_or_else(fail, Into::into),
+        Request::Fit { hv, target } => router
+            .observe(&hv, target)
+            .map_or_else(fail, |()| Response::FitAck),
+        Request::Insert { key, hv } => router
+            .insert(&key, &hv)
+            .map_or_else(fail, |replaced| Response::Inserted { replaced }),
+        Request::Remove { key } => router
+            .remove(&key)
+            .map_or_else(fail, |removed| Response::Removed { removed }),
+        Request::Refresh => router
+            .refresh()
+            .map_or_else(fail, |generation| Response::Refreshed { generation }),
+        Request::Stats => router.cluster_stats().map_or_else(fail, Response::Stats),
+        Request::Ping => {
+            router
+                .ping()
+                .map_or_else(fail, |(generation, uptime_us)| Response::Pong {
+                    generation,
+                    uptime_us,
+                })
         }
-        Request::ShardLeave { id } => match router.leave(id as usize) {
-            Ok((removed, drained)) => Response::ShardLeft { removed, drained },
-            Err(error) => fail(&error),
-        },
+        Request::ShardJoin { addr } => RemoteShard::connect_with(&addr, clients)
+            .and_then(|shard| router.join(Box::new(shard)))
+            .map_or_else(fail, |(id, moved)| Response::ShardJoined {
+                id: id as u32,
+                moved,
+            }),
+        Request::ShardLeave { id } => {
+            router
+                .leave(id as usize)
+                .map_or_else(fail, |(removed, drained)| Response::ShardLeft {
+                    removed,
+                    drained,
+                })
+        }
         Request::AddShard | Request::RemoveShard { .. } => Response::Error {
             message: "cluster membership changes via shard_join/shard_leave, \
                       not add_shard/remove_shard"

@@ -65,7 +65,6 @@
 #![warn(missing_docs)]
 
 mod cluster;
-mod codec;
 pub mod metrics;
 mod pipeline;
 mod runtime;
@@ -75,7 +74,7 @@ mod snapshot;
 mod spec;
 pub mod wire;
 
-pub use cluster::{ClusterRouter, ClusterServer, FanOut, LocalShard, RemoteShard, ShardBackend};
+pub use cluster::{ClusterRouter, ClusterServer, LocalShard, RemoteShard, ShardBackend};
 pub use hdc_core::HdcError;
 pub use hdc_encode::{FieldSpec, Radians};
 pub use hdc_store::{
@@ -87,8 +86,8 @@ pub use pipeline::{
     PipelineBuilder, RecordSpec, ScalarSpec, SequenceSpec,
 };
 pub use runtime::{
-    BatchPolicy, Generation, OnlineLearner, Prediction, Runtime, RuntimeConfig, RuntimeHandle,
-    RuntimeStats, ValuePrediction,
+    Answers, BatchPolicy, Generation, OnlineLearner, Prediction, Runtime, RuntimeConfig,
+    RuntimeHandle, RuntimeStats, Target, ValuePrediction,
 };
 pub use server::{BlockingClient, ClientConfig, Server};
 pub use sharded::{Head, RingConfig, ShardedModel};

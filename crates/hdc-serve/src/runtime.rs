@@ -6,15 +6,18 @@
 //! A [`Runtime`] owns two background threads:
 //!
 //! * the **dispatcher** exclusively owns the [`ShardedModel`] and drains the
-//!   work queue. Each prediction request (label *or* value predictions, one
-//!   or many keyed rows) is one work item. When the dispatcher is free it
-//!   takes whatever is already queued, up to [`BatchPolicy::max_batch`]
-//!   rows, into one [`HypervectorBatch`] and serves it; it never waits for
-//!   more. Batches grow under load because requests queue while the
-//!   previous batch is served, so encode, ring routing and the minipool
-//!   fan-out are paid once per micro-batch instead of once per caller;
-//! * the **trainer** folds `fit`/`fit_value` observations into the task's
-//!   accumulators ([`CentroidTrainer`] or
+//!   work queue. Each prediction request (one or many keyed rows) and each
+//!   observation is one work item. When the dispatcher is free it takes
+//!   whatever is already queued, up to [`BatchPolicy::max_batch`] rows,
+//!   into one [`HypervectorBatch`] and serves it; it never waits for more.
+//!   Batches grow under load because requests queue while the previous
+//!   batch is served, so encode, ring routing and the minipool fan-out are
+//!   paid once per micro-batch instead of once per caller. The adopted
+//!   head answers every request: labels from a classifier, values from a
+//!   regressor ([`Answers`]). Every observation passes through here on its
+//!   way to the trainer, logged first on a durable runtime;
+//! * the **trainer** folds observations (each with its [`Target`]) into
+//!   the task's accumulators ([`CentroidTrainer`] or
 //!   [`RegressionTrainer`](hdc_learn::RegressionTrainer)) off the serving
 //!   path and periodically publishes an immutable, `Arc`-snapshotted
 //!   [`Generation`] of the finalized [`Head`]. The dispatcher adopts the
@@ -129,12 +132,14 @@ pub struct RuntimeConfig {
     /// runtime recovers **bit-identically** to its last acknowledged state
     /// from the installed snapshot plus WAL replay — this composes with
     /// [`load_snapshot`](Self::load_snapshot), which seeds the model before
-    /// the store's own recovery is applied on top. When durable,
-    /// `fit`/`fit_value` (and `insert`/`remove`) acknowledge only after
-    /// their log record is flushed per [`SyncPolicy`](hdc_store::SyncPolicy),
-    /// and a storage
-    /// failure on the logging path is fail-stop: the dispatcher panics
-    /// rather than acknowledge a write it cannot recover.
+    /// the store's own recovery is applied on top. When durable, every
+    /// fit, insert and remove is acknowledged only after one group
+    /// `fdatasync` covers its log record. [`SyncPolicy::Always`] and
+    /// [`SyncPolicy::EveryBatch`] both run that schedule (`Always` also
+    /// fsyncs the paged item files before acking an insert or a remove);
+    /// [`SyncPolicy::Never`] acks without syncing. A storage failure on the
+    /// logging path is fail-stop: the dispatcher panics rather than
+    /// acknowledge a write it cannot recover.
     pub durability: Option<DurabilityConfig>,
 }
 
@@ -179,6 +184,120 @@ pub struct ValuePrediction {
     pub value: f64,
     /// The generation that answered.
     pub generation: u64,
+}
+
+/// The answers to one prediction request, one per row in request order.
+/// The head decides the readout: a classifier answers with labels, a
+/// regressor with values.
+#[derive(Debug, Clone, PartialEq)]
+pub enum Answers {
+    /// A classifier's answers.
+    Labels(Vec<Prediction>),
+    /// A regressor's answers.
+    Values(Vec<ValuePrediction>),
+}
+
+impl Answers {
+    /// The empty answer of a `task` runtime.
+    fn none(task: Task) -> Self {
+        match task {
+            Task::Classification { .. } => Answers::Labels(Vec::new()),
+            Task::Regression { .. } => Answers::Values(Vec::new()),
+        }
+    }
+
+    /// Number of answered rows.
+    #[must_use]
+    pub fn len(&self) -> usize {
+        match self {
+            Answers::Labels(labels) => labels.len(),
+            Answers::Values(values) => values.len(),
+        }
+    }
+
+    /// `true` when no row was answered.
+    #[must_use]
+    pub fn is_empty(&self) -> bool {
+        self.len() == 0
+    }
+
+    /// The labels of a classifier's answers.
+    ///
+    /// # Errors
+    ///
+    /// Returns [`HdcError::TaskMismatch`] for a regressor's answers.
+    pub fn into_labels(self) -> Result<Vec<Prediction>, HdcError> {
+        match self {
+            Answers::Labels(labels) => Ok(labels),
+            Answers::Values(_) => Err(HdcError::TaskMismatch {
+                expected: "classification",
+                found: "regression",
+            }),
+        }
+    }
+
+    /// The values of a regressor's answers.
+    ///
+    /// # Errors
+    ///
+    /// Returns [`HdcError::TaskMismatch`] for a classifier's answers.
+    pub fn into_values(self) -> Result<Vec<ValuePrediction>, HdcError> {
+        match self {
+            Answers::Values(values) => Ok(values),
+            Answers::Labels(_) => Err(HdcError::TaskMismatch {
+                expected: "regression",
+                found: "classification",
+            }),
+        }
+    }
+}
+
+/// What one observation teaches the trainer: a class label for a
+/// classifier, a real value for a regressor.
+#[derive(Debug, Clone, Copy, PartialEq)]
+pub enum Target {
+    /// A class label.
+    Label(usize),
+    /// A real-valued label.
+    Value(f64),
+}
+
+impl Target {
+    /// The write-ahead-log record of the encoded observation `hv`.
+    fn record(self, hv: &BinaryHypervector) -> WalRecord {
+        let hv = hv.clone();
+        match self {
+            Target::Label(label) => WalRecord::Fit {
+                hv,
+                label: label as u64,
+            },
+            Target::Value(value) => WalRecord::FitValue { hv, value },
+        }
+    }
+
+    /// The task family that learns from this target.
+    fn task_name(self) -> &'static str {
+        match self {
+            Target::Label(_) => "classification",
+            Target::Value(_) => "regression",
+        }
+    }
+
+    /// Refuses a target a `task` runtime cannot learn from: the other
+    /// task's kind, or a class label out of range.
+    fn check(self, task: Task) -> Result<(), HdcError> {
+        match (self, task) {
+            (Target::Label(label), Task::Classification { classes }) if label >= classes => {
+                Err(HdcError::LabelOutOfRange { label, classes })
+            }
+            (Target::Label(_), Task::Classification { .. })
+            | (Target::Value(_), Task::Regression { .. }) => Ok(()),
+            (target, task) => Err(HdcError::TaskMismatch {
+                expected: target.task_name(),
+                found: task.name(),
+            }),
+        }
+    }
 }
 
 /// An immutable snapshot of one published generation: the finalized
@@ -291,6 +410,57 @@ impl OnlineLearner {
         }
     }
 
+    /// Folds one encoded observation into the accumulators.
+    ///
+    /// # Errors
+    ///
+    /// Returns [`HdcError::TaskMismatch`] for the other task's target and
+    /// [`HdcError::LabelOutOfRange`] for an unknown class label.
+    ///
+    /// # Panics
+    ///
+    /// Panics if `hv`'s dimensionality differs from the trainer's.
+    pub(crate) fn observe(
+        &mut self,
+        hv: &BinaryHypervector,
+        target: Target,
+    ) -> Result<(), HdcError> {
+        match (self, target) {
+            (OnlineLearner::Classify(trainer), Target::Label(label)) => trainer.observe(hv, label),
+            (OnlineLearner::Regress(trainer), Target::Value(value)) => {
+                trainer.observe(hv, value);
+                Ok(())
+            }
+            (learner, target) => Err(HdcError::TaskMismatch {
+                expected: target.task_name(),
+                found: learner.task_name(),
+            }),
+        }
+    }
+
+    fn task_name(&self) -> &'static str {
+        match self {
+            OnlineLearner::Classify(_) => "classification",
+            OnlineLearner::Regress(_) => "regression",
+        }
+    }
+
+    /// Captures the accumulators, beside `items`, as a [`Snapshot`].
+    fn snapshot(&self, spec: PipelineSpec, items: Vec<(String, BinaryHypervector)>) -> Snapshot {
+        match self {
+            OnlineLearner::Classify(trainer) => Snapshot::of_classify(spec, trainer, items),
+            OnlineLearner::Regress(trainer) => Snapshot::of_regress(spec, trainer, items),
+        }
+    }
+
+    /// Adopts a (same-spec) snapshot's accumulators.
+    fn restore(&mut self, snapshot: &Snapshot) -> Result<(), HdcError> {
+        match self {
+            OnlineLearner::Classify(trainer) => snapshot.restore_classify_trainer(trainer),
+            OnlineLearner::Regress(trainer) => snapshot.restore_regress_trainer(trainer),
+        }
+    }
+
     /// Finalizes the current accumulators into a publishable [`Head`]
     /// (deterministic for both tasks).
     fn finish(&self) -> Head {
@@ -316,44 +486,14 @@ type KeyedPayloads<O> = Vec<(String, Payload<O>)>;
 
 /// One prediction request: its keyed rows, served together by one
 /// generation and answered, in order, by one reply.
-struct PredictJob<O, R> {
+struct PredictJob<O> {
     rows: KeyedPayloads<O>,
     enqueued: Instant,
-    reply: Sender<Vec<R>>,
-}
-
-/// What one observation teaches the trainer.
-#[derive(Debug, Clone, Copy)]
-enum FitTarget {
-    Label(usize),
-    Value(f64),
-}
-
-impl FitTarget {
-    /// The write-ahead-log record of the encoded observation `hv`.
-    fn record(self, hv: &BinaryHypervector) -> WalRecord {
-        let hv = hv.clone();
-        match self {
-            FitTarget::Label(label) => WalRecord::Fit {
-                hv,
-                label: label as u64,
-            },
-            FitTarget::Value(value) => WalRecord::FitValue { hv, value },
-        }
-    }
-
-    /// The trainer message that folds `hv` in.
-    fn observe(self, hv: BinaryHypervector) -> TrainerMsg {
-        match self {
-            FitTarget::Label(label) => TrainerMsg::Observe { hv, label },
-            FitTarget::Value(value) => TrainerMsg::ObserveValue { hv, value },
-        }
-    }
+    reply: Sender<Answers>,
 }
 
 enum Work<O> {
-    Predict(PredictJob<O, Prediction>),
-    PredictValue(PredictJob<O, ValuePrediction>),
+    Predict(PredictJob<O>),
     Insert {
         key: String,
         hv: BinaryHypervector,
@@ -365,7 +505,7 @@ enum Work<O> {
     },
     Fit {
         payload: Payload<O>,
-        target: FitTarget,
+        target: Target,
         /// `Some` on a durable runtime: the dispatcher acknowledges after
         /// the observation's WAL record is flushed, `None` keeps the
         /// fire-and-forget fast path.
@@ -395,17 +535,15 @@ enum Work<O> {
     Shutdown,
 }
 
+/// What the dispatcher, the trainer's only sender, relays to it; the
+/// trainer stops once the dispatcher has exited and the queue is drained.
 enum TrainerMsg {
     Observe {
         hv: BinaryHypervector,
-        label: usize,
-    },
-    ObserveValue {
-        hv: BinaryHypervector,
-        value: f64,
+        target: Target,
     },
     Refresh {
-        reply: Option<Sender<u64>>,
+        reply: Sender<u64>,
     },
     /// Capture the trainer's accumulators (the dispatcher has already
     /// collected `items` from the fleet) into one consistent [`Snapshot`].
@@ -420,7 +558,6 @@ enum TrainerMsg {
         snapshot: Snapshot,
         reply: Sender<Result<u64, HdcError>>,
     },
-    Stop,
 }
 
 /// A point-in-time view of the whole runtime, served by the `stats`
@@ -554,53 +691,28 @@ where
         let mut item_replay = Vec::new();
         let mut replayed_fits = 0usize;
         for record in replay {
-            match record {
-                WalRecord::Fit { hv, label } => {
-                    let OnlineLearner::Classify(trainer) = &mut learner else {
-                        return Err(HdcError::Storage(
-                            "log holds classification fits, model is regression".into(),
-                        ));
-                    };
-                    if hv.dim() != spec.dim {
-                        return Err(HdcError::Storage(format!(
-                            "logged fit has dimension {}, model expects {}",
-                            hv.dim(),
-                            spec.dim
-                        )));
-                    }
-                    let label = usize::try_from(label).ok().filter(
-                        |&l| matches!(task, Task::Classification { classes } if l < classes),
-                    );
-                    let Some(label) = label else {
-                        return Err(HdcError::Storage(
-                            "logged fit label out of range for the model".into(),
-                        ));
-                    };
-                    trainer
-                        .observe(&hv, label)
-                        .map_err(|e| HdcError::Storage(format!("replaying fit: {e}")))?;
-                    replayed_fits += 1;
+            let (hv, target) = match record {
+                WalRecord::Fit { hv, label } => (
+                    hv,
+                    Target::Label(usize::try_from(label).unwrap_or(usize::MAX)),
+                ),
+                WalRecord::FitValue { hv, value } => (hv, Target::Value(value)),
+                item => {
+                    item_replay.push(item);
+                    continue;
                 }
-                WalRecord::FitValue { hv, value } => {
-                    let OnlineLearner::Regress(trainer) = &mut learner else {
-                        return Err(HdcError::Storage(
-                            "log holds regression fits, model is classification".into(),
-                        ));
-                    };
-                    if hv.dim() != spec.dim {
-                        return Err(HdcError::Storage(format!(
-                            "logged fit has dimension {}, model expects {}",
-                            hv.dim(),
-                            spec.dim
-                        )));
-                    }
-                    trainer.observe(&hv, value);
-                    replayed_fits += 1;
-                }
-                record @ (WalRecord::Insert { .. } | WalRecord::Remove { .. }) => {
-                    item_replay.push(record);
-                }
+            };
+            if hv.dim() != spec.dim {
+                return Err(HdcError::Storage(format!(
+                    "logged fit has dimension {}, model expects {}",
+                    hv.dim(),
+                    spec.dim
+                )));
             }
+            learner
+                .observe(&hv, target)
+                .map_err(|e| HdcError::Storage(format!("replaying fit: {e}")))?;
+            replayed_fits += 1;
         }
         if replayed_fits > 0 {
             head = learner.finish();
@@ -686,9 +798,8 @@ where
         };
         let metrics = Arc::new(ServeMetrics::new(policy.max_batch));
         let generations = Arc::new(GenerationCell::new(Arc::new(head)));
-        // The generation the fleet's head belongs to, taken before any
-        // thread starts: an in-RAM fit goes straight to the trainer, which
-        // may publish before the dispatcher runs its first line.
+        // The generation the fleet's head belongs to. Only the dispatcher
+        // feeds the trainer, so nothing is published before it adopts this.
         let spawned = generations.load();
         let alive = Arc::new(AtomicBool::new(true));
 
@@ -730,7 +841,6 @@ where
         let dispatcher = {
             let metrics = Arc::clone(&metrics);
             let generations = Arc::clone(&generations);
-            let trainer_tx = trainer_tx.clone();
             let alive = Arc::clone(&alive);
             let dispatch_encoder = Arc::clone(&encoder);
             thread::Builder::new()
@@ -776,7 +886,6 @@ where
         Ok(Self {
             handle: RuntimeHandle {
                 work_tx,
-                trainer_tx,
                 generations,
                 metrics,
                 alive,
@@ -820,11 +929,12 @@ where
     pub fn shutdown(self) -> (ShardedModel<String>, OnlineLearner) {
         let _ = self.handle.work_tx.send(Work::Shutdown);
         let fleet = self.dispatcher.join().expect("dispatcher thread panicked");
-        let _ = self.handle.trainer_tx.send(TrainerMsg::Stop);
+        // The dispatcher's exit dropped the trainer's only sender, so the
+        // trainer drains what it relayed and stops.
         let learner = self.trainer.join().expect("trainer thread panicked");
-        // The dispatcher's exit dropped the snapshot-job sender, and the
-        // trainer answered every capture queued before Stop — so this join
-        // waits only for in-flight installations to land.
+        // The dispatcher's exit also dropped the snapshot-job sender, and
+        // the trainer answered every queued capture — so this join waits
+        // only for in-flight installations to land.
         if let Some(snapshotter) = self.snapshotter {
             let _ = snapshotter.join();
         }
@@ -833,15 +943,7 @@ where
                 .entries()
                 .map(|(key, hv)| (key.clone(), hv.clone()))
                 .collect();
-            let snapshot = match &learner {
-                OnlineLearner::Classify(trainer) => {
-                    Snapshot::of_classify(self.spec.clone(), trainer, items)
-                }
-                OnlineLearner::Regress(trainer) => {
-                    Snapshot::of_regress(self.spec.clone(), trainer, items)
-                }
-            };
-            if let Err(error) = snapshot.write(path) {
+            if let Err(error) = learner.snapshot(self.spec.clone(), items).write(path) {
                 eprintln!(
                     "hdc-serve: shutdown snapshot to {} failed: {error}",
                     path.display()
@@ -858,7 +960,6 @@ where
 /// of TCP connection handlers — can share one runtime.
 pub struct RuntimeHandle<X: ?Sized + ToOwned> {
     work_tx: Sender<Work<X::Owned>>,
-    trainer_tx: Sender<TrainerMsg>,
     generations: Arc<GenerationCell>,
     metrics: Arc<ServeMetrics>,
     alive: Arc<AtomicBool>,
@@ -893,7 +994,6 @@ impl<X: ?Sized + ToOwned> Clone for RuntimeHandle<X> {
     fn clone(&self) -> Self {
         Self {
             work_tx: self.work_tx.clone(),
-            trainer_tx: self.trainer_tx.clone(),
             generations: Arc::clone(&self.generations),
             metrics: Arc::clone(&self.metrics),
             alive: Arc::clone(&self.alive),
@@ -968,92 +1068,42 @@ where
         self.generations.load()
     }
 
-    fn check_classification(&self) -> Result<(), HdcError> {
-        if self.task.is_classification() {
-            Ok(())
-        } else {
-            Err(HdcError::TaskMismatch {
-                expected: "classification",
-                found: self.task.name(),
-            })
-        }
-    }
-
-    fn check_regression(&self) -> Result<(), HdcError> {
-        if self.task.is_regression() {
-            Ok(())
-        } else {
-            Err(HdcError::TaskMismatch {
-                expected: "regression",
-                found: self.task.name(),
-            })
-        }
-    }
-
-    /// Predicts one raw input. The input is encoded server-side inside the
-    /// micro-batch's parallel encode pass. Blocks until the batch is
-    /// served.
+    /// Answers a set of raw inputs, in order, with the adopted head's
+    /// readout: labels on a classifier, values on a regressor. The inputs
+    /// are encoded server-side inside the micro-batch's parallel encode
+    /// pass. The set is one request: the dispatcher may serve it beside
+    /// other queued requests but never splits it, so one generation
+    /// answers every row. Blocks until the batch is served.
     ///
     /// # Errors
     ///
-    /// Returns [`HdcError::TaskMismatch`] on a regression runtime, the
-    /// encoder's input error (see [`hdc_encode::Encoder::check_input`]) for
-    /// an input it cannot encode and [`HdcError::ServiceUnavailable`] after
-    /// shutdown.
-    pub fn predict(&self, key: impl Into<String>, input: &X) -> Result<Prediction, HdcError> {
-        self.check_classification()?;
-        self.submit(vec![(key.into(), self.raw(input)?)], Work::Predict)
-            .map(|mut replies| replies.pop().expect("one prediction per request"))
-    }
-
-    /// Predicts one already encoded query.
-    ///
-    /// # Errors
-    ///
-    /// Returns [`HdcError::TaskMismatch`] on a regression runtime,
-    /// [`HdcError::DimensionMismatch`] for a wrong-width query and
-    /// [`HdcError::ServiceUnavailable`] after shutdown.
-    pub fn predict_encoded(
-        &self,
-        key: impl Into<String>,
-        hv: BinaryHypervector,
-    ) -> Result<Prediction, HdcError> {
-        self.check_classification()?;
-        self.check_dim(hv.dim())?;
-        self.submit(vec![(key.into(), Payload::Encoded(hv))], Work::Predict)
-            .map(|mut replies| replies.pop().expect("one prediction per request"))
-    }
-
-    /// Predicts a set of raw inputs, in order. The set is one request: the
-    /// dispatcher may serve it beside other queued requests but never
-    /// splits it, so one generation answers every row.
-    ///
-    /// # Errors
-    ///
-    /// Returns [`HdcError::TaskMismatch`] on a regression runtime, the
-    /// encoder's input error if any input cannot be encoded (nothing is
-    /// enqueued then) and [`HdcError::ServiceUnavailable`] after shutdown.
-    pub fn predict_many<'a, I>(&self, inputs: I) -> Result<Vec<Prediction>, HdcError>
+    /// Returns the encoder's input error (see
+    /// [`hdc_encode::Encoder::check_input`]) if any input cannot be encoded
+    /// (nothing is enqueued then) and [`HdcError::ServiceUnavailable`]
+    /// after shutdown.
+    pub fn answer<'a, I>(&self, inputs: I) -> Result<Answers, HdcError>
     where
         I: IntoIterator<Item = (String, &'a X)>,
         X: 'a,
     {
-        self.check_classification()?;
-        self.submit(self.raw_jobs(inputs)?, Work::Predict)
+        let rows = inputs
+            .into_iter()
+            .map(|(key, input)| Ok((key, self.raw(input)?)))
+            .collect::<Result<_, HdcError>>()?;
+        self.submit(rows)
     }
 
-    /// Predicts a set of already encoded queries, in order.
+    /// [`answer`](Self::answer) for already encoded queries.
     ///
     /// # Errors
     ///
-    /// Returns [`HdcError::TaskMismatch`] on a regression runtime,
-    /// [`HdcError::DimensionMismatch`] if any query's width differs from
-    /// the runtime's and [`HdcError::ServiceUnavailable`] after shutdown.
-    pub fn predict_encoded_many(
+    /// Returns [`HdcError::DimensionMismatch`] if any query's width differs
+    /// from the runtime's and [`HdcError::ServiceUnavailable`] after
+    /// shutdown.
+    pub fn answer_encoded(
         &self,
         pairs: Vec<(String, BinaryHypervector)>,
-    ) -> Result<Vec<Prediction>, HdcError> {
-        self.check_classification()?;
+    ) -> Result<Answers, HdcError> {
         for (_, hv) in &pairs {
             self.check_dim(hv.dim())?;
         }
@@ -1062,60 +1112,62 @@ where
                 .into_iter()
                 .map(|(key, hv)| (key, Payload::Encoded(hv)))
                 .collect(),
-            Work::Predict,
         )
     }
 
-    /// Predicts one raw input's real-valued label — the regression twin of
-    /// [`predict`](Self::predict), riding the same micro-batched queue.
+    /// Predicts one raw input's label.
     ///
     /// # Errors
     ///
-    /// Returns [`HdcError::TaskMismatch`] on a classification runtime, the
-    /// encoder's input error for an input it cannot encode and
-    /// [`HdcError::ServiceUnavailable`] after shutdown.
+    /// As [`answer`](Self::answer), plus [`HdcError::TaskMismatch`] on a
+    /// regression runtime.
+    pub fn predict(&self, key: impl Into<String>, input: &X) -> Result<Prediction, HdcError> {
+        self.answer([(key.into(), input)])?
+            .into_labels()
+            .map(single)
+    }
+
+    /// Predicts a set of already encoded queries' labels, in order.
+    ///
+    /// # Errors
+    ///
+    /// As [`answer_encoded`](Self::answer_encoded), plus
+    /// [`HdcError::TaskMismatch`] on a regression runtime.
+    pub fn predict_encoded_many(
+        &self,
+        pairs: Vec<(String, BinaryHypervector)>,
+    ) -> Result<Vec<Prediction>, HdcError> {
+        self.answer_encoded(pairs)?.into_labels()
+    }
+
+    /// Predicts one raw input's real-valued label.
+    ///
+    /// # Errors
+    ///
+    /// As [`answer`](Self::answer), plus [`HdcError::TaskMismatch`] on a
+    /// classification runtime.
     pub fn predict_value(
         &self,
         key: impl Into<String>,
         input: &X,
     ) -> Result<ValuePrediction, HdcError> {
-        self.check_regression()?;
-        self.submit(vec![(key.into(), self.raw(input)?)], Work::PredictValue)
-            .map(|mut replies| replies.pop().expect("one prediction per request"))
-    }
-
-    /// Predicts one already encoded query's real-valued label.
-    ///
-    /// # Errors
-    ///
-    /// Returns [`HdcError::TaskMismatch`] on a classification runtime,
-    /// [`HdcError::DimensionMismatch`] for a wrong-width query and
-    /// [`HdcError::ServiceUnavailable`] after shutdown.
-    pub fn predict_value_encoded(
-        &self,
-        key: impl Into<String>,
-        hv: BinaryHypervector,
-    ) -> Result<ValuePrediction, HdcError> {
-        self.check_regression()?;
-        self.check_dim(hv.dim())?;
-        self.submit(vec![(key.into(), Payload::Encoded(hv))], Work::PredictValue)
-            .map(|mut replies| replies.pop().expect("one prediction per request"))
+        self.answer([(key.into(), input)])?
+            .into_values()
+            .map(single)
     }
 
     /// Predicts a set of raw inputs' values, in order.
     ///
     /// # Errors
     ///
-    /// Returns [`HdcError::TaskMismatch`] on a classification runtime, the
-    /// encoder's input error if any input cannot be encoded (nothing is
-    /// enqueued then) and [`HdcError::ServiceUnavailable`] after shutdown.
+    /// As [`answer`](Self::answer), plus [`HdcError::TaskMismatch`] on a
+    /// classification runtime.
     pub fn predict_value_many<'a, I>(&self, inputs: I) -> Result<Vec<ValuePrediction>, HdcError>
     where
         I: IntoIterator<Item = (String, &'a X)>,
         X: 'a,
     {
-        self.check_regression()?;
-        self.submit(self.raw_jobs(inputs)?, Work::PredictValue)
+        self.answer(inputs)?.into_values()
     }
 
     /// A raw input's payload, once the encoder has accepted it: an input
@@ -1125,55 +1177,15 @@ where
         Ok(Payload::Input(input.to_owned()))
     }
 
-    /// [`raw`](Self::raw) over a keyed request, all-or-nothing.
-    fn raw_jobs<'a, I>(&self, inputs: I) -> Result<KeyedPayloads<X::Owned>, HdcError>
-    where
-        I: IntoIterator<Item = (String, &'a X)>,
-        X: 'a,
-    {
-        inputs
-            .into_iter()
-            .map(|(key, input)| Ok((key, self.raw(input)?)))
-            .collect()
-    }
-
-    /// Predicts a set of already encoded queries' values, in order.
-    ///
-    /// # Errors
-    ///
-    /// Returns [`HdcError::TaskMismatch`] on a classification runtime,
-    /// [`HdcError::DimensionMismatch`] if any query's width differs from
-    /// the runtime's and [`HdcError::ServiceUnavailable`] after shutdown.
-    pub fn predict_value_encoded_many(
-        &self,
-        pairs: Vec<(String, BinaryHypervector)>,
-    ) -> Result<Vec<ValuePrediction>, HdcError> {
-        self.check_regression()?;
-        for (_, hv) in &pairs {
-            self.check_dim(hv.dim())?;
-        }
-        self.submit(
-            pairs
-                .into_iter()
-                .map(|(key, hv)| (key, Payload::Encoded(hv)))
-                .collect(),
-            Work::PredictValue,
-        )
-    }
-
-    /// The shared path behind every prediction form: the rows travel as
-    /// one work item and come back as one reply, in order.
-    fn submit<R>(
-        &self,
-        rows: KeyedPayloads<X::Owned>,
-        wrap: impl FnOnce(PredictJob<X::Owned, R>) -> Work<X::Owned>,
-    ) -> Result<Vec<R>, HdcError> {
+    /// The one prediction path: the rows travel as one work item and come
+    /// back as one reply, in order.
+    fn submit(&self, rows: KeyedPayloads<X::Owned>) -> Result<Answers, HdcError> {
         if rows.is_empty() {
-            return Ok(Vec::new());
+            return Ok(Answers::none(self.task));
         }
         let enqueued = Instant::now();
         self.rpc(|reply| {
-            wrap(PredictJob {
+            Work::Predict(PredictJob {
                 rows,
                 enqueued,
                 reply,
@@ -1219,65 +1231,53 @@ where
     ///
     /// # Errors
     ///
-    /// Returns [`HdcError::TaskMismatch`] on a regression runtime,
+    /// Returns [`HdcError::TaskMismatch`] for the other task's target,
     /// [`HdcError::LabelOutOfRange`] for an unknown label, the encoder's
     /// input error for an input it cannot encode and
     /// [`HdcError::ServiceUnavailable`] after shutdown.
+    pub fn observe(&self, input: &X, target: Target) -> Result<(), HdcError> {
+        target.check(self.task)?;
+        self.send_fit(self.raw(input)?, target)
+    }
+
+    /// [`observe`](Self::observe) for an already encoded observation.
+    ///
+    /// # Errors
+    ///
+    /// As [`observe`](Self::observe), with
+    /// [`HdcError::DimensionMismatch`] for a wrong-width vector in place
+    /// of the encoder's error.
+    pub fn observe_encoded(&self, hv: BinaryHypervector, target: Target) -> Result<(), HdcError> {
+        target.check(self.task)?;
+        self.check_dim(hv.dim())?;
+        self.send_fit(Payload::Encoded(hv), target)
+    }
+
+    /// Enqueues one raw `(input, label)` observation (see
+    /// [`observe`](Self::observe)).
+    ///
+    /// # Errors
+    ///
+    /// As [`observe`](Self::observe).
     pub fn fit(&self, input: &X, label: usize) -> Result<(), HdcError> {
-        self.check_label(label)?;
-        self.send_fit(self.raw(input)?, FitTarget::Label(label))
+        self.observe(input, Target::Label(label))
     }
 
-    /// Enqueues one already encoded training observation. On an in-RAM
-    /// runtime it goes straight to the background trainer (no dispatcher
-    /// hop) and is fire-and-forget; on a durable runtime it rides the work
-    /// queue so the dispatcher can log it, and blocks until the record is
-    /// flushed.
+    /// Enqueues one raw `(input, value)` observation (see
+    /// [`observe`](Self::observe)).
     ///
     /// # Errors
     ///
-    /// Returns [`HdcError::TaskMismatch`] on a regression runtime,
-    /// [`HdcError::DimensionMismatch`]/[`HdcError::LabelOutOfRange`] for
-    /// invalid observations and [`HdcError::ServiceUnavailable`] after
-    /// shutdown.
-    pub fn fit_encoded(&self, hv: BinaryHypervector, label: usize) -> Result<(), HdcError> {
-        self.check_dim(hv.dim())?;
-        self.check_label(label)?;
-        self.send_encoded_fit(hv, FitTarget::Label(label))
-    }
-
-    /// Enqueues one raw `(input, value)` training observation — the
-    /// regression twin of [`fit`](Self::fit). Fire-and-forget in RAM,
-    /// acknowledged-after-flush when durable.
-    ///
-    /// # Errors
-    ///
-    /// Returns [`HdcError::TaskMismatch`] on a classification runtime, the
-    /// encoder's input error for an input it cannot encode and
-    /// [`HdcError::ServiceUnavailable`] after shutdown.
+    /// As [`observe`](Self::observe).
     pub fn fit_value(&self, input: &X, value: f64) -> Result<(), HdcError> {
-        self.check_regression()?;
-        self.send_fit(self.raw(input)?, FitTarget::Value(value))
+        self.observe(input, Target::Value(value))
     }
 
-    /// Enqueues one already encoded `(query, value)` training observation.
-    /// Fire-and-forget straight to the background trainer in RAM;
-    /// acknowledged-after-flush through the work queue when durable.
-    ///
-    /// # Errors
-    ///
-    /// Returns [`HdcError::TaskMismatch`] on a classification runtime,
-    /// [`HdcError::DimensionMismatch`] for a wrong-width vector and
-    /// [`HdcError::ServiceUnavailable`] after shutdown.
-    pub fn fit_value_encoded(&self, hv: BinaryHypervector, value: f64) -> Result<(), HdcError> {
-        self.check_regression()?;
-        self.check_dim(hv.dim())?;
-        self.send_encoded_fit(hv, FitTarget::Value(value))
-    }
-
-    /// Enqueues one observation on the work queue: fire-and-forget in RAM,
-    /// blocking until its log record is flushed when durable.
-    fn send_fit(&self, payload: Payload<X::Owned>, target: FitTarget) -> Result<(), HdcError> {
+    /// The one fit path: every observation rides the work queue, so the
+    /// dispatcher relays it to the trainer (logging it first when
+    /// durable). Fire-and-forget in RAM, blocking until its log record is
+    /// flushed when durable.
+    fn send_fit(&self, payload: Payload<X::Owned>, target: Target) -> Result<(), HdcError> {
         if self.durable {
             return self.rpc(|ack| Work::Fit {
                 payload,
@@ -1290,17 +1290,6 @@ where
             target,
             ack: None,
         })
-    }
-
-    /// An encoded observation needs no dispatcher encode, so in RAM it
-    /// goes straight to the trainer; a durable one is logged first.
-    fn send_encoded_fit(&self, hv: BinaryHypervector, target: FitTarget) -> Result<(), HdcError> {
-        if self.durable {
-            return self.send_fit(Payload::Encoded(hv), target);
-        }
-        self.trainer_tx
-            .send(target.observe(hv))
-            .map_err(|_| HdcError::ServiceUnavailable)
     }
 
     /// Forces the trainer to publish a new generation, returning its id.
@@ -1413,19 +1402,11 @@ where
         }
         Ok(())
     }
+}
 
-    fn check_label(&self, label: usize) -> Result<(), HdcError> {
-        let Task::Classification { classes } = self.task else {
-            return Err(HdcError::TaskMismatch {
-                expected: "classification",
-                found: self.task.name(),
-            });
-        };
-        if label >= classes {
-            return Err(HdcError::LabelOutOfRange { label, classes });
-        }
-        Ok(())
-    }
+/// The single answer of a one-row request.
+fn single<R>(mut answers: Vec<R>) -> R {
+    answers.pop().expect("one prediction per request")
 }
 
 /// One row of a micro-batch, borrowed from its pending job.
@@ -1597,18 +1578,61 @@ fn trigger_snapshot(
 /// A fit queued in the current micro-batch: the observation payload, its
 /// target, and the ack channel a durable caller is blocked on until the
 /// WAL flush — `None` for fire-and-forget fits.
-type PendingFit<O> = (Payload<O>, FitTarget, Option<Sender<()>>);
+type PendingFit<O> = (Payload<O>, Target, Option<Sender<()>>);
+
+/// One arena's answers, handed out to the requests that filled it.
+enum Readout {
+    Labels(std::vec::IntoIter<usize>),
+    Values(std::vec::IntoIter<f64>),
+}
+
+impl Readout {
+    /// The adopted head's readout of `rows`: labels from a classifier,
+    /// values from a regressor.
+    fn of(fleet: &ShardedModel<String>, keys: &[&str], rows: &HypervectorBatch) -> Self {
+        match fleet.head() {
+            Head::Classes(_) => Readout::Labels(
+                (fleet.predict_batch(keys, rows))
+                    .expect("keys and rows are constructed in lockstep")
+                    .into_iter(),
+            ),
+            Head::Values(_) => Readout::Values(
+                (fleet.predict_values(keys, rows))
+                    .expect("keys and rows are constructed in lockstep")
+                    .into_iter(),
+            ),
+        }
+    }
+
+    /// The next `n` answers, each naming `generation`.
+    fn take(&mut self, n: usize, generation: u64) -> Answers {
+        match self {
+            Readout::Labels(labels) => Answers::Labels(
+                labels
+                    .take(n)
+                    .map(|label| Prediction { label, generation })
+                    .collect(),
+            ),
+            Readout::Values(values) => Answers::Values(
+                values
+                    .take(n)
+                    .map(|value| ValuePrediction { value, generation })
+                    .collect(),
+            ),
+        }
+    }
+}
 
 /// Serves queued prediction requests as one arena: every row is encoded
-/// (or copied) into `scratch`, `readout` answers the whole arena at once,
-/// and each request gets its own rows' answers back, in order.
-fn serve_requests<X, O, A, R>(
-    jobs: &mut Vec<PredictJob<O, R>>,
+/// (or copied) into `scratch`, the fleet's head answers the whole arena at
+/// once, and each request gets its own rows' answers back, in order.
+fn serve_requests<X, O>(
+    jobs: &mut Vec<PredictJob<O>>,
     encoder: &dyn DynEncoder<X>,
     scratch: &mut HypervectorBatch,
     latencies: &mut Vec<Duration>,
-    readout: impl FnOnce(&[&str], &HypervectorBatch) -> Vec<A>,
-    answer: impl Fn(A) -> R,
+    fleet: &ShardedModel<String>,
+    generation: u64,
 ) where
     X: ?Sized + Sync,
     O: Borrow<X>,
@@ -1616,22 +1640,19 @@ fn serve_requests<X, O, A, R>(
     if jobs.is_empty() {
         return;
     }
-    let answers = {
+    let mut readout = {
         let rows = || jobs.iter().flat_map(|job| &job.rows);
         let sources: Vec<RowSource<'_, X>> =
             rows().map(|(_, payload)| RowSource::of(payload)).collect();
         scratch.resize_zeroed(sources.len());
         fill_batch(encoder, &sources, scratch);
         let keys: Vec<&str> = rows().map(|(key, _)| key.as_str()).collect();
-        readout(&keys, scratch)
+        Readout::of(fleet, &keys, scratch)
     };
-    let mut answers = answers.into_iter();
     for job in jobs.drain(..) {
         let n = job.rows.len();
         latencies.extend(std::iter::repeat(job.enqueued.elapsed()).take(n));
-        let _ = job
-            .reply
-            .send(answers.by_ref().take(n).map(&answer).collect());
+        let _ = job.reply.send(readout.take(n, generation));
     }
 }
 
@@ -1668,8 +1689,7 @@ where
     // keeps the allocation) and shared by the batch's predictions and then
     // its fits.
     let mut scratch = HypervectorBatch::with_capacity(dim, policy.max_batch);
-    let mut labels: Vec<PredictJob<X::Owned, Prediction>> = Vec::new();
-    let mut values: Vec<PredictJob<X::Owned, ValuePrediction>> = Vec::new();
+    let mut jobs: Vec<PredictJob<X::Owned>> = Vec::new();
     let mut fits: Vec<PendingFit<X::Owned>> = Vec::new();
     let mut fit_acks: Vec<Sender<()>> = Vec::new();
     let mut latencies: Vec<Duration> = Vec::new();
@@ -1694,11 +1714,7 @@ where
             match work {
                 Work::Predict(job) if room(job.rows.len()) => {
                     rows += job.rows.len();
-                    labels.push(job);
-                }
-                Work::PredictValue(job) if room(job.rows.len()) => {
-                    rows += job.rows.len();
-                    values.push(job);
+                    jobs.push(job);
                 }
                 Work::Fit {
                     payload,
@@ -1708,7 +1724,7 @@ where
                     rows += 1;
                     fits.push((payload, target, ack));
                 }
-                Work::Predict(_) | Work::PredictValue(_) | Work::Fit { .. } => {
+                Work::Predict(_) | Work::Fit { .. } => {
                     held = Some(work);
                     break None;
                 }
@@ -1740,29 +1756,13 @@ where
                     .expect("published generations share the runtime dimensionality");
                 adopted = published;
             }
-            let generation = adopted.id();
             serve_requests(
-                &mut labels,
+                &mut jobs,
                 encoder.as_ref(),
                 &mut scratch,
                 &mut latencies,
-                |keys, rows| {
-                    let labels = fleet.predict_batch(keys, rows);
-                    labels.expect("keys and rows are constructed in lockstep on a classifier")
-                },
-                |label| Prediction { label, generation },
-            );
-            serve_requests(
-                &mut values,
-                encoder.as_ref(),
-                &mut scratch,
-                &mut latencies,
-                |keys, rows| {
-                    fleet
-                        .predict_values(keys, rows)
-                        .expect("keys and rows are constructed in lockstep on a regression fleet")
-                },
-                |value| ValuePrediction { value, generation },
+                &fleet,
+                adopted.id(),
             );
             if !latencies.is_empty() {
                 metrics.record_batch(latencies.len(), latencies.drain(..));
@@ -1781,7 +1781,7 @@ where
                     if let Some(dur) = durability.as_mut() {
                         dur.append(&target.record(&hv));
                     }
-                    let _ = trainer_tx.send(target.observe(hv));
+                    let _ = trainer_tx.send(TrainerMsg::Observe { hv, target });
                     fit_acks.extend(ack);
                 }
             }
@@ -1884,7 +1884,7 @@ where
                 // Forwarded over the trainer channel *after* every fit this
                 // dispatcher already relayed, so the published generation
                 // includes them; the trainer answers the caller directly.
-                let _ = trainer_tx.send(TrainerMsg::Refresh { reply: Some(reply) });
+                let _ = trainer_tx.send(TrainerMsg::Refresh { reply });
             }
             Some(Work::AddShard { reply }) => {
                 let _ = reply.send(fleet.add_shard());
@@ -1969,7 +1969,7 @@ where
                 }
             }
             Some(Work::Shutdown) => break 'runtime,
-            Some(Work::Predict(_)) | Some(Work::PredictValue(_)) | Some(Work::Fit { .. }) => {
+            Some(Work::Predict(_) | Work::Fit { .. }) => {
                 unreachable!("predictions and fits are collected, never stashed")
             }
         }
@@ -2005,16 +2005,12 @@ fn trainer_loop(
     metrics: Arc<ServeMetrics>,
 ) -> OnlineLearner {
     let mut since_publish = 0usize;
-    loop {
-        match rx.recv() {
-            Err(_) | Ok(TrainerMsg::Stop) => break,
-            Ok(TrainerMsg::Observe { hv, label }) => {
-                let OnlineLearner::Classify(trainer) = &mut learner else {
-                    unreachable!("labelled observations are validated at the handle");
-                };
-                trainer
-                    .observe(&hv, label)
-                    .expect("labels are validated at the handle");
+    while let Ok(message) = rx.recv() {
+        match message {
+            TrainerMsg::Observe { hv, target } => {
+                learner
+                    .observe(&hv, target)
+                    .expect("observations are validated at the handle");
                 metrics.record_fit();
                 since_publish += 1;
                 if refresh_every > 0 && since_publish >= refresh_every {
@@ -2022,38 +2018,15 @@ fn trainer_loop(
                     since_publish = 0;
                 }
             }
-            Ok(TrainerMsg::ObserveValue { hv, value }) => {
-                let OnlineLearner::Regress(trainer) = &mut learner else {
-                    unreachable!("value observations are validated at the handle");
-                };
-                trainer.observe(&hv, value);
-                metrics.record_fit();
-                since_publish += 1;
-                if refresh_every > 0 && since_publish >= refresh_every {
-                    publish(&learner, &generations);
-                    since_publish = 0;
-                }
-            }
-            Ok(TrainerMsg::Refresh { reply }) => {
-                let id = publish(&learner, &generations);
+            TrainerMsg::Refresh { reply } => {
+                let _ = reply.send(publish(&learner, &generations));
                 since_publish = 0;
-                if let Some(reply) = reply {
-                    let _ = reply.send(id);
-                }
             }
-            Ok(TrainerMsg::Snapshot { spec, items, reply }) => {
-                let snapshot = match &learner {
-                    OnlineLearner::Classify(trainer) => Snapshot::of_classify(spec, trainer, items),
-                    OnlineLearner::Regress(trainer) => Snapshot::of_regress(spec, trainer, items),
-                };
-                let _ = reply.send(snapshot);
+            TrainerMsg::Snapshot { spec, items, reply } => {
+                let _ = reply.send(learner.snapshot(spec, items));
             }
-            Ok(TrainerMsg::Restore { snapshot, reply }) => {
-                let restored = match &mut learner {
-                    OnlineLearner::Classify(trainer) => snapshot.restore_classify_trainer(trainer),
-                    OnlineLearner::Regress(trainer) => snapshot.restore_regress_trainer(trainer),
-                };
-                let _ = reply.send(restored.map(|()| {
+            TrainerMsg::Restore { snapshot, reply } => {
+                let _ = reply.send(learner.restore(&snapshot).map(|()| {
                     since_publish = 0;
                     publish(&learner, &generations)
                 }));
@@ -2118,7 +2091,8 @@ mod tests {
 
     /// Runs `dispatcher_loop` on the calling thread over a queue the caller
     /// has already filled (ending in `Work::Shutdown`), so every batch
-    /// boundary is decided by the queue contents alone.
+    /// boundary is decided by the queue contents alone. Returns what the
+    /// dispatcher relayed to the trainer.
     fn run_dispatcher(
         work_rx: Receiver<Work<Radians>>,
         fleet: ShardedModel<String>,
@@ -2127,8 +2101,8 @@ mod tests {
         metrics: &Arc<ServeMetrics>,
         generations: Arc<GenerationCell>,
         spawned: Generation,
-    ) {
-        let (trainer_tx, _trainer_rx) = mpsc::channel();
+    ) -> Receiver<TrainerMsg> {
+        let (trainer_tx, trainer_rx) = mpsc::channel();
         dispatcher_loop(
             work_rx,
             fleet,
@@ -2145,14 +2119,11 @@ mod tests {
             None,
             None,
         );
+        trainer_rx
     }
 
     /// A request of `rows` answered on `reply`.
-    fn request<R>(
-        rows: &[Radians],
-        first_key: usize,
-        reply: Sender<Vec<R>>,
-    ) -> PredictJob<Radians, R> {
+    fn request(rows: &[Radians], first_key: usize, reply: Sender<Answers>) -> PredictJob<Radians> {
         PredictJob {
             rows: rows
                 .iter()
@@ -2166,83 +2137,117 @@ mod tests {
 
     #[test]
     fn dispatcher_serves_whole_queued_requests_up_to_the_cap() {
-        // A pre-filled queue under `max_batch` 8. 3 + 5 rows fill the first
-        // batch. The next 3-row request is cut off by the `Stats` behind
-        // it, which is answered after that batch and before the 70-row
-        // request. 70 rows are a batch of their own. 5 + 4 would overflow,
-        // so the 4-row request waits for the next batch instead of being
-        // split: batches of 8, 3, 70, 5 and 4 rows.
+        // A pre-filled queue under `max_batch` 8, with encoded fits between
+        // requests. A fit counts one row toward the cap. 3 rows + a fit + 4
+        // rows fill the first batch. The next 3-row request is cut off by
+        // the `Stats` behind it, which is answered after that batch and
+        // before the 70-row request. 70 rows are a batch of their own. 5
+        // rows + 2 fits leave no room for the 2-row request (it would fit
+        // if fits did not count), so it waits for the next batch instead of
+        // being split: 7, 3, 70, 5 and 2 predicted rows.
+        enum Item {
+            Request(usize),
+            Fit(Target),
+            Stats,
+        }
+        let queue = [
+            Item::Request(3),
+            Item::Fit(Target::Label(0)),
+            Item::Request(4),
+            Item::Request(3),
+            Item::Stats,
+            Item::Request(70),
+            Item::Request(5),
+            Item::Fit(Target::Label(1)),
+            Item::Fit(Target::Label(0)),
+            Item::Request(2),
+        ];
         let model = trained_model(256, 3);
-        let sizes = [3usize, 5, 3, 70, 5, 4];
-        let mut next = 0u32;
-        let requests: Vec<Vec<Radians>> = sizes
-            .iter()
-            .map(|&n| {
-                (0..n)
-                    .map(|_| {
-                        next += 1;
-                        Radians::periodic(f64::from(next) * 0.37, 24.0)
-                    })
-                    .collect()
-            })
-            .collect();
-        let expected: Vec<Vec<usize>> = requests
-            .iter()
-            .map(|rows| model.predict_batch(rows))
-            .collect();
         let head = Head::Classes(model.classifier().clone());
         let fleet =
             ShardedModel::with_head(head.clone(), 256, 2, RingConfig::default(), 0).unwrap();
-        let (_, encoder, _) = model.into_parts();
         let generations = Arc::new(GenerationCell::new(Arc::new(head)));
         let spawned = generations.load();
 
         let (work_tx, work_rx) = mpsc::channel();
         let mut replies = Vec::new();
+        let mut fits = Vec::new();
+        let mut next = 0u32;
         let mut first_key = 0;
-        for (i, rows) in requests.iter().enumerate() {
-            if i == 3 {
-                let (stats_tx, stats_rx) = mpsc::channel();
-                work_tx.send(Work::Stats { reply: stats_tx }).unwrap();
-                replies.push(Err(stats_rx));
+        let mut input = || {
+            next += 1;
+            Radians::periodic(f64::from(next) * 0.37, 24.0)
+        };
+        for item in &queue {
+            match *item {
+                Item::Request(n) => {
+                    let rows: Vec<Radians> = (0..n).map(|_| input()).collect();
+                    let (reply_tx, reply_rx) = mpsc::channel();
+                    work_tx
+                        .send(Work::Predict(request(&rows, first_key, reply_tx)))
+                        .unwrap();
+                    replies.push(Ok((reply_rx, model.predict_batch(&rows))));
+                    first_key += n;
+                }
+                Item::Fit(target) => {
+                    let hv = model.encode(&input());
+                    work_tx
+                        .send(Work::Fit {
+                            payload: Payload::Encoded(hv.clone()),
+                            target,
+                            ack: None,
+                        })
+                        .unwrap();
+                    fits.push((hv, target));
+                }
+                Item::Stats => {
+                    let (stats_tx, stats_rx) = mpsc::channel();
+                    work_tx.send(Work::Stats { reply: stats_tx }).unwrap();
+                    replies.push(Err(stats_rx));
+                }
             }
-            let (reply_tx, reply_rx) = mpsc::channel();
-            work_tx
-                .send(Work::Predict(request(rows, first_key, reply_tx)))
-                .unwrap();
-            replies.push(Ok(reply_rx));
-            first_key += rows.len();
         }
         work_tx.send(Work::Shutdown).unwrap();
+        let (_, encoder, _) = model.into_parts();
         let metrics = Arc::new(ServeMetrics::new(80));
-        run_dispatcher(work_rx, fleet, encoder, 8, &metrics, generations, spawned);
+        let trainer_rx = run_dispatcher(work_rx, fleet, encoder, 8, &metrics, generations, spawned);
 
-        let mut expected = expected.into_iter();
         for reply in replies {
             match reply {
-                Ok(rx) => {
+                Ok((rx, expected)) => {
                     let served = rx.try_recv().expect("every request is answered");
+                    let served = served.into_labels().expect("a classifier answers labels");
                     assert!(served.iter().all(|p| p.generation == 0));
                     let labels: Vec<usize> = served.iter().map(|p| p.label).collect();
-                    assert_eq!(Some(labels), expected.next(), "rows answered in order");
+                    assert_eq!(labels, expected, "rows answered in order");
                 }
                 Err(stats_rx) => {
                     let stats = stats_rx.try_recv().expect("stats is answered");
                     assert_eq!(
                         (stats.metrics.requests, stats.metrics.batches),
-                        (11, 2),
+                        (10, 2),
                         "stats is served after the rows queued before it, and only those"
                     );
                 }
             }
         }
-        // One histogram bin per row count: the five batch sizes, each once.
+        // Every fit reached the trainer, in queue order.
+        let observed: Vec<(BinaryHypervector, Target)> = trainer_rx
+            .try_iter()
+            .map(|message| match message {
+                TrainerMsg::Observe { hv, target } => (hv, target),
+                _ => panic!("only observations were queued for the trainer"),
+            })
+            .collect();
+        assert_eq!(observed, fits);
+        // One histogram bin per predicted-row count: the five batches, each
+        // once.
         let snapshot = metrics.snapshot();
-        assert_eq!((snapshot.requests, snapshot.batches), (90, 5));
+        assert_eq!((snapshot.requests, snapshot.batches), (87, 5));
         let batch_sizes: Vec<usize> = (0..snapshot.batch_sizes.len())
             .filter(|&size| snapshot.batch_sizes[size] > 0)
             .collect();
-        assert_eq!(batch_sizes, [3, 4, 5, 8, 70]);
+        assert_eq!(batch_sizes, [2, 3, 5, 7, 70]);
         assert!(snapshot.batch_sizes.iter().all(|&count| count <= 1));
     }
 
@@ -2268,9 +2273,11 @@ mod tests {
             assert_eq!(p.label, label);
             assert_eq!(p.generation, 0);
         }
-        // …typed many (one queue burst, coalesced into micro-batches)…
+        // …many at once (one queue burst, coalesced into micro-batches)…
         let many = handle
-            .predict_many(inputs.iter().enumerate().map(|(i, x)| (format!("k{i}"), x)))
+            .answer(inputs.iter().enumerate().map(|(i, x)| (format!("k{i}"), x)))
+            .unwrap()
+            .into_labels()
             .unwrap();
         assert_eq!(many.iter().map(|p| p.label).collect::<Vec<_>>(), expected);
         // …and pre-encoded rows.
@@ -2295,10 +2302,9 @@ mod tests {
     #[test]
     fn replies_name_the_generation_whose_head_served_them() {
         // The trainer publishes generation 1 before the dispatcher serves
-        // its first batch (an in-RAM fit skips the dispatcher, so this can
-        // happen before the dispatcher thread runs at all). The fleet still
-        // holds the spawn head, so the dispatcher must start from the spawn
-        // generation and adopt generation 1 at the batch boundary.
+        // its first batch. The fleet still holds the spawn head, so the
+        // dispatcher must start from the spawn generation and adopt
+        // generation 1 at the batch boundary.
         let model = trained_model(256, 3);
         let inputs: Vec<Radians> = (0..24)
             .map(|h| Radians::periodic(f64::from(h), 24.0))
@@ -2349,7 +2355,10 @@ mod tests {
         );
 
         // One request per row, answered in queue order.
-        let replies: Vec<Vec<Prediction>> = reply_rx.iter().collect();
+        let replies: Vec<Vec<Prediction>> = reply_rx
+            .iter()
+            .map(|answers| answers.into_labels().unwrap())
+            .collect();
         assert_eq!(replies.len(), inputs.len());
         for (index, reply) in replies.into_iter().enumerate() {
             assert_eq!(reply.len(), 1);
@@ -2391,7 +2400,7 @@ mod tests {
             .enumerate()
             .map(|(i, row)| (format!("k{i}"), row.to_hypervector()))
             .collect();
-        let served = handle.predict_value_encoded_many(pairs).unwrap();
+        let served = handle.answer_encoded(pairs).unwrap().into_values().unwrap();
         assert_eq!(served.iter().map(|p| p.value).collect::<Vec<_>>(), expected);
 
         // Stats report the regression shape: no class set, live uptime.
@@ -2400,8 +2409,8 @@ mod tests {
         assert_eq!(stats.dim, 512);
         assert!(stats.metrics.requests >= 120);
 
-        // The classification surface reports the mismatch without
-        // enqueueing anything.
+        // The classification forms report the mismatch; a label fit is
+        // refused before anything is enqueued.
         assert!(matches!(
             handle.predict("k", &inputs[0]),
             Err(HdcError::TaskMismatch {
@@ -2478,7 +2487,7 @@ mod tests {
             handle.fit(&[1, 5][..], 0),
             Err(HdcError::SymbolOutOfRange { symbols: 5, .. })
         ));
-        assert!(handle.predict_many([("k".to_string(), &[9][..])]).is_err());
+        assert!(handle.answer([("k".to_string(), &[9][..])]).is_err());
         handle.fit(&[1, 4][..], 1).unwrap();
         assert!(handle.predict("k", &[1, 4][..]).is_ok());
         let (_, learner) = runtime.shutdown();
@@ -2609,14 +2618,14 @@ mod tests {
         let runtime = Runtime::spawn(trained_model(256, 1), config(1, 4)).unwrap();
         let handle = runtime.handle();
         assert!(matches!(
-            handle.predict_encoded("k", BinaryHypervector::zeros(64)),
+            handle.answer_encoded(vec![("k".into(), BinaryHypervector::zeros(64))]),
             Err(HdcError::DimensionMismatch {
                 expected: 256,
                 found: 64
             })
         ));
         assert!(matches!(
-            handle.fit_encoded(BinaryHypervector::zeros(256), 9),
+            handle.observe_encoded(BinaryHypervector::zeros(256), Target::Label(9)),
             Err(HdcError::LabelOutOfRange {
                 label: 9,
                 classes: 2
@@ -2631,10 +2640,13 @@ mod tests {
             })
         ));
         assert!(matches!(
-            handle.fit_value_encoded(BinaryHypervector::zeros(256), 0.5),
+            handle.observe_encoded(BinaryHypervector::zeros(256), Target::Value(0.5)),
             Err(HdcError::TaskMismatch { .. })
         ));
-        assert!(handle.predict_many(std::iter::empty()).unwrap().is_empty());
+        assert_eq!(
+            handle.answer(std::iter::empty()).unwrap(),
+            Answers::Labels(Vec::new())
+        );
         runtime.shutdown();
     }
 
@@ -2644,7 +2656,7 @@ mod tests {
         let handle = runtime.handle();
         let inputs: Vec<Radians> = (0..64).map(|i| Radians(f64::from(i) * 0.1)).collect();
         let _ = handle
-            .predict_many(inputs.iter().enumerate().map(|(i, x)| (format!("k{i}"), x)))
+            .answer(inputs.iter().enumerate().map(|(i, x)| (format!("k{i}"), x)))
             .unwrap();
         let stats = handle.stats().unwrap();
         assert_eq!(stats.metrics.queue_depth, 0);
@@ -2810,6 +2822,52 @@ mod tests {
             Runtime::spawn(blank_classify(256, 99), durable(0)),
             Err(HdcError::Storage(_))
         ));
+        std::fs::remove_dir_all(&dir).unwrap();
+    }
+
+    #[test]
+    fn replay_folds_both_fit_tags_through_one_observe() {
+        let dir = std::env::temp_dir().join(format!("hdc-runtime-tags-{}", std::process::id()));
+        let _ = std::fs::remove_dir_all(&dir);
+        let durability = DurabilityConfig::new(&dir);
+        let digest = blank_classify(256, 41).spec().hash64();
+        let hv = trained_model(256, 41).encode(&Radians(1.0));
+        let append = |records: &[WalRecord]| {
+            let (store, _) = Store::open(&dir, digest, durability.wal_config()).unwrap();
+            let (mut wal, _installer) = store.into_parts();
+            for record in records {
+                wal.append(record).unwrap();
+            }
+        };
+        let spawn = || {
+            let mut cfg = config(1, 4);
+            cfg.durability = Some(durability.clone());
+            Runtime::spawn(blank_classify(256, 41), cfg)
+        };
+
+        append(&[
+            WalRecord::Fit {
+                hv: hv.clone(),
+                label: 1,
+            },
+            WalRecord::Fit {
+                hv: hv.clone(),
+                label: 0,
+            },
+        ]);
+        let (_, learner) = spawn().unwrap().shutdown();
+        assert_eq!(learner.as_classify().unwrap().counts(), &[1, 1]);
+
+        // A value fit in a classifier's log meets the check a live fit
+        // meets, and recovery refuses loudly instead of skipping it.
+        append(&[WalRecord::FitValue {
+            hv: hv.clone(),
+            value: 0.5,
+        }]);
+        match spawn() {
+            Err(HdcError::Storage(message)) => assert!(message.contains("task mismatch")),
+            other => panic!("expected a storage error, got {other:?}"),
+        }
         std::fs::remove_dir_all(&dir).unwrap();
     }
 

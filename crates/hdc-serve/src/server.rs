@@ -34,7 +34,7 @@ use std::time::Duration;
 
 use hdc_core::{BinaryHypervector, HdcError};
 
-use crate::runtime::{Prediction, RuntimeHandle, RuntimeStats, ValuePrediction};
+use crate::runtime::{Answers, Prediction, RuntimeHandle, RuntimeStats, Target, ValuePrediction};
 use crate::snapshot::Snapshot;
 use crate::wire::{self, Request, Response};
 
@@ -45,9 +45,7 @@ use crate::wire::{self, Request, Response};
 /// running until its own `shutdown`.
 #[derive(Debug)]
 pub struct Server {
-    local_addr: SocketAddr,
-    stop: Arc<AtomicBool>,
-    accept: Option<JoinHandle<()>>,
+    listener: Listener,
 }
 
 impl Server {
@@ -63,14 +61,56 @@ impl Server {
         X: ?Sized + ToOwned + Sync + 'static,
         X::Owned: Send + 'static,
     {
+        let listener = Listener::spawn(addr, "hdc-serve", move || {
+            let handle = handle.clone();
+            move |request| answer(&handle, request)
+        })?;
+        Ok(Self { listener })
+    }
+
+    /// The bound address (with the ephemeral port resolved).
+    #[must_use]
+    pub fn local_addr(&self) -> SocketAddr {
+        self.listener.local_addr()
+    }
+
+    /// Stops accepting, closes every live connection and joins the
+    /// server's threads.
+    pub fn shutdown(mut self) {
+        self.listener.stop_and_join();
+    }
+}
+
+/// The accept side both front-ends share: an accept thread that gives
+/// every connection its own handler thread and answerer, and the
+/// stop-and-join choreography that ends them.
+#[derive(Debug)]
+pub(crate) struct Listener {
+    local_addr: SocketAddr,
+    stop: Arc<AtomicBool>,
+    accept: Option<JoinHandle<()>>,
+}
+
+impl Listener {
+    /// Binds `addr` and serves each connection with a fresh `answerer()`,
+    /// on threads named `{name}-accept` and `{name}-conn`.
+    pub(crate) fn spawn<A>(
+        addr: impl ToSocketAddrs,
+        name: &str,
+        answerer: impl Fn() -> A + Send + 'static,
+    ) -> io::Result<Self>
+    where
+        A: FnMut(Request) -> Response + Send + 'static,
+    {
         let listener = TcpListener::bind(addr)?;
         let local_addr = listener.local_addr()?;
         let stop = Arc::new(AtomicBool::new(false));
         let accept = {
             let stop = Arc::clone(&stop);
+            let conn_name = format!("{name}-conn");
             thread::Builder::new()
-                .name("hdc-serve-accept".into())
-                .spawn(move || accept_loop(&listener, &stop, &handle))
+                .name(format!("{name}-accept"))
+                .spawn(move || accept_loop(&listener, &stop, &conn_name, &answerer))
                 .expect("spawning the accept thread")
         };
         Ok(Self {
@@ -81,18 +121,13 @@ impl Server {
     }
 
     /// The bound address (with the ephemeral port resolved).
-    #[must_use]
-    pub fn local_addr(&self) -> SocketAddr {
+    pub(crate) fn local_addr(&self) -> SocketAddr {
         self.local_addr
     }
 
     /// Stops accepting, closes every live connection and joins the
-    /// server's threads.
-    pub fn shutdown(mut self) {
-        self.stop_and_join();
-    }
-
-    fn stop_and_join(&mut self) {
+    /// threads. Idempotent.
+    pub(crate) fn stop_and_join(&mut self) {
         if self.stop.swap(true, Ordering::SeqCst) {
             return;
         }
@@ -114,16 +149,19 @@ impl Server {
     }
 }
 
-impl Drop for Server {
+impl Drop for Listener {
     fn drop(&mut self) {
         self.stop_and_join();
     }
 }
 
-fn accept_loop<X>(listener: &TcpListener, stop: &Arc<AtomicBool>, handle: &RuntimeHandle<X>)
-where
-    X: ?Sized + ToOwned + Sync + 'static,
-    X::Owned: Send + 'static,
+fn accept_loop<A>(
+    listener: &TcpListener,
+    stop: &Arc<AtomicBool>,
+    conn_name: &str,
+    answerer: &impl Fn() -> A,
+) where
+    A: FnMut(Request) -> Response + Send + 'static,
 {
     let mut connections: Vec<(TcpStream, JoinHandle<()>)> = Vec::new();
     for stream in listener.incoming() {
@@ -138,11 +176,11 @@ where
         let Ok(clone) = stream.try_clone() else {
             continue;
         };
-        let handle = handle.clone();
+        let answer = answerer();
         let worker = thread::Builder::new()
-            .name("hdc-serve-conn".into())
+            .name(conn_name.to_owned())
             .spawn(move || {
-                let _ = serve_connection(stream, &handle);
+                let _ = serve_connection(stream, answer);
             })
             .expect("spawning a connection thread");
         connections.push((clone, worker));
@@ -156,21 +194,25 @@ where
     }
 }
 
-fn serve_connection<X>(stream: TcpStream, handle: &RuntimeHandle<X>) -> io::Result<()>
-where
-    X: ?Sized + ToOwned + Sync + 'static,
-    X::Owned: Send + 'static,
-{
+/// One request frame in, one response frame out, in order. A whole frame
+/// that does not decode is answered with [`Response::Error`] and the
+/// connection carries on; a broken stream is answered and closed.
+fn serve_connection(
+    stream: TcpStream,
+    mut answer: impl FnMut(Request) -> Response,
+) -> io::Result<()> {
     stream.set_nodelay(true)?;
     let mut reader = BufReader::new(stream.try_clone()?);
     let mut writer = BufWriter::new(stream.try_clone()?);
     loop {
-        let request = match wire::read_request(&mut reader) {
-            Ok(Some(request)) => request,
+        let response = match wire::read_request(&mut reader) {
+            Ok(Some(request)) => answer(request),
             Ok(None) => return Ok(()),
+            Err(error) if wire::is_refused(&error) => Response::Error {
+                message: error.to_string(),
+            },
             Err(error) if error.kind() == io::ErrorKind::InvalidData => {
-                // A malformed frame poisons the stream position; answer
-                // and hang up.
+                // The stream position is lost; answer and hang up.
                 let _ = wire::write_response(
                     &mut writer,
                     &Response::Error {
@@ -182,8 +224,14 @@ where
             }
             Err(error) => return Err(error),
         };
-        let response = answer(handle, request);
         wire::write_response(&mut writer, &response)?;
+    }
+}
+
+/// The in-band answer to a request that failed: the connection survives.
+pub(crate) fn fail(error: HdcError) -> Response {
+    Response::Error {
+        message: error.to_string(),
     }
 }
 
@@ -194,103 +242,50 @@ where
     X: ?Sized + ToOwned + Sync + 'static,
     X::Owned: Send + 'static,
 {
-    fn fail(error: &HdcError) -> Response {
-        Response::Error {
-            message: error.to_string(),
-        }
-    }
     match request {
-        Request::Predict { key, hv } => match handle.predict_encoded(key, hv) {
-            Ok(prediction) => Response::Label {
-                label: prediction.label as u32,
-                generation: prediction.generation,
-            },
-            Err(error) => fail(&error),
-        },
-        Request::PredictBatch { pairs } => match handle.predict_encoded_many(pairs) {
-            Ok(predictions) => Response::Labels {
-                predictions: predictions
-                    .into_iter()
-                    .map(|p| (p.label as u32, p.generation))
-                    .collect(),
-            },
-            Err(error) => fail(&error),
-        },
-        Request::Insert { key, hv } => match handle.insert(key, hv) {
-            Ok(replaced) => Response::Inserted { replaced },
-            Err(error) => fail(&error),
-        },
-        Request::Remove { key } => match handle.remove(key) {
-            Ok(removed) => Response::Removed { removed },
-            Err(error) => fail(&error),
-        },
-        Request::Fit { label, hv } => match handle.fit_encoded(hv, label as usize) {
-            Ok(()) => Response::FitAck,
-            Err(error) => fail(&error),
-        },
-        Request::Refresh => match handle.refresh() {
-            Ok(generation) => Response::Refreshed { generation },
-            Err(error) => fail(&error),
-        },
-        Request::AddShard => match handle.add_shard() {
-            Ok(id) => Response::ShardAdded { id: id as u32 },
-            Err(error) => fail(&error),
-        },
-        Request::RemoveShard { id } => match handle.remove_shard(id as usize) {
-            Ok(removed) => Response::ShardRemoved { removed },
-            Err(error) => fail(&error),
-        },
-        Request::Stats => match handle.stats() {
-            Ok(stats) => Response::Stats(stats),
-            Err(error) => fail(&error),
-        },
-        Request::PredictValue { key, hv } => match handle.predict_value_encoded(key, hv) {
-            Ok(prediction) => Response::Value {
-                value: prediction.value,
-                generation: prediction.generation,
-            },
-            Err(error) => fail(&error),
-        },
-        Request::FitValue { value, hv } => match handle.fit_value_encoded(hv, value) {
-            Ok(()) => Response::FitAck,
-            Err(error) => fail(&error),
-        },
-        Request::PredictValueBatch { pairs } => match handle.predict_value_encoded_many(pairs) {
-            Ok(predictions) => Response::Values {
-                predictions: predictions
-                    .into_iter()
-                    .map(|p| (p.value, p.generation))
-                    .collect(),
-            },
-            Err(error) => fail(&error),
-        },
-        Request::Snapshot => match handle.snapshot() {
-            Ok(snapshot) => {
-                let bytes = snapshot.to_bytes();
-                if bytes.len() > wire::MAX_SNAPSHOT_BYTES {
-                    // An unencodable frame would kill the connection and
-                    // leave the client staring at an EOF; answer with the
-                    // reason instead.
-                    Response::Error {
-                        message: format!(
-                            "snapshot of {} bytes exceeds the {}-byte frame cap; \
-                             the shard state is too large to stream in one frame",
-                            bytes.len(),
-                            wire::MAX_FRAME_BYTES,
-                        ),
-                    }
-                } else {
-                    Response::Snapshot { bytes }
-                }
-            }
-            Err(error) => fail(&error),
-        },
-        Request::Restore { snapshot } => {
-            match Snapshot::from_bytes(&snapshot).and_then(|snapshot| handle.restore(snapshot)) {
-                Ok(generation) => Response::Restored { generation },
-                Err(error) => fail(&error),
-            }
+        Request::PredictBatch { pairs } => {
+            handle.answer_encoded(pairs).map_or_else(fail, Into::into)
         }
+        Request::Fit { hv, target } => handle
+            .observe_encoded(hv, target)
+            .map_or_else(fail, |()| Response::FitAck),
+        Request::Insert { key, hv } => handle
+            .insert(key, hv)
+            .map_or_else(fail, |replaced| Response::Inserted { replaced }),
+        Request::Remove { key } => handle
+            .remove(key)
+            .map_or_else(fail, |removed| Response::Removed { removed }),
+        Request::Refresh => handle
+            .refresh()
+            .map_or_else(fail, |generation| Response::Refreshed { generation }),
+        Request::AddShard => handle
+            .add_shard()
+            .map_or_else(fail, |id| Response::ShardAdded { id: id as u32 }),
+        Request::RemoveShard { id } => handle
+            .remove_shard(id as usize)
+            .map_or_else(fail, |removed| Response::ShardRemoved { removed }),
+        Request::Stats => handle.stats().map_or_else(fail, Response::Stats),
+        Request::Snapshot => handle.snapshot().map_or_else(fail, |snapshot| {
+            let bytes = snapshot.to_bytes();
+            if bytes.len() > wire::MAX_SNAPSHOT_BYTES {
+                // An unencodable frame would kill the connection and
+                // leave the client staring at an EOF; answer with the
+                // reason instead.
+                Response::Error {
+                    message: format!(
+                        "snapshot of {} bytes exceeds the {}-byte frame cap; \
+                         the shard state is too large to stream in one frame",
+                        bytes.len(),
+                        wire::MAX_FRAME_BYTES,
+                    ),
+                }
+            } else {
+                Response::Snapshot { bytes }
+            }
+        }),
+        Request::Restore { snapshot } => Snapshot::from_bytes(&snapshot)
+            .and_then(|snapshot| handle.restore(snapshot))
+            .map_or_else(fail, |generation| Response::Restored { generation }),
         // Cluster membership is a router decision: a shard runtime cannot
         // rewire the ring its peers route by, so these ops are answered
         // only by a cluster front-end (see `ClusterServer`).
@@ -309,7 +304,7 @@ where
                     uptime_us: handle.uptime().as_micros() as u64,
                 }
             } else {
-                fail(&HdcError::ServiceUnavailable)
+                fail(HdcError::ServiceUnavailable)
             }
         }
     }
@@ -476,41 +471,59 @@ impl BlockingClient {
         )
     }
 
-    /// Predicts one keyed, encoded query.
+    /// The one predict path: `pairs` answered in order, with labels or
+    /// values as the serving head decides.
     ///
     /// # Errors
     ///
     /// Returns `io::Error` on transport failure or a server-side error.
-    pub fn predict(&mut self, key: &str, hv: &BinaryHypervector) -> io::Result<Prediction> {
-        let response = self.call(&Request::Predict {
-            key: key.to_owned(),
-            hv: hv.clone(),
-        })?;
-        response
-            .as_prediction()
-            .ok_or_else(|| Self::unexpected(&response))
+    pub fn answer(&mut self, pairs: Vec<(String, BinaryHypervector)>) -> io::Result<Answers> {
+        Answers::try_from(self.call(&Request::PredictBatch { pairs })?)
+            .map_err(|other| Self::unexpected(&other))
     }
 
-    /// Predicts a batch of keyed, encoded queries, answered in order.
+    /// Predicts one keyed, encoded query's label (a one-row
+    /// [`answer`](Self::answer)).
     ///
     /// # Errors
     ///
-    /// Returns `io::Error` on transport failure or a server-side error.
+    /// Returns `io::Error` on transport failure, a server-side error or a
+    /// regression server's answer.
+    pub fn predict(&mut self, key: &str, hv: &BinaryHypervector) -> io::Result<Prediction> {
+        single(
+            self.answer(vec![(key.to_owned(), hv.clone())])?
+                .into_labels(),
+        )
+    }
+
+    /// Predicts a batch of keyed, encoded queries' labels, in order.
+    ///
+    /// # Errors
+    ///
+    /// Returns `io::Error` on transport failure, a server-side error or a
+    /// regression server's answer.
     pub fn predict_batch(
         &mut self,
         pairs: Vec<(String, BinaryHypervector)>,
     ) -> io::Result<Vec<Prediction>> {
-        let response = self.call(&Request::PredictBatch { pairs })?;
-        match response {
-            Response::Labels { predictions } => Ok(predictions
-                .into_iter()
-                .map(|(label, generation)| Prediction {
-                    label: label as usize,
-                    generation,
-                })
-                .collect()),
-            other => Err(Self::unexpected(&other)),
-        }
+        typed(self.answer(pairs)?.into_labels())
+    }
+
+    /// Predicts one keyed, encoded query's real-valued label.
+    ///
+    /// # Errors
+    ///
+    /// Returns `io::Error` on transport failure, a server-side error or a
+    /// classification server's answer.
+    pub fn predict_value(
+        &mut self,
+        key: &str,
+        hv: &BinaryHypervector,
+    ) -> io::Result<ValuePrediction> {
+        single(
+            self.answer(vec![(key.to_owned(), hv.clone())])?
+                .into_values(),
+        )
     }
 
     /// Stores an encoded hypervector under `key`; `true` if an entry was
@@ -543,20 +556,38 @@ impl BlockingClient {
         }
     }
 
-    /// Enqueues one encoded training observation.
+    /// Enqueues one encoded training observation with its target.
     ///
     /// # Errors
     ///
-    /// Returns `io::Error` on transport failure or a server-side error.
-    pub fn fit(&mut self, hv: &BinaryHypervector, label: usize) -> io::Result<()> {
+    /// Returns `io::Error` on transport failure or a server-side error
+    /// (including the other task's target).
+    pub fn observe(&mut self, hv: &BinaryHypervector, target: Target) -> io::Result<()> {
         match self.call(&Request::Fit {
-            label: u32::try_from(label)
-                .map_err(|_| io::Error::new(io::ErrorKind::InvalidInput, "label exceeds u32"))?,
             hv: hv.clone(),
+            target,
         })? {
             Response::FitAck => Ok(()),
             other => Err(Self::unexpected(&other)),
         }
+    }
+
+    /// Enqueues one encoded `(query, label)` observation.
+    ///
+    /// # Errors
+    ///
+    /// As [`observe`](Self::observe).
+    pub fn fit(&mut self, hv: &BinaryHypervector, label: usize) -> io::Result<()> {
+        self.observe(hv, Target::Label(label))
+    }
+
+    /// Enqueues one encoded `(query, value)` observation.
+    ///
+    /// # Errors
+    ///
+    /// As [`observe`](Self::observe).
+    pub fn fit_value(&mut self, hv: &BinaryHypervector, value: f64) -> io::Result<()> {
+        self.observe(hv, Target::Value(value))
     }
 
     /// Forces a new class-vector generation, returning its id.
@@ -610,42 +641,6 @@ impl BlockingClient {
         }
     }
 
-    /// Predicts one keyed, encoded query's real-valued label — the
-    /// regression twin of [`predict`](Self::predict).
-    ///
-    /// # Errors
-    ///
-    /// Returns `io::Error` on transport failure or a server-side error
-    /// (including a task mismatch on a classification runtime).
-    pub fn predict_value(
-        &mut self,
-        key: &str,
-        hv: &BinaryHypervector,
-    ) -> io::Result<ValuePrediction> {
-        let response = self.call(&Request::PredictValue {
-            key: key.to_owned(),
-            hv: hv.clone(),
-        })?;
-        response
-            .as_value_prediction()
-            .ok_or_else(|| Self::unexpected(&response))
-    }
-
-    /// Enqueues one encoded `(query, value)` training observation.
-    ///
-    /// # Errors
-    ///
-    /// Returns `io::Error` on transport failure or a server-side error.
-    pub fn fit_value(&mut self, hv: &BinaryHypervector, value: f64) -> io::Result<()> {
-        match self.call(&Request::FitValue {
-            value,
-            hv: hv.clone(),
-        })? {
-            Response::FitAck => Ok(()),
-            other => Err(Self::unexpected(&other)),
-        }
-    }
-
     /// Probes liveness without issuing a prediction: returns
     /// `(generation, uptime_us)` straight from the connection handler —
     /// nothing enters the dispatcher queue, so load balancers can poll
@@ -662,27 +657,6 @@ impl BlockingClient {
                 generation,
                 uptime_us,
             } => Ok((generation, uptime_us)),
-            other => Err(Self::unexpected(&other)),
-        }
-    }
-
-    /// Predicts a batch of keyed, encoded queries' real-valued labels,
-    /// answered in order — the regression twin of
-    /// [`predict_batch`](Self::predict_batch).
-    ///
-    /// # Errors
-    ///
-    /// Returns `io::Error` on transport failure or a server-side error.
-    pub fn predict_value_batch(
-        &mut self,
-        pairs: Vec<(String, BinaryHypervector)>,
-    ) -> io::Result<Vec<ValuePrediction>> {
-        let response = self.call(&Request::PredictValueBatch { pairs })?;
-        match response {
-            Response::Values { predictions } => Ok(predictions
-                .into_iter()
-                .map(|(value, generation)| ValuePrediction { value, generation })
-                .collect()),
             other => Err(Self::unexpected(&other)),
         }
     }
@@ -750,6 +724,22 @@ impl BlockingClient {
             other => Err(Self::unexpected(&other)),
         }
     }
+}
+
+/// A typed client form's view of the answers: the other task's answer is
+/// a task-mismatch error.
+fn typed<T>(answers: Result<T, HdcError>) -> io::Result<T> {
+    answers.map_err(|error| io::Error::other(error.to_string()))
+}
+
+/// The one answer of a one-row predict.
+fn single<T>(answers: Result<Vec<T>, HdcError>) -> io::Result<T> {
+    typed(answers)?.pop().ok_or_else(|| {
+        io::Error::new(
+            io::ErrorKind::InvalidData,
+            "empty answer to a one-row predict",
+        )
+    })
 }
 
 #[cfg(test)]

@@ -41,9 +41,9 @@ use std::path::Path;
 use hdc_core::{BinaryHypervector, HdcError, MajorityAccumulator};
 use hdc_learn::{CentroidTrainer, RegressionTrainer};
 
-use crate::codec::{self, Cursor};
 use crate::pipeline::TaskState;
 use crate::spec::{PipelineSpec, Task};
+use hdc_store::codec::{self, Cursor};
 
 /// Magic bytes opening every snapshot file.
 pub const SNAPSHOT_MAGIC: [u8; 4] = *b"HDCS";
@@ -588,8 +588,8 @@ mod tests {
 
     #[test]
     fn absurd_dim_header_fails_fast_without_a_huge_allocation() {
-        use crate::codec;
         use crate::spec::{Basis, EncSpec};
+        use hdc_store::codec;
 
         // A corrupt/crafted header declaring dim = 2^40 must fail on the
         // first missing counter read — the clamped preallocations reserve

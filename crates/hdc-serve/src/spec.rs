@@ -24,8 +24,8 @@ use hdc_encode::{
 };
 use rand::rngs::StdRng;
 
-use crate::codec::{self, Cursor};
 use crate::pipeline::DynEncoder;
+use hdc_store::codec::{self, Cursor};
 
 /// The basis-hypervector family a pipeline quantizes through, with its size
 /// `m` and (where applicable) the §5.2 randomness hyperparameter `r`.

@@ -8,7 +8,7 @@
 //!
 //! ```text
 //! frame    := u32 length, payload[length]
-//! payload  := u8 version (=3), u8 opcode, body
+//! payload  := u8 version (=4), u8 opcode, body
 //! string   := u16 length, utf8 bytes
 //! bytes    := u32 length, raw bytes
 //! hv       := u32 dim, u64 words[dim.div_ceil(64)]   (packed LSB-first)
@@ -18,7 +18,10 @@
 //! [`Request`] and [`Response`]. Oversized frames (> [`MAX_FRAME_BYTES`]),
 //! unknown versions/opcodes and malformed bodies decode to
 //! `io::ErrorKind::InvalidData` — a server answers those with
-//! [`Response::Error`] rather than dying.
+//! [`Response::Error`] rather than dying. A frame is always read whole
+//! before its version and opcode are checked, so after a refused frame
+//! the stream is still at a frame boundary and the connection carries on;
+//! only a broken length prefix or an end-of-stream mid-frame ends it.
 //!
 //! Protocol version 2 (PR 5) added the regression operations
 //! (`predict_value`/`fit_value`), the `ping` health probe, and the
@@ -35,19 +38,31 @@
 //! answers `snapshot` with an explanatory [`Response::Error`] instead of
 //! an unencodable frame (which would drop the connection and leave the
 //! client staring at an EOF).
+//!
+//! Protocol version 4 has one predict operation and one fit operation for
+//! both task families. A predict request carries only keyed rows
+//! ([`Request::PredictBatch`]; a single-row predict is a one-row batch),
+//! and the serving head decides the answer: [`Response::Labels`] from a
+//! classifier, [`Response::Values`] from a regressor. A fit
+//! ([`Request::Fit`]) carries its [`Target`], tagged label or value. The
+//! v3 twins are retired and their numbers are not reused: requests 1
+//! (`predict`), 10 (`predict_value`), 11 (`fit_value`) and 13
+//! (`predict_value_batch`), responses 1 (`label`) and 10 (`value`).
+//! Frames of any other version, v3 included, are refused.
 
+use std::fmt;
 use std::io::{self, Read, Write};
 
 use hdc_core::BinaryHypervector;
-
-use crate::codec::{
+use hdc_store::codec::{
     invalid, put_bytes, put_f64, put_hv, put_string, put_u16, put_u32, put_u64, Cursor,
 };
+
 use crate::metrics::MetricsSnapshot;
-use crate::runtime::{Prediction, RuntimeStats, ValuePrediction};
+use crate::runtime::{Answers, Prediction, RuntimeStats, Target, ValuePrediction};
 
 /// Protocol version carried in every frame.
-pub const PROTOCOL_VERSION: u8 = 3;
+pub const PROTOCOL_VERSION: u8 = 4;
 
 /// Upper bound on one frame's payload (16 MiB): a 256-row batch of
 /// 100k-bit queries is ~3 MiB, so real traffic sits far below while a
@@ -70,8 +85,6 @@ pub const MAX_SNAPSHOT_BYTES: usize = MAX_FRAME_BYTES - 6;
 // `hdc-analyze` enforces all three references, so adding an opcode here
 // without a decoder arm or a round-trip test fails the analyze gate.
 
-/// Request opcode: [`Request::Predict`].
-pub const OP_PREDICT: u8 = 1;
 /// Request opcode: [`Request::PredictBatch`].
 pub const OP_PREDICT_BATCH: u8 = 2;
 /// Request opcode: [`Request::Insert`].
@@ -88,14 +101,8 @@ pub const OP_ADD_SHARD: u8 = 7;
 pub const OP_REMOVE_SHARD: u8 = 8;
 /// Request opcode: [`Request::Stats`].
 pub const OP_STATS: u8 = 9;
-/// Request opcode: [`Request::PredictValue`].
-pub const OP_PREDICT_VALUE: u8 = 10;
-/// Request opcode: [`Request::FitValue`].
-pub const OP_FIT_VALUE: u8 = 11;
 /// Request opcode: [`Request::Ping`].
 pub const OP_PING: u8 = 12;
-/// Request opcode: [`Request::PredictValueBatch`].
-pub const OP_PREDICT_VALUE_BATCH: u8 = 13;
 /// Request opcode: [`Request::Snapshot`].
 pub const OP_SNAPSHOT: u8 = 14;
 /// Request opcode: [`Request::Restore`].
@@ -105,8 +112,6 @@ pub const OP_SHARD_JOIN: u8 = 16;
 /// Request opcode: [`Request::ShardLeave`].
 pub const OP_SHARD_LEAVE: u8 = 17;
 
-/// Response opcode: [`Response::Label`].
-pub const RESP_LABEL: u8 = 1;
 /// Response opcode: [`Response::Labels`].
 pub const RESP_LABELS: u8 = 2;
 /// Response opcode: [`Response::Inserted`].
@@ -123,10 +128,7 @@ pub const RESP_SHARD_ADDED: u8 = 7;
 pub const RESP_SHARD_REMOVED: u8 = 8;
 /// Response opcode: [`Response::Stats`].
 pub const RESP_STATS: u8 = 9;
-/// Response opcode: [`Response::Value`].
-pub const RESP_VALUE: u8 = 10;
-/// Response opcode: [`Response::Pong`]. (11 is skipped on the response
-/// side: `Request::FitValue` is acknowledged by [`RESP_FIT_ACK`].)
+/// Response opcode: [`Response::Pong`].
 pub const RESP_PONG: u8 = 12;
 /// Response opcode: [`Response::Values`].
 pub const RESP_VALUES: u8 = 13;
@@ -141,17 +143,17 @@ pub const RESP_SHARD_LEFT: u8 = 17;
 /// Response opcode: [`Response::Error`].
 pub const RESP_ERROR: u8 = 255;
 
+/// Fit-target tag of a class label (`u32` on the wire).
+const TARGET_LABEL: u8 = 0;
+/// Fit-target tag of a real value (`f64` on the wire).
+const TARGET_VALUE: u8 = 1;
+
 /// A client → server operation.
 #[derive(Debug, Clone, PartialEq)]
 pub enum Request {
-    /// Predict one keyed, encoded query (opcode 1).
-    Predict {
-        /// Routing key.
-        key: String,
-        /// Encoded query.
-        hv: BinaryHypervector,
-    },
-    /// Predict a batch of keyed, encoded queries (opcode 2).
+    /// Predict a batch of keyed, encoded queries (opcode 2), answered by
+    /// [`Response::Labels`] on a classifier and [`Response::Values`] on a
+    /// regressor.
     PredictBatch {
         /// `(routing key, encoded query)` pairs, answered in order.
         pairs: Vec<(String, BinaryHypervector)>,
@@ -169,12 +171,13 @@ pub enum Request {
         key: String,
     },
     /// Fold one encoded training observation into the online trainer
-    /// (opcode 5).
+    /// (opcode 5). Body: `u8` tag, then a `u32` label (tag 0) or an `f64`
+    /// value (tag 1), then the hypervector.
     Fit {
-        /// Class label of the observation.
-        label: u32,
         /// Encoded observation.
         hv: BinaryHypervector,
+        /// What it teaches: a class label or a real value.
+        target: Target,
     },
     /// Force-publish a new generation (opcode 6).
     Refresh,
@@ -187,32 +190,10 @@ pub enum Request {
     },
     /// Snapshot runtime statistics (opcode 9).
     Stats,
-    /// Predict one keyed, encoded query's real-valued label (opcode 10) —
-    /// the regression twin of `Predict`.
-    PredictValue {
-        /// Routing key.
-        key: String,
-        /// Encoded query.
-        hv: BinaryHypervector,
-    },
-    /// Fold one encoded `(query, value)` training observation into the
-    /// online regression trainer (opcode 11).
-    FitValue {
-        /// Real-valued label of the observation.
-        value: f64,
-        /// Encoded observation.
-        hv: BinaryHypervector,
-    },
     /// Liveness/health probe (opcode 12): answered directly by the
     /// connection handler — no prediction is issued and nothing enters the
     /// dispatcher queue, so load balancers can poll it at any rate.
     Ping,
-    /// Predict a batch of keyed, encoded queries' real-valued labels
-    /// (opcode 13) — the regression twin of `PredictBatch`.
-    PredictValueBatch {
-        /// `(routing key, encoded query)` pairs, answered in order.
-        pairs: Vec<(String, BinaryHypervector)>,
-    },
     /// Stream the serving process's full state — spec, trainer
     /// accumulators, item memories — as [`Snapshot`](crate::Snapshot)
     /// bytes (opcode 14). A cluster router issues this against a donor
@@ -244,15 +225,8 @@ pub enum Request {
 /// A server → client reply.
 #[derive(Debug, Clone, PartialEq)]
 pub enum Response {
-    /// Answer to [`Request::Predict`] (opcode 1).
-    Label {
-        /// Predicted class label.
-        label: u32,
-        /// Generation that served the prediction.
-        generation: u64,
-    },
-    /// Answer to [`Request::PredictBatch`] (opcode 2): per-query
-    /// `(label, generation)` in request order.
+    /// A classifier's answer to [`Request::PredictBatch`] (opcode 2):
+    /// per-query `(label, generation)` in request order.
     Labels {
         /// One `(label, generation)` per query, in order.
         predictions: Vec<(u32, u64)>,
@@ -267,8 +241,8 @@ pub enum Response {
         /// `true` if the key was stored.
         removed: bool,
     },
-    /// Answer to [`Request::Fit`] and [`Request::FitValue`] (opcode 5):
-    /// the observation is enqueued.
+    /// Answer to [`Request::Fit`] (opcode 5): the observation is enqueued
+    /// (and, on a durable runtime, flushed).
     FitAck,
     /// Answer to [`Request::Refresh`] (opcode 6).
     Refreshed {
@@ -287,13 +261,6 @@ pub enum Response {
     },
     /// Answer to [`Request::Stats`] (opcode 9).
     Stats(RuntimeStats),
-    /// Answer to [`Request::PredictValue`] (opcode 10).
-    Value {
-        /// Predicted real-valued label.
-        value: f64,
-        /// Generation that served the prediction.
-        generation: u64,
-    },
     /// Answer to [`Request::Ping`] (opcode 12).
     Pong {
         /// Currently published generation.
@@ -301,8 +268,8 @@ pub enum Response {
         /// Microseconds since the runtime spawned.
         uptime_us: u64,
     },
-    /// Answer to [`Request::PredictValueBatch`] (opcode 13): per-query
-    /// `(value, generation)` in request order.
+    /// A regressor's answer to [`Request::PredictBatch`] (opcode 13):
+    /// per-query `(value, generation)` in request order.
     Values {
         /// One `(value, generation)` per query, in order.
         predictions: Vec<(f64, u64)>,
@@ -338,27 +305,48 @@ pub enum Response {
     },
 }
 
-impl Response {
-    /// Convenience: the `(label, generation)` pair as a [`Prediction`], if
-    /// this is a `Label` response.
-    #[must_use]
-    pub fn as_prediction(&self) -> Option<Prediction> {
-        match *self {
-            Response::Label { label, generation } => Some(Prediction {
-                label: label as usize,
-                generation,
-            }),
-            _ => None,
+impl From<Answers> for Response {
+    fn from(answers: Answers) -> Self {
+        match answers {
+            Answers::Labels(predictions) => Response::Labels {
+                predictions: predictions
+                    .into_iter()
+                    .map(|p| (p.label as u32, p.generation))
+                    .collect(),
+            },
+            Answers::Values(predictions) => Response::Values {
+                predictions: predictions
+                    .into_iter()
+                    .map(|p| (p.value, p.generation))
+                    .collect(),
+            },
         }
     }
+}
 
-    /// Convenience: the `(value, generation)` pair as a
-    /// [`ValuePrediction`], if this is a `Value` response.
-    #[must_use]
-    pub fn as_value_prediction(&self) -> Option<ValuePrediction> {
-        match *self {
-            Response::Value { value, generation } => Some(ValuePrediction { value, generation }),
-            _ => None,
+impl TryFrom<Response> for Answers {
+    type Error = Response;
+
+    /// The answers a `Labels` or `Values` response carries; any other
+    /// response is handed back.
+    fn try_from(response: Response) -> Result<Self, Response> {
+        match response {
+            Response::Labels { predictions } => Ok(Answers::Labels(
+                predictions
+                    .into_iter()
+                    .map(|(label, generation)| Prediction {
+                        label: label as usize,
+                        generation,
+                    })
+                    .collect(),
+            )),
+            Response::Values { predictions } => Ok(Answers::Values(
+                predictions
+                    .into_iter()
+                    .map(|(value, generation)| ValuePrediction { value, generation })
+                    .collect(),
+            )),
+            other => Err(other),
         }
     }
 }
@@ -379,9 +367,11 @@ fn write_frame(writer: &mut impl Write, opcode: u8, body: &[u8]) -> io::Result<(
     writer.flush()
 }
 
-/// Reads one frame, returning `(opcode, body)` — or `None` on a clean
-/// end-of-stream at a frame boundary (the peer hung up between messages).
-fn read_frame(reader: &mut impl Read) -> io::Result<Option<(u8, Vec<u8>)>> {
+/// Reads one whole frame, returning `(version, opcode, body)` — or `None`
+/// on a clean end-of-stream at a frame boundary (the peer hung up between
+/// messages). The version is checked by the caller, after the frame has
+/// been read, so a refused frame leaves the stream at a frame boundary.
+fn read_frame(reader: &mut impl Read) -> io::Result<Option<(u8, u8, Vec<u8>)>> {
     let mut header = [0u8; 4];
     let mut filled = 0;
     while filled < header.len() {
@@ -402,12 +392,16 @@ fn read_frame(reader: &mut impl Read) -> io::Result<Option<(u8, Vec<u8>)>> {
     // final buffer directly (no shift of a multi-megabyte frame).
     let mut meta = [0u8; 2];
     reader.read_exact(&mut meta)?;
-    if meta[0] != PROTOCOL_VERSION {
-        return Err(invalid(format!("unsupported protocol version {}", meta[0])));
-    }
     let mut body = vec![0u8; length - 2];
     reader.read_exact(&mut body)?;
-    Ok(Some((meta[1], body)))
+    Ok(Some((meta[0], meta[1], body)))
+}
+
+fn check_version(version: u8) -> io::Result<()> {
+    if version != PROTOCOL_VERSION {
+        return Err(invalid(format!("unsupported protocol version {version}")));
+    }
+    Ok(())
 }
 
 // --- requests ----------------------------------------------------------
@@ -421,11 +415,6 @@ fn read_frame(reader: &mut impl Read) -> io::Result<Option<(u8, Vec<u8>)>> {
 pub fn write_request(writer: &mut impl Write, request: &Request) -> io::Result<()> {
     let mut body = Vec::new();
     let opcode = match request {
-        Request::Predict { key, hv } => {
-            put_string(&mut body, key)?;
-            put_hv(&mut body, hv)?;
-            OP_PREDICT
-        }
         Request::PredictBatch { pairs } => {
             let n = u16::try_from(pairs.len())
                 .map_err(|_| invalid("batch exceeds the u16 row limit"))?;
@@ -445,8 +434,20 @@ pub fn write_request(writer: &mut impl Write, request: &Request) -> io::Result<(
             put_string(&mut body, key)?;
             OP_REMOVE
         }
-        Request::Fit { label, hv } => {
-            put_u32(&mut body, *label);
+        Request::Fit { hv, target } => {
+            match *target {
+                Target::Label(label) => {
+                    body.push(TARGET_LABEL);
+                    put_u32(
+                        &mut body,
+                        u32::try_from(label).map_err(|_| invalid("label exceeds u32"))?,
+                    );
+                }
+                Target::Value(value) => {
+                    body.push(TARGET_VALUE);
+                    put_f64(&mut body, value);
+                }
+            }
             put_hv(&mut body, hv)?;
             OP_FIT
         }
@@ -457,27 +458,7 @@ pub fn write_request(writer: &mut impl Write, request: &Request) -> io::Result<(
             OP_REMOVE_SHARD
         }
         Request::Stats => OP_STATS,
-        Request::PredictValue { key, hv } => {
-            put_string(&mut body, key)?;
-            put_hv(&mut body, hv)?;
-            OP_PREDICT_VALUE
-        }
-        Request::FitValue { value, hv } => {
-            put_f64(&mut body, *value);
-            put_hv(&mut body, hv)?;
-            OP_FIT_VALUE
-        }
         Request::Ping => OP_PING,
-        Request::PredictValueBatch { pairs } => {
-            let n = u16::try_from(pairs.len())
-                .map_err(|_| invalid("batch exceeds the u16 row limit"))?;
-            put_u16(&mut body, n);
-            for (key, hv) in pairs {
-                put_string(&mut body, key)?;
-                put_hv(&mut body, hv)?;
-            }
-            OP_PREDICT_VALUE_BATCH
-        }
         Request::Snapshot => OP_SNAPSHOT,
         Request::Restore { snapshot } => {
             put_bytes(&mut body, snapshot)?;
@@ -500,69 +481,84 @@ pub fn write_request(writer: &mut impl Write, request: &Request) -> io::Result<(
 ///
 /// # Errors
 ///
-/// Returns `io::Error` on transport failure or a malformed frame.
+/// Returns `io::Error` on transport failure or a malformed frame. A frame
+/// that was read whole but does not decode (another protocol version, an
+/// unknown or retired opcode, a malformed body) leaves the stream at a
+/// frame boundary, so the connection can carry on.
 pub fn read_request(reader: &mut impl Read) -> io::Result<Option<Request>> {
-    let Some((opcode, body)) = read_frame(reader)? else {
+    let Some((version, opcode, body)) = read_frame(reader)? else {
         return Ok(None);
     };
-    let mut cursor = Cursor::new(&body);
-    let request = match opcode {
-        OP_PREDICT => Request::Predict {
-            key: cursor.string()?,
-            hv: cursor.hv()?,
-        },
-        OP_PREDICT_BATCH => {
-            let n = cursor.u16()? as usize;
-            let mut pairs = Vec::with_capacity(n);
-            for _ in 0..n {
-                pairs.push((cursor.string()?, cursor.hv()?));
+    let decode = || -> io::Result<Request> {
+        check_version(version)?;
+        let mut cursor = Cursor::new(&body);
+        let request = match opcode {
+            OP_PREDICT_BATCH => {
+                let n = cursor.u16()? as usize;
+                let mut pairs = Vec::with_capacity(n);
+                for _ in 0..n {
+                    pairs.push((cursor.string()?, cursor.hv()?));
+                }
+                Request::PredictBatch { pairs }
             }
-            Request::PredictBatch { pairs }
-        }
-        OP_INSERT => Request::Insert {
-            key: cursor.string()?,
-            hv: cursor.hv()?,
-        },
-        OP_REMOVE => Request::Remove {
-            key: cursor.string()?,
-        },
-        OP_FIT => Request::Fit {
-            label: cursor.u32()?,
-            hv: cursor.hv()?,
-        },
-        OP_REFRESH => Request::Refresh,
-        OP_ADD_SHARD => Request::AddShard,
-        OP_REMOVE_SHARD => Request::RemoveShard { id: cursor.u32()? },
-        OP_STATS => Request::Stats,
-        OP_PREDICT_VALUE => Request::PredictValue {
-            key: cursor.string()?,
-            hv: cursor.hv()?,
-        },
-        OP_FIT_VALUE => Request::FitValue {
-            value: cursor.f64()?,
-            hv: cursor.hv()?,
-        },
-        OP_PING => Request::Ping,
-        OP_PREDICT_VALUE_BATCH => {
-            let n = cursor.u16()? as usize;
-            let mut pairs = Vec::with_capacity(n);
-            for _ in 0..n {
-                pairs.push((cursor.string()?, cursor.hv()?));
+            OP_INSERT => Request::Insert {
+                key: cursor.string()?,
+                hv: cursor.hv()?,
+            },
+            OP_REMOVE => Request::Remove {
+                key: cursor.string()?,
+            },
+            OP_FIT => {
+                let target = match cursor.u8()? {
+                    TARGET_LABEL => Target::Label(cursor.u32()? as usize),
+                    TARGET_VALUE => Target::Value(cursor.f64()?),
+                    tag => return Err(invalid(format!("unknown fit target tag {tag}"))),
+                };
+                Request::Fit {
+                    hv: cursor.hv()?,
+                    target,
+                }
             }
-            Request::PredictValueBatch { pairs }
-        }
-        OP_SNAPSHOT => Request::Snapshot,
-        OP_RESTORE => Request::Restore {
-            snapshot: cursor.bytes()?,
-        },
-        OP_SHARD_JOIN => Request::ShardJoin {
-            addr: cursor.string()?,
-        },
-        OP_SHARD_LEAVE => Request::ShardLeave { id: cursor.u32()? },
-        other => return Err(invalid(format!("unknown request opcode {other}"))),
+            OP_REFRESH => Request::Refresh,
+            OP_ADD_SHARD => Request::AddShard,
+            OP_REMOVE_SHARD => Request::RemoveShard { id: cursor.u32()? },
+            OP_STATS => Request::Stats,
+            OP_PING => Request::Ping,
+            OP_SNAPSHOT => Request::Snapshot,
+            OP_RESTORE => Request::Restore {
+                snapshot: cursor.bytes()?,
+            },
+            OP_SHARD_JOIN => Request::ShardJoin {
+                addr: cursor.string()?,
+            },
+            OP_SHARD_LEAVE => Request::ShardLeave { id: cursor.u32()? },
+            other => return Err(invalid(format!("unknown request opcode {other}"))),
+        };
+        cursor.finish()?;
+        Ok(request)
     };
-    cursor.finish()?;
-    Ok(Some(request))
+    decode()
+        .map(Some)
+        .map_err(|error| io::Error::new(io::ErrorKind::InvalidData, Refused(error)))
+}
+
+/// The error of a request frame that was read whole but refused.
+#[derive(Debug)]
+struct Refused(io::Error);
+
+impl fmt::Display for Refused {
+    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
+        self.0.fmt(f)
+    }
+}
+
+impl std::error::Error for Refused {}
+
+/// `true` when [`read_request`] refused one whole frame: the stream is
+/// still at a frame boundary, so a server answers with
+/// [`Response::Error`] and keeps the connection.
+pub(crate) fn is_refused(error: &io::Error) -> bool {
+    error.get_ref().is_some_and(|inner| inner.is::<Refused>())
 }
 
 // --- responses ---------------------------------------------------------
@@ -575,11 +571,6 @@ pub fn read_request(reader: &mut impl Read) -> io::Result<Option<Request>> {
 pub fn write_response(writer: &mut impl Write, response: &Response) -> io::Result<()> {
     let mut body = Vec::new();
     let opcode = match response {
-        Response::Label { label, generation } => {
-            put_u32(&mut body, *label);
-            put_u64(&mut body, *generation);
-            RESP_LABEL
-        }
         Response::Labels { predictions } => {
             let n = u16::try_from(predictions.len())
                 .map_err(|_| invalid("batch exceeds the u16 row limit"))?;
@@ -614,11 +605,6 @@ pub fn write_response(writer: &mut impl Write, response: &Response) -> io::Resul
         Response::Stats(stats) => {
             put_stats(&mut body, stats)?;
             RESP_STATS
-        }
-        Response::Value { value, generation } => {
-            put_f64(&mut body, *value);
-            put_u64(&mut body, *generation);
-            RESP_VALUE
         }
         Response::Pong {
             generation,
@@ -674,15 +660,12 @@ pub fn write_response(writer: &mut impl Write, response: &Response) -> io::Resul
 ///
 /// Returns `io::Error` on transport failure or a malformed frame.
 pub fn read_response(reader: &mut impl Read) -> io::Result<Option<Response>> {
-    let Some((opcode, body)) = read_frame(reader)? else {
+    let Some((version, opcode, body)) = read_frame(reader)? else {
         return Ok(None);
     };
+    check_version(version)?;
     let mut cursor = Cursor::new(&body);
     let response = match opcode {
-        RESP_LABEL => Response::Label {
-            label: cursor.u32()?,
-            generation: cursor.u64()?,
-        },
         RESP_LABELS => {
             let n = cursor.u16()? as usize;
             let mut predictions = Vec::with_capacity(n);
@@ -692,10 +675,10 @@ pub fn read_response(reader: &mut impl Read) -> io::Result<Option<Response>> {
             Response::Labels { predictions }
         }
         RESP_INSERTED => Response::Inserted {
-            replaced: cursor.take(1)?[0] != 0,
+            replaced: cursor.u8()? != 0,
         },
         RESP_REMOVED => Response::Removed {
-            removed: cursor.take(1)?[0] != 0,
+            removed: cursor.u8()? != 0,
         },
         RESP_FIT_ACK => Response::FitAck,
         RESP_REFRESHED => Response::Refreshed {
@@ -703,13 +686,9 @@ pub fn read_response(reader: &mut impl Read) -> io::Result<Option<Response>> {
         },
         RESP_SHARD_ADDED => Response::ShardAdded { id: cursor.u32()? },
         RESP_SHARD_REMOVED => Response::ShardRemoved {
-            removed: cursor.take(1)?[0] != 0,
+            removed: cursor.u8()? != 0,
         },
         RESP_STATS => Response::Stats(read_stats(&mut cursor)?),
-        RESP_VALUE => Response::Value {
-            value: cursor.f64()?,
-            generation: cursor.u64()?,
-        },
         RESP_PONG => Response::Pong {
             generation: cursor.u64()?,
             uptime_us: cursor.u64()?,
@@ -733,14 +712,13 @@ pub fn read_response(reader: &mut impl Read) -> io::Result<Option<Response>> {
             moved: cursor.u64()?,
         },
         RESP_SHARD_LEFT => Response::ShardLeft {
-            removed: cursor.take(1)?[0] != 0,
+            removed: cursor.u8()? != 0,
             drained: cursor.u64()?,
         },
         RESP_ERROR => {
             let len = cursor.u16()? as usize;
-            let bytes = cursor.take(len)?;
             Response::Error {
-                message: String::from_utf8_lossy(bytes).into_owned(),
+                message: String::from_utf8_lossy(cursor.take(len)?).into_owned(),
             }
         }
         other => return Err(invalid(format!("unknown response opcode {other}"))),
@@ -805,7 +783,7 @@ fn read_stats(cursor: &mut Cursor<'_>) -> io::Result<RuntimeStats> {
         shard_loads.push((cursor.u64()?, cursor.u64()?));
     }
     let keys = cursor.u64()?;
-    let last_remap_fraction = match cursor.take(1)?[0] {
+    let last_remap_fraction = match cursor.u8()? {
         0 => None,
         _ => Some(cursor.f64()?),
     };
@@ -873,10 +851,6 @@ mod tests {
 
     #[test]
     fn every_request_round_trips() {
-        round_trip_request(Request::Predict {
-            key: "user-1".into(),
-            hv: hv(100, 1),
-        });
         round_trip_request(Request::PredictBatch {
             pairs: (0..5).map(|i| (format!("k{i}"), hv(64, i))).collect(),
         });
@@ -889,26 +863,18 @@ mod tests {
             key: "κλειδί".into(),
         });
         round_trip_request(Request::Fit {
-            label: 3,
             hv: hv(1, 2),
+            target: Target::Label(3),
+        });
+        round_trip_request(Request::Fit {
+            hv: hv(129, 5),
+            target: Target::Value(-12.75),
         });
         round_trip_request(Request::Refresh);
         round_trip_request(Request::AddShard);
         round_trip_request(Request::RemoveShard { id: 7 });
         round_trip_request(Request::Stats);
-        round_trip_request(Request::PredictValue {
-            key: "station-7".into(),
-            hv: hv(100, 4),
-        });
-        round_trip_request(Request::FitValue {
-            value: -12.75,
-            hv: hv(129, 5),
-        });
         round_trip_request(Request::Ping);
-        round_trip_request(Request::PredictValueBatch {
-            pairs: (0..5).map(|i| (format!("s{i}"), hv(64, i))).collect(),
-        });
-        round_trip_request(Request::PredictValueBatch { pairs: Vec::new() });
         round_trip_request(Request::Snapshot);
         round_trip_request(Request::Restore {
             snapshot: vec![0x48, 0x44, 0x43, 0x53, 0xFF],
@@ -924,10 +890,6 @@ mod tests {
 
     #[test]
     fn every_response_round_trips() {
-        round_trip_response(Response::Label {
-            label: 4,
-            generation: 9,
-        });
         round_trip_response(Response::Labels {
             predictions: vec![(0, 1), (3, 1), (2, 2)],
         });
@@ -937,10 +899,6 @@ mod tests {
         round_trip_response(Response::Refreshed { generation: 17 });
         round_trip_response(Response::ShardAdded { id: 5 });
         round_trip_response(Response::ShardRemoved { removed: true });
-        round_trip_response(Response::Value {
-            value: 23.5,
-            generation: 3,
-        });
         round_trip_response(Response::Pong {
             generation: 12,
             uptime_us: 9_876_543,
@@ -1030,9 +988,8 @@ mod tests {
         let mut buffer = Vec::new();
         write_request(
             &mut buffer,
-            &Request::Predict {
-                key: "k".into(),
-                hv: hv(128, 3),
+            &Request::PredictBatch {
+                pairs: vec![("k".into(), hv(128, 3))],
             },
         )
         .unwrap();
@@ -1046,7 +1003,7 @@ mod tests {
         assert!(read_request(&mut framed.as_slice()).is_err());
 
         // Wrong version (the old v1 framing is refused, not misread).
-        let mut wrong = vec![0, 0, 0, 2, 1, 1];
+        let mut wrong = vec![0, 0, 0, 2, 1, OP_PING];
         assert!(read_request(&mut wrong.as_slice()).is_err());
         wrong[4] = PROTOCOL_VERSION;
         wrong[5] = 200; // unknown opcode
@@ -1059,7 +1016,7 @@ mod tests {
         put_u64(&mut body, 0);
         put_u64(&mut body, u64::MAX);
         let mut framed = Vec::new();
-        write_frame(&mut framed, 1, &body).unwrap();
+        write_frame(&mut framed, OP_INSERT, &body).unwrap();
         assert!(read_request(&mut framed.as_slice()).is_err());
 
         // Trailing garbage after a well-formed body.

@@ -28,15 +28,14 @@
 //! caller's 64-bit spec digest, checked on every segment header so a log
 //! can never replay into a model with a different spec.
 //!
-//! The binary conventions mirror the serving crate's `codec`: big-endian
-//! integers, length-prefixed UTF-8 keys, `u32`-dimension hypervectors with
-//! clean-tail validation, and bounds-checked decoding whose preallocations
-//! are clamped by the bytes actually present.
+//! [`codec`] holds the binary conventions every durable format in the
+//! workspace shares, the serving crate's wire, spec and snapshot formats
+//! included.
 
 #![forbid(unsafe_code)]
 #![warn(missing_docs)]
 
-mod codec;
+pub mod codec;
 mod compress;
 mod group_commit;
 mod paged;
@@ -53,14 +52,21 @@ pub use wal::{Wal, DEFAULT_SEGMENT_BYTES, SEGMENT_MAGIC, SEGMENT_VERSION};
 use std::path::PathBuf;
 
 /// When appended log records reach the platters.
+///
+/// A serving runtime appends through the [`GroupCommitWal`], so under
+/// `Always` and `EveryBatch` alike it acknowledges each fit, insert and
+/// remove after one group `fdatasync` covers its record. Only the raw
+/// [`Wal::append`] syncs per record.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
 pub enum SyncPolicy {
-    /// `fsync` after every appended record. Strongest guarantee, one disk
-    /// round-trip per record.
+    /// The raw [`Wal::append`] `fsync`s after every record. A runtime acks
+    /// after the group `fdatasync`, as under
+    /// [`EveryBatch`](Self::EveryBatch), and also fsyncs its paged item
+    /// files before it acks an insert or a remove.
     Always,
-    /// `fsync` once per micro-batch (the caller invokes [`Wal::sync`] at
-    /// its batch boundary, amortizing one flush over every record and
-    /// acknowledgement in the batch). The default.
+    /// One `fsync` per flush group: the raw [`Wal`] syncs when its caller
+    /// invokes [`Wal::sync`], and a runtime's flusher retires every parked
+    /// commit with one `fdatasync`. The default.
     #[default]
     EveryBatch,
     /// Never `fsync`; the OS page cache decides. Appends still reach the

@@ -84,9 +84,9 @@ pub use hdc_core::{
 };
 pub use hdc_encode::{Encoder, FeatureRecordEncoder, FieldSpec, Radians};
 pub use hdc_serve::{
-    Basis, BatchPolicy, BlockingClient, ClientConfig, ClusterRouter, ClusterServer,
-    DurabilityConfig, Enc, EncSpec, FanOut, GroupCommitConfig, ItemStore, LocalShard, Model,
-    PagedStore, Pipeline, PipelineSpec, Prediction, RemoteShard, ResidentStore, RingConfig,
-    Runtime, RuntimeConfig, RuntimeHandle, RuntimeStats, Server, ShardBackend, ShardedModel,
-    Snapshot, SyncPolicy, Task, ValuePrediction, WalCodec,
+    Answers, Basis, BatchPolicy, BlockingClient, ClientConfig, ClusterRouter, ClusterServer,
+    DurabilityConfig, Enc, EncSpec, GroupCommitConfig, ItemStore, LocalShard, Model, PagedStore,
+    Pipeline, PipelineSpec, Prediction, RemoteShard, ResidentStore, RingConfig, Runtime,
+    RuntimeConfig, RuntimeHandle, RuntimeStats, Server, ShardBackend, ShardedModel, Snapshot,
+    SyncPolicy, Target, Task, ValuePrediction, WalCodec,
 };

@@ -24,9 +24,9 @@ use std::time::Duration;
 
 use hdc::serve::Radians;
 use hdc::{
-    Basis, BatchPolicy, BinaryHypervector, BlockingClient, ClientConfig, ClusterRouter,
-    ClusterServer, Enc, FanOut, HdcError, LocalShard, Model, Pipeline, RemoteShard, RingConfig,
-    Runtime, RuntimeConfig, Server, ShardBackend, ShardedModel,
+    Answers, Basis, BatchPolicy, BinaryHypervector, BlockingClient, ClientConfig, ClusterRouter,
+    ClusterServer, Enc, HdcError, LocalShard, Model, Pipeline, RemoteShard, RingConfig, Runtime,
+    RuntimeConfig, Server, ShardBackend, ShardedModel, Target,
 };
 use proptest::prelude::*;
 
@@ -150,7 +150,7 @@ proptest! {
             prop_assert_eq!(router.shard_of(key), fleet.shard_of(key));
         }
 
-        // Prediction parity: batch and single paths.
+        // Prediction parity: batch and one-row requests.
         let pairs: Vec<(String, BinaryHypervector)> = keys
             .iter()
             .cloned()
@@ -162,8 +162,9 @@ proptest! {
             expected.clone()
         );
         for ((key, hv), &label) in pairs.iter().zip(&expected) {
-            let prediction = router.predict(key, hv).expect("routable");
-            prop_assert_eq!(prediction.label, label);
+            let answers = router.answer(&[(key.clone(), hv.clone())]).expect("routable");
+            let prediction = answers.into_labels().expect("a classifier answers labels");
+            prop_assert_eq!(prediction[0].label, label);
         }
 
         for (runtime, server) in fleet_procs {
@@ -368,7 +369,8 @@ fn warm_join_and_leave_under_live_traffic_keep_bit_identity() {
 
 /// Regression cluster churn: after a leave and a warm join of a blank
 /// regression shard, served values are still bit-identical to the
-/// unsharded model's.
+/// unsharded model's — also after replicated value fits through the same
+/// `ShardBackend` fit call label fits use.
 #[test]
 fn regression_cluster_survives_warm_join() {
     let seed = 31;
@@ -424,6 +426,35 @@ fn regression_cluster_survives_warm_join() {
     assert_eq!(served.iter().map(|p| p.value).collect::<Vec<_>>(), expected);
     let stats = router.cluster_stats().expect("stats");
     assert_eq!(stats.keys as usize, pairs.len());
+
+    // Value fits ride the same replicated fit path as label fits, and the
+    // regression head answers the one predict path with values.
+    let extra = [Radians::periodic(5.0, 24.0), Radians::periodic(19.0, 24.0)];
+    let extra_values = [5.0, 19.0];
+    for (input, &value) in extra.iter().zip(&extra_values) {
+        router
+            .observe(&model.encode(input), Target::Value(value))
+            .expect("replicated value fit");
+    }
+    router.refresh().expect("refresh");
+    let mut reference = trained_value_model(seed);
+    reference
+        .fit_value_batch(&extra, &extra_values)
+        .expect("valid observations");
+    let Answers::Values(served) = router.answer(&pairs).expect("routable") else {
+        panic!("a regression cluster answers with values");
+    };
+    assert_eq!(
+        served.iter().map(|p| p.value).collect::<Vec<_>>(),
+        reference.predict_values_encoded(&queries)
+    );
+    assert!(matches!(
+        router.predict_batch(&pairs),
+        Err(HdcError::TaskMismatch {
+            expected: "classification",
+            found: "regression"
+        })
+    ));
 
     for (runtime, server) in fleet_procs {
         server.shutdown();
@@ -530,18 +561,8 @@ impl ShardBackend for FlakyShard {
         format!("flaky({})", self.inner.describe())
     }
 
-    fn predict_encoded_many(
-        &mut self,
-        pairs: Vec<(String, BinaryHypervector)>,
-    ) -> Result<Vec<hdc::Prediction>, HdcError> {
-        self.inner.predict_encoded_many(pairs)
-    }
-
-    fn predict_value_encoded_many(
-        &mut self,
-        pairs: Vec<(String, BinaryHypervector)>,
-    ) -> Result<Vec<hdc::ValuePrediction>, HdcError> {
-        self.inner.predict_value_encoded_many(pairs)
+    fn answer(&mut self, pairs: Vec<(String, BinaryHypervector)>) -> Result<Answers, HdcError> {
+        self.inner.answer(pairs)
     }
 
     fn insert(&mut self, key: String, hv: BinaryHypervector) -> Result<bool, HdcError> {
@@ -554,14 +575,9 @@ impl ShardBackend for FlakyShard {
         self.inner.remove(key)
     }
 
-    fn fit_encoded(&mut self, hv: BinaryHypervector, label: usize) -> Result<(), HdcError> {
+    fn observe(&mut self, hv: BinaryHypervector, target: Target) -> Result<(), HdcError> {
         Self::injected(&self.fail_fit)?;
-        self.inner.fit_encoded(hv, label)
-    }
-
-    fn fit_value_encoded(&mut self, hv: BinaryHypervector, value: f64) -> Result<(), HdcError> {
-        Self::injected(&self.fail_fit)?;
-        self.inner.fit_value_encoded(hv, value)
+        self.inner.observe(hv, target)
     }
 
     fn refresh(&mut self) -> Result<u64, HdcError> {
@@ -873,20 +889,9 @@ impl ShardBackend for SlowShard {
         format!("slow({})", self.inner.describe())
     }
 
-    fn predict_encoded_many(
-        &mut self,
-        pairs: Vec<(String, BinaryHypervector)>,
-    ) -> Result<Vec<hdc::Prediction>, HdcError> {
+    fn answer(&mut self, pairs: Vec<(String, BinaryHypervector)>) -> Result<Answers, HdcError> {
         self.pause();
-        self.inner.predict_encoded_many(pairs)
-    }
-
-    fn predict_value_encoded_many(
-        &mut self,
-        pairs: Vec<(String, BinaryHypervector)>,
-    ) -> Result<Vec<hdc::ValuePrediction>, HdcError> {
-        self.pause();
-        self.inner.predict_value_encoded_many(pairs)
+        self.inner.answer(pairs)
     }
 
     fn insert(&mut self, key: String, hv: BinaryHypervector) -> Result<bool, HdcError> {
@@ -897,14 +902,9 @@ impl ShardBackend for SlowShard {
         self.inner.remove(key)
     }
 
-    fn fit_encoded(&mut self, hv: BinaryHypervector, label: usize) -> Result<(), HdcError> {
+    fn observe(&mut self, hv: BinaryHypervector, target: Target) -> Result<(), HdcError> {
         self.pause();
-        self.inner.fit_encoded(hv, label)
-    }
-
-    fn fit_value_encoded(&mut self, hv: BinaryHypervector, value: f64) -> Result<(), HdcError> {
-        self.pause();
-        self.inner.fit_value_encoded(hv, value)
+        self.inner.observe(hv, target)
     }
 
     fn refresh(&mut self) -> Result<u64, HdcError> {
@@ -973,33 +973,22 @@ fn slow_cluster(
     (router, runtimes, pairs, expected)
 }
 
-/// Tentpole acceptance: with one slow hop per shard, the concurrent
-/// router pays the slowest shard's wait once — not the sum — for batch
-/// predicts, replicated fits, stats and ping alike, while the serial
-/// mode provably pays the sum. (Sleeps overlap even on one core, which
-/// is exactly the transport-bound regime the fan-out targets.)
+/// With one slow hop per shard, the router pays the slowest shard's wait
+/// once — not the sum — for batch predicts, replicated fits, stats and
+/// ping alike. (Sleeps overlap even on one core, which is exactly the
+/// transport-bound regime the fan-out targets.)
 #[test]
 fn concurrent_fan_out_overlaps_shard_waits() {
     let delay = Duration::from_millis(60);
-    let budget = 3 * delay; // what serial necessarily pays per call
+    let budget = 3 * delay; // what paying the shards one by one costs
     let (mut router, runtimes, pairs, expected) = slow_cluster(delay);
 
-    router.set_fan_out(FanOut::Serial);
-    let serial_start = std::time::Instant::now();
+    let start = std::time::Instant::now();
     assert_bit_identical(&mut router, &pairs, &expected);
-    let serial_elapsed = serial_start.elapsed();
+    let elapsed = start.elapsed();
     assert!(
-        serial_elapsed >= budget,
-        "serial fan-out must pay every shard's wait: {serial_elapsed:?} < {budget:?}"
-    );
-
-    router.set_fan_out(FanOut::Concurrent);
-    let concurrent_start = std::time::Instant::now();
-    assert_bit_identical(&mut router, &pairs, &expected);
-    let concurrent_elapsed = concurrent_start.elapsed();
-    assert!(
-        concurrent_elapsed < budget,
-        "concurrent fan-out must overlap shard waits: {concurrent_elapsed:?} >= {budget:?}"
+        elapsed < budget,
+        "fan-out must overlap shard waits: {elapsed:?} >= {budget:?}"
     );
 
     // Replicated fits fan out to all three shards concurrently too.
@@ -1007,7 +996,7 @@ fn concurrent_fan_out_overlaps_shard_waits() {
     router.fit_encoded(&pairs[0].1, 1).expect("replicated fit");
     assert!(
         fit_start.elapsed() < budget,
-        "concurrent replicate must overlap shard waits"
+        "replicate must overlap shard waits"
     );
 
     // Stats and ping probes reuse the same concurrent path.
@@ -1016,78 +1005,17 @@ fn concurrent_fan_out_overlaps_shard_waits() {
     assert_eq!(per_shard.len(), 3);
     assert!(
         stats_start.elapsed() < budget,
-        "concurrent stats must overlap shard waits"
+        "stats must overlap shard waits"
     );
     let ping_start = std::time::Instant::now();
     router.ping().expect("ping");
     assert!(
         ping_start.elapsed() < budget,
-        "concurrent ping must overlap shard waits"
+        "ping must overlap shard waits"
     );
 
     drop(router);
     for runtime in runtimes {
-        runtime.shutdown();
-    }
-}
-
-/// Serial and concurrent fan-out are observationally identical: same
-/// predictions (both equal to the unsharded model's), same per-shard
-/// stats identities, same ping generation — including after replicated
-/// fits performed in either mode.
-#[test]
-fn serial_and_concurrent_fan_out_are_bit_identical() {
-    let (mut serial_router, serial_runtimes, pairs, expected) = slow_cluster(Duration::ZERO);
-    let (mut concurrent_router, concurrent_runtimes, _, _) = slow_cluster(Duration::ZERO);
-    serial_router.set_fan_out(FanOut::Serial);
-    assert_eq!(serial_router.fan_out_mode(), FanOut::Serial);
-    assert_eq!(concurrent_router.fan_out_mode(), FanOut::Concurrent);
-
-    assert_bit_identical(&mut serial_router, &pairs, &expected);
-    assert_bit_identical(&mut concurrent_router, &pairs, &expected);
-
-    // One replicated fit per mode, then a refresh: the twin clusters must
-    // still answer identically query for query.
-    for (hv, label) in [(&pairs[0].1, 0usize), (&pairs[1].1, 1usize)] {
-        serial_router.fit_encoded(hv, label).expect("serial fit");
-        concurrent_router
-            .fit_encoded(hv, label)
-            .expect("concurrent fit");
-    }
-    let serial_generation = serial_router.refresh().expect("refresh");
-    let concurrent_generation = concurrent_router.refresh().expect("refresh");
-    assert_eq!(serial_generation, concurrent_generation);
-    let serial_answers = serial_router.predict_batch(&pairs).expect("predict");
-    let concurrent_answers = concurrent_router.predict_batch(&pairs).expect("predict");
-    assert_eq!(
-        serial_answers.iter().map(|p| p.label).collect::<Vec<_>>(),
-        concurrent_answers
-            .iter()
-            .map(|p| p.label)
-            .collect::<Vec<_>>(),
-        "fan-out mode must never change an answer"
-    );
-
-    // Stats agree on everything that is not a wall clock.
-    let serial_stats = serial_router.shard_stats().expect("stats");
-    let concurrent_stats = concurrent_router.shard_stats().expect("stats");
-    assert_eq!(serial_stats.len(), concurrent_stats.len());
-    for ((serial_id, serial), (concurrent_id, concurrent)) in
-        serial_stats.iter().zip(&concurrent_stats)
-    {
-        assert_eq!(serial_id, concurrent_id);
-        assert_eq!(serial.generation, concurrent.generation);
-        assert_eq!(serial.keys, concurrent.keys);
-        assert_eq!(serial.dim, concurrent.dim);
-        assert_eq!(serial.classes, concurrent.classes);
-    }
-    let (serial_ping, _) = serial_router.ping().expect("ping");
-    let (concurrent_ping, _) = concurrent_router.ping().expect("ping");
-    assert_eq!(serial_ping, concurrent_ping);
-
-    drop(serial_router);
-    drop(concurrent_router);
-    for runtime in serial_runtimes.into_iter().chain(concurrent_runtimes) {
         runtime.shutdown();
     }
 }

@@ -60,6 +60,8 @@ fn serving_batches_stay_on_the_calling_thread_and_setup_work_fans_out() {
     let handle = runtime.handle();
     let labels_of =
         |served: Vec<hdc::Prediction>| -> Vec<usize> { served.iter().map(|p| p.label).collect() };
+    let labels_of_answers =
+        |served: hdc::Answers| -> Vec<usize> { labels_of(served.into_labels().unwrap()) };
 
     // A 64-row pre-encoded micro-batch: copy and readout on the dispatcher.
     let pairs: Vec<(String, BinaryHypervector)> = encoded
@@ -84,24 +86,24 @@ fn serving_batches_stay_on_the_calling_thread_and_setup_work_fans_out() {
     let few = keyed(&queries[..8]);
     let before = minipool::spawned();
     let served = handle
-        .predict_many(few.iter().map(|(k, row)| (k.clone(), row.as_slice())))
+        .answer(few.iter().map(|(k, row)| (k.clone(), row.as_slice())))
         .unwrap();
     assert_eq!(minipool::spawned(), before, "8 raw rows forked");
-    assert_eq!(labels_of(served), expected[..8]);
+    assert_eq!(labels_of_answers(served), expected[..8]);
     let half = keyed(&queries[..64]);
     let before = minipool::spawned();
     let served = handle
-        .predict_many(half.iter().map(|(k, row)| (k.clone(), row.as_slice())))
+        .answer(half.iter().map(|(k, row)| (k.clone(), row.as_slice())))
         .unwrap();
     assert_eq!(minipool::spawned(), before, "64 raw rows forked");
-    assert_eq!(labels_of(served), expected[..64]);
+    assert_eq!(labels_of_answers(served), expected[..64]);
     let all = keyed(&queries);
     let before = minipool::spawned();
     let served = handle
-        .predict_many(all.iter().map(|(k, row)| (k.clone(), row.as_slice())))
+        .answer(all.iter().map(|(k, row)| (k.clone(), row.as_slice())))
         .unwrap();
     assert!(minipool::spawned() > before, "128 raw rows did not fork");
-    assert_eq!(labels_of(served), expected);
+    assert_eq!(labels_of_answers(served), expected);
     runtime.shutdown();
 
     // Regression at the weather benchmark's shape: 3 fields, 64 levels,

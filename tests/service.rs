@@ -18,10 +18,12 @@ use std::time::Duration;
 
 use hdc::core::TieBreak;
 use hdc::learn::CentroidTrainer;
+use hdc::serve::wire::{self, Request, Response, PROTOCOL_VERSION};
 use hdc::serve::Radians;
 use hdc::{
-    Basis, BatchPolicy, BinaryHypervector, BlockingClient, Enc, Model, Pipeline, Runtime,
-    RuntimeConfig, Server, ShardedModel,
+    Answers, Basis, BatchPolicy, BinaryHypervector, BlockingClient, ClientConfig, ClusterRouter,
+    ClusterServer, Enc, LocalShard, Model, Pipeline, RingConfig, Runtime, RuntimeConfig, Server,
+    ShardBackend, ShardedModel, Target,
 };
 use proptest::prelude::*;
 use rand::{rngs::StdRng, SeedableRng};
@@ -288,9 +290,18 @@ fn framed_tcp_value_predictions_are_bit_identical_to_the_direct_model() {
         worker.join().expect("client thread");
     }
 
-    // A classification frame against a regression runtime is answered
-    // in-band with an error; the connection survives.
+    // The one predict op is answered with values by a regression head.
+    let Answers::Values(served) = client.answer(pairs.to_vec()).expect("served batch") else {
+        panic!("a regression runtime answers with values");
+    };
+    assert_eq!(
+        served.iter().map(|p| p.value).collect::<Vec<_>>(),
+        *expected
+    );
+    // A label call against a regression runtime fails in-band; the
+    // connection survives.
     assert!(client.predict("station-0", &pairs[0].1).is_err());
+    assert!(client.fit(&pairs[0].1, 0).is_err());
     let (generation, _) = client.ping().expect("connection survived");
     assert_eq!(generation, 0);
 
@@ -408,7 +419,9 @@ proptest! {
             let observations = observations.clone();
             thread::spawn(move || {
                 for (hv, label) in observations {
-                    handle.fit_encoded(hv, label).expect("runtime is live");
+                    handle
+                        .observe_encoded(hv, Target::Label(label))
+                        .expect("runtime is live");
                 }
             })
         };
@@ -425,8 +438,12 @@ proptest! {
                         snapshots.push(handle.generation());
                         let query = &queries[(reader + round) % queries.len()];
                         let prediction = handle
-                            .predict_encoded(format!("r{reader}-{round}"), query.clone())
-                            .expect("runtime is live");
+                            .predict_encoded_many(vec![(
+                                format!("r{reader}-{round}"),
+                                query.clone(),
+                            )])
+                            .expect("runtime is live")
+                            .remove(0);
                         served.push(((reader + round) % queries.len(), prediction));
                     }
                     (snapshots, served)
@@ -478,4 +495,46 @@ proptest! {
         }
         runtime.shutdown();
     }
+}
+
+/// Frames a v4 peer no longer speaks — a retired v3 opcode under the v4
+/// version byte, and any v3 frame — are answered in-band with an error by
+/// both front-ends, and the connection carries on.
+#[test]
+fn retired_opcodes_and_v3_frames_are_refused_in_band() {
+    use std::io::{BufReader, Write};
+    use std::net::TcpStream;
+
+    let runtime = Runtime::spawn(trained_model(256, 5), RuntimeConfig::default()).expect("runtime");
+    let server = Server::spawn("127.0.0.1:0", runtime.handle()).expect("ephemeral port");
+    let shard: Box<dyn ShardBackend> = Box::new(LocalShard::new(runtime.handle()));
+    let router = ClusterRouter::new(vec![shard], RingConfig::default(), 0).expect("cluster");
+    let front =
+        ClusterServer::spawn("127.0.0.1:0", router, ClientConfig::default()).expect("front");
+
+    for addr in [server.local_addr(), front.local_addr()] {
+        let mut stream = TcpStream::connect(addr).expect("loopback connect");
+        let mut reader = BufReader::new(stream.try_clone().expect("clone"));
+        let v4_predict = [0u8, 0, 0, 2, PROTOCOL_VERSION, 1];
+        let v3_ping = [0u8, 0, 0, 2, 3, 12];
+        let v3_empty_batch = [0u8, 0, 0, 4, 3, 2, 0, 0];
+        for frame in [&v4_predict[..], &v3_ping, &v3_empty_batch] {
+            stream.write_all(frame).expect("write");
+            let response = wire::read_response(&mut reader).expect("answered");
+            assert!(
+                matches!(response, Some(Response::Error { .. })),
+                "{frame:?} answered {response:?}"
+            );
+        }
+        wire::write_request(&mut stream, &Request::Ping).expect("write");
+        let response = wire::read_response(&mut reader).expect("connection survived");
+        assert!(
+            matches!(response, Some(Response::Pong { .. })),
+            "{response:?}"
+        );
+    }
+
+    let _router = front.shutdown();
+    server.shutdown();
+    runtime.shutdown();
 }

@@ -1,20 +1,20 @@
 //! Property tests of the framed wire protocol: every opcode — including
-//! the PR 6 cluster additions (`predict_value_batch`, snapshot streaming,
-//! `shard_join`/`shard_leave`) — round-trips bit-exactly through its
-//! frame encoding, and malformed frames (truncated anywhere, oversized
-//! length prefix, wrong version) are rejected rather than trusted.
+//! the cluster additions (snapshot streaming, `shard_join`/`shard_leave`)
+//! and the v4 fit target — round-trips bit-exactly through its frame
+//! encoding, and malformed frames (truncated anywhere, oversized length
+//! prefix, wrong version, retired opcode) are rejected rather than
+//! trusted.
 
 use hdc::serve::wire::{
     read_request, read_response, write_request, write_response, Request, Response, MAX_FRAME_BYTES,
-    OP_ADD_SHARD, OP_FIT, OP_FIT_VALUE, OP_INSERT, OP_PING, OP_PREDICT, OP_PREDICT_BATCH,
-    OP_PREDICT_VALUE, OP_PREDICT_VALUE_BATCH, OP_REFRESH, OP_REMOVE, OP_REMOVE_SHARD, OP_RESTORE,
-    OP_SHARD_JOIN, OP_SHARD_LEAVE, OP_SNAPSHOT, OP_STATS, PROTOCOL_VERSION, RESP_ERROR,
-    RESP_FIT_ACK, RESP_INSERTED, RESP_LABEL, RESP_LABELS, RESP_PONG, RESP_REFRESHED, RESP_REMOVED,
-    RESP_RESTORED, RESP_SHARD_ADDED, RESP_SHARD_JOINED, RESP_SHARD_LEFT, RESP_SHARD_REMOVED,
-    RESP_SNAPSHOT, RESP_STATS, RESP_VALUE, RESP_VALUES,
+    OP_ADD_SHARD, OP_FIT, OP_INSERT, OP_PING, OP_PREDICT_BATCH, OP_REFRESH, OP_REMOVE,
+    OP_REMOVE_SHARD, OP_RESTORE, OP_SHARD_JOIN, OP_SHARD_LEAVE, OP_SNAPSHOT, OP_STATS,
+    PROTOCOL_VERSION, RESP_ERROR, RESP_FIT_ACK, RESP_INSERTED, RESP_LABELS, RESP_PONG,
+    RESP_REFRESHED, RESP_REMOVED, RESP_RESTORED, RESP_SHARD_ADDED, RESP_SHARD_JOINED,
+    RESP_SHARD_LEFT, RESP_SHARD_REMOVED, RESP_SNAPSHOT, RESP_STATS, RESP_VALUES,
 };
 use hdc::serve::{MetricsSnapshot, RuntimeStats};
-use hdc::BinaryHypervector;
+use hdc::{BinaryHypervector, Target};
 use proptest::prelude::*;
 use rand::{rngs::StdRng, Rng, SeedableRng};
 
@@ -32,10 +32,6 @@ fn key(rng: &mut StdRng) -> String {
 /// Every request variant, with randomized payloads drawn from `rng`.
 fn sample_requests(dim: usize, rng: &mut StdRng) -> Vec<Request> {
     vec![
-        Request::Predict {
-            key: key(rng),
-            hv: hv(dim, rng),
-        },
         Request::PredictBatch {
             pairs: (0..rng.random_range(0usize..5))
                 .map(|_| (key(rng), hv(dim, rng)))
@@ -47,8 +43,12 @@ fn sample_requests(dim: usize, rng: &mut StdRng) -> Vec<Request> {
         },
         Request::Remove { key: key(rng) },
         Request::Fit {
-            label: rng.random_range(0u32..1000),
             hv: hv(dim, rng),
+            target: Target::Label(rng.random_range(0usize..1000)),
+        },
+        Request::Fit {
+            hv: hv(dim, rng),
+            target: Target::Value(rng.random_range(-1e6..1e6)),
         },
         Request::Refresh,
         Request::AddShard,
@@ -56,20 +56,7 @@ fn sample_requests(dim: usize, rng: &mut StdRng) -> Vec<Request> {
             id: rng.random_range(0u32..1000),
         },
         Request::Stats,
-        Request::PredictValue {
-            key: key(rng),
-            hv: hv(dim, rng),
-        },
-        Request::FitValue {
-            value: rng.random_range(-1e6..1e6),
-            hv: hv(dim, rng),
-        },
         Request::Ping,
-        Request::PredictValueBatch {
-            pairs: (0..rng.random_range(0usize..5))
-                .map(|_| (key(rng), hv(dim, rng)))
-                .collect(),
-        },
         Request::Snapshot,
         Request::Restore {
             snapshot: (0..rng.random_range(0usize..64))
@@ -86,10 +73,6 @@ fn sample_requests(dim: usize, rng: &mut StdRng) -> Vec<Request> {
 /// Every response variant, with randomized payloads drawn from `rng`.
 fn sample_responses(rng: &mut StdRng) -> Vec<Response> {
     vec![
-        Response::Label {
-            label: rng.random_range(0u32..1000),
-            generation: rng.random_range(0u64..1 << 40),
-        },
         Response::Labels {
             predictions: (0..rng.random_range(0usize..6))
                 .map(|_| (rng.random_range(0u32..100), rng.random_range(0u64..100)))
@@ -143,10 +126,6 @@ fn sample_responses(rng: &mut StdRng) -> Vec<Response> {
                 latency_us_p99: rng.random_range(0.0..1e5),
             },
         }),
-        Response::Value {
-            value: rng.random_range(-1e9..1e9),
-            generation: rng.random_range(0u64..1 << 40),
-        },
         Response::Pong {
             generation: rng.random_range(0u64..1 << 40),
             uptime_us: rng.random_range(0u64..1 << 50),
@@ -211,20 +190,23 @@ proptest! {
 
     /// A frame truncated at *any* interior byte is rejected (or, for a cut
     /// before the first payload byte, reported as clean end-of-stream) —
-    /// never misparsed into a different message. Exercised for every PR 5
-    /// and PR 6 opcode whose body mixes strings, f64s, raw byte blobs and
+    /// never misparsed into a different message. Exercised for every
+    /// opcode whose body mixes strings, tagged f64s, raw byte blobs and
     /// hypervectors.
     #[test]
     fn truncated_new_op_frames_are_rejected(seed in 0u64..10_000, dim in 1usize..200) {
         let mut rng = StdRng::seed_from_u64(seed);
         let requests = [
-            Request::PredictValue { key: key(&mut rng), hv: hv(dim, &mut rng) },
-            Request::FitValue {
-                value: rng.random_range(-1e6..1e6),
+            Request::Fit {
                 hv: hv(dim, &mut rng),
+                target: Target::Label(rng.random_range(0usize..1000)),
+            },
+            Request::Fit {
+                hv: hv(dim, &mut rng),
+                target: Target::Value(rng.random_range(-1e6..1e6)),
             },
             Request::Ping,
-            Request::PredictValueBatch {
+            Request::PredictBatch {
                 pairs: (0..rng.random_range(1usize..4))
                     .map(|_| (key(&mut rng), hv(dim, &mut rng)))
                     .collect(),
@@ -258,9 +240,10 @@ proptest! {
     fn trailing_garbage_on_new_ops_is_rejected(seed in 0u64..10_000) {
         let mut rng = StdRng::seed_from_u64(seed);
         let responses = [
-            Response::Value {
-                value: rng.random_range(-1e6..1e6),
-                generation: rng.random_range(0u64..1000),
+            Response::Labels {
+                predictions: (0..rng.random_range(1usize..4))
+                    .map(|_| (rng.random_range(0u32..100), rng.random_range(0u64..100)))
+                    .collect(),
             },
             Response::Pong {
                 generation: rng.random_range(0u64..1000),
@@ -305,10 +288,10 @@ proptest! {
 
 #[test]
 fn oversized_and_wrong_version_frames_are_rejected_for_new_ops() {
-    // Oversized length prefix on a predict_value opcode.
+    // Oversized length prefix on a predict opcode.
     let huge = (MAX_FRAME_BYTES as u32 + 1).to_be_bytes();
     let mut framed = huge.to_vec();
-    framed.extend_from_slice(&[PROTOCOL_VERSION, 10]);
+    framed.extend_from_slice(&[PROTOCOL_VERSION, OP_PREDICT_BATCH]);
     assert!(read_request(&mut framed.as_slice()).is_err());
 
     // A v1 frame carrying the (v2-only) ping opcode is refused by the
@@ -328,16 +311,38 @@ fn oversized_and_wrong_version_frames_are_rejected_for_new_ops() {
     assert_eq!(read_request(&mut [].as_slice()).unwrap(), None);
 }
 
+/// Every v3 frame is refused, whatever it carries: a v4 frame re-stamped
+/// with version 3 decodes for no opcode, request or response.
+#[test]
+fn v3_frames_are_refused() {
+    let mut rng = StdRng::seed_from_u64(3);
+    for request in sample_requests(70, &mut rng) {
+        let mut frame = Vec::new();
+        write_request(&mut frame, &request).expect("encodable request");
+        frame[4] = 3;
+        assert!(read_request(&mut frame.as_slice()).is_err(), "{request:?}");
+    }
+    for response in sample_responses(&mut rng) {
+        let mut frame = Vec::new();
+        write_response(&mut frame, &response).expect("encodable response");
+        frame[4] = 3;
+        assert!(
+            read_response(&mut frame.as_slice()).is_err(),
+            "{response:?}"
+        );
+    }
+}
+
 /// The opcode constants are the wire format: their numeric values may
-/// never drift, or a v3 peer built from a different commit stops
+/// never drift, or a v4 peer built from a different commit stops
 /// interoperating. This test pins every `OP_*`/`RESP_*` constant to its
 /// frozen byte (and is what the `wire-opcode-exhaustive` lint points at
-/// when a new opcode lands without coverage).
+/// when a new opcode lands without coverage). The numbers v4 retired are
+/// listed too: no live opcode may reuse them, and decoders refuse them.
 #[test]
 fn opcode_bytes_are_frozen() {
     let request_ops = [
-        (OP_PREDICT, 1u8),
-        (OP_PREDICT_BATCH, 2),
+        (OP_PREDICT_BATCH, 2u8),
         (OP_INSERT, 3),
         (OP_REMOVE, 4),
         (OP_FIT, 5),
@@ -345,18 +350,14 @@ fn opcode_bytes_are_frozen() {
         (OP_ADD_SHARD, 7),
         (OP_REMOVE_SHARD, 8),
         (OP_STATS, 9),
-        (OP_PREDICT_VALUE, 10),
-        (OP_FIT_VALUE, 11),
         (OP_PING, 12),
-        (OP_PREDICT_VALUE_BATCH, 13),
         (OP_SNAPSHOT, 14),
         (OP_RESTORE, 15),
         (OP_SHARD_JOIN, 16),
         (OP_SHARD_LEAVE, 17),
     ];
     let response_ops = [
-        (RESP_LABEL, 1u8),
-        (RESP_LABELS, 2),
+        (RESP_LABELS, 2u8),
         (RESP_INSERTED, 3),
         (RESP_REMOVED, 4),
         (RESP_FIT_ACK, 5),
@@ -364,7 +365,6 @@ fn opcode_bytes_are_frozen() {
         (RESP_SHARD_ADDED, 7),
         (RESP_SHARD_REMOVED, 8),
         (RESP_STATS, 9),
-        (RESP_VALUE, 10),
         (RESP_PONG, 12),
         (RESP_VALUES, 13),
         (RESP_SNAPSHOT, 14),
@@ -373,11 +373,31 @@ fn opcode_bytes_are_frozen() {
         (RESP_SHARD_LEFT, 17),
         (RESP_ERROR, 255),
     ];
+    // Retired in v4: predict, predict_value, fit_value and
+    // predict_value_batch requests; label and value responses.
+    let retired_requests = [1u8, 10, 11, 13];
+    let retired_responses = [1u8, 10];
     for (constant, frozen) in request_ops {
         assert_eq!(constant, frozen, "request opcode value drifted");
+        assert!(
+            !retired_requests.contains(&constant),
+            "retired number reused"
+        );
     }
     for (constant, frozen) in response_ops {
         assert_eq!(constant, frozen, "response opcode value drifted");
+        assert!(
+            !retired_responses.contains(&constant),
+            "retired number reused"
+        );
+    }
+    for opcode in retired_requests {
+        let frame = [0u8, 0, 0, 2, PROTOCOL_VERSION, opcode];
+        assert!(read_request(&mut frame.as_slice()).is_err());
+    }
+    for opcode in retired_responses {
+        let frame = [0u8, 0, 0, 2, PROTOCOL_VERSION, opcode];
+        assert!(read_response(&mut frame.as_slice()).is_err());
     }
 
     // And the constants really are what lands on the wire: byte 5 of a
