@@ -7,16 +7,16 @@
 //!   `wal_*` rows are the durable contract: the call returns only after
 //!   the record is in the write-ahead log under the named
 //!   [`SyncPolicy`] — `never` prices the dispatcher round-trip plus the
-//!   buffered append, `batch` adds one `fsync` per micro-batch (the
-//!   default), `always` one `fsync` per record. The spread between
-//!   `never` and `batch`/`always` is almost entirely the disk flush.
+//!   buffered append, `batch` (the default) adds one group `fdatasync`
+//!   per flush. The spread between `never` and `batch` is almost
+//!   entirely the disk flush.
 //! * **store_multi_writer** — the group-commit matrix: aggregate durable
-//!   fit cost under [`SyncPolicy::Always`] with 1/4/16 concurrent writer
-//!   threads × adaptive WAL compression on/off. Every writer that parks
-//!   while a flush is in flight shares the next `fdatasync`.
-//! * **store_wal_bytes** — WAL bytes appended per durable fit at
-//!   d=10_000, raw vs adaptive record codec (the compression half of the
-//!   durability story: how much log the same fit stream produces).
+//!   fit cost under the default policy with 1/4/16 concurrent writer
+//!   threads. Every writer that parks while a flush is in flight shares
+//!   the next `fdatasync`.
+//! * **store_wal_bytes** — WAL bytes per durable fit at d=10_000: the
+//!   adaptive segments the log writes, against the plain frames of the
+//!   same fit stream (the compression half of the durability story).
 //! * **store_paged_get** — item-memory reads at hot/cold key ratios:
 //!   the in-RAM [`ResidentStore`] baseline vs a [`PagedStore`] holding
 //!   2048 keys on a 256-entry cache budget (8× oversubscribed). `hot`
@@ -32,7 +32,7 @@ use criterion::{criterion_group, criterion_main, BenchmarkId, Criterion};
 use hdc_core::BinaryHypervector;
 use hdc_encode::Radians;
 use hdc_serve::{Basis, Enc, Model, Pipeline, Runtime, RuntimeConfig};
-use hdc_store::{DurabilityConfig, ItemStore, PagedStore, ResidentStore, SyncPolicy, WalCodec};
+use hdc_store::{DurabilityConfig, ItemStore, PagedStore, ResidentStore, SyncPolicy, WalRecord};
 use rand::{rngs::StdRng, Rng, SeedableRng};
 use std::hint::black_box;
 use std::path::PathBuf;
@@ -85,7 +85,6 @@ fn bench_fit_path(c: &mut Criterion) {
     for (name, sync) in [
         ("wal_never", SyncPolicy::Never),
         ("wal_batch", SyncPolicy::EveryBatch),
-        ("wal_always", SyncPolicy::Always),
     ] {
         let dir = scratch(name);
         let config = RuntimeConfig {
@@ -114,109 +113,117 @@ fn bench_fit_path(c: &mut Criterion) {
     group.finish();
 }
 
-/// Multi-writer durable fit throughput under [`SyncPolicy::Always`]:
-/// 1/4/16 concurrent writer threads × adaptive compression on/off. Each
-/// writer blocks on its own acknowledgement; the flusher retires every
-/// ticket parked while the previous `fdatasync` ran with one more. Timed
-/// manually (criterion's `Bencher` drives one closure, not a thread
-/// fleet) and printed in the same `ns/iter` shape — the ns/iter is
-/// aggregate wall-clock over total fits, i.e. the inverse of
-/// cluster-wide durable-fit throughput. The `_group_` in the ids keeps
-/// them comparable with earlier runs, which also had a flusher-off arm.
+/// Multi-writer durable fit throughput under the default policy: 1/4/16
+/// concurrent writer threads. Each writer blocks on its own
+/// acknowledgement; the flusher retires every ticket parked while the
+/// previous `fdatasync` ran with one more. Timed manually (criterion's
+/// `Bencher` drives one closure, not a thread fleet) and printed in the
+/// same `ns/iter` shape — the ns/iter is aggregate wall-clock over total
+/// fits, i.e. the inverse of cluster-wide durable-fit throughput. The
+/// `_group_adaptive` in the ids keeps them comparable with earlier runs,
+/// which also had flusher-off and raw-codec arms; `fit_batch` runs the
+/// schedule that their `fit_always` rows ran.
 fn bench_multi_writer(c: &mut Criterion) {
     let _ = c; // manual timing; keep the criterion_group! signature
     const FITS_PER_WRITER: usize = 64;
     let observations = hours();
     for writers in [1usize, 4, 16] {
-        for (codec_name, codec) in [("raw", WalCodec::Raw), ("adaptive", WalCodec::Adaptive)] {
-            let dir = scratch(&format!("mw-{writers}-{codec_name}"));
-            let config = RuntimeConfig {
-                durability: Some(DurabilityConfig {
-                    sync: SyncPolicy::Always,
-                    snapshot_every: 0,
-                    segment_bytes: 64 << 20,
-                    codec,
-                    ..DurabilityConfig::new(&dir)
-                }),
-                ..RuntimeConfig::default()
-            };
-            let runtime = Runtime::spawn(blank(), config).expect("spawn");
-            let handle = runtime.handle();
-            // Warm the dispatcher, the flusher and the codec dict.
-            for (i, hour) in observations.iter().enumerate().take(8) {
-                handle.fit(hour, i % CLASSES).expect("warmup");
-            }
-            let started = Instant::now();
-            std::thread::scope(|scope| {
-                for writer in 0..writers {
-                    let handle = handle.clone();
-                    let observations = &observations;
-                    scope.spawn(move || {
-                        for i in 0..FITS_PER_WRITER {
-                            handle
-                                .fit(
-                                    black_box(&observations[(writer * 37 + i) % 256]),
-                                    (writer + i) % CLASSES,
-                                )
-                                .expect("durable fit");
-                        }
-                    });
-                }
-            });
-            let elapsed = started.elapsed();
-            runtime.shutdown();
-            let _ = std::fs::remove_dir_all(&dir);
-            let total = writers * FITS_PER_WRITER;
-            let ns = elapsed.as_nanos() as f64 / total as f64;
-            let id = format!("store_multi_writer/fit_always/w{writers:02}_group_{codec_name}");
-            println!("{id:<56} {ns:>12.1} ns/iter ({total} iters)");
-        }
-    }
-}
-
-/// WAL bytes appended per durable fit at d=10_000, raw vs adaptive codec.
-/// The angle encoder revisits a small set of circular level vectors, so
-/// the adaptive codec's dictionary turns most records into a few gap
-/// varints; raw pays the full 1.25 KB hypervector every time. Measured
-/// from the on-disk segment sizes after a fixed stream — printed as
-/// bytes/fit (not ns).
-fn bench_wal_bytes(c: &mut Criterion) {
-    let _ = c; // manual measurement; keep the criterion_group! signature
-    const FITS: usize = 256;
-    let observations = hours();
-    for (codec_name, codec) in [("raw", WalCodec::Raw), ("adaptive", WalCodec::Adaptive)] {
-        let dir = scratch(&format!("bytes-{codec_name}"));
+        let dir = scratch(&format!("mw-{writers}"));
         let config = RuntimeConfig {
             durability: Some(DurabilityConfig {
-                sync: SyncPolicy::EveryBatch,
                 snapshot_every: 0,
                 segment_bytes: 64 << 20,
-                codec,
                 ..DurabilityConfig::new(&dir)
             }),
             ..RuntimeConfig::default()
         };
         let runtime = Runtime::spawn(blank(), config).expect("spawn");
         let handle = runtime.handle();
-        for i in 0..FITS {
-            handle
-                .fit(&observations[i % 256], i % CLASSES)
-                .expect("durable fit");
+        // Warm the dispatcher, the flusher and the codec dict.
+        for (i, hour) in observations.iter().enumerate().take(8) {
+            handle.fit(hour, i % CLASSES).expect("warmup");
         }
+        let started = Instant::now();
+        std::thread::scope(|scope| {
+            for writer in 0..writers {
+                let handle = handle.clone();
+                let observations = &observations;
+                scope.spawn(move || {
+                    for i in 0..FITS_PER_WRITER {
+                        handle
+                            .fit(
+                                black_box(&observations[(writer * 37 + i) % 256]),
+                                (writer + i) % CLASSES,
+                            )
+                            .expect("durable fit");
+                    }
+                });
+            }
+        });
+        let elapsed = started.elapsed();
         runtime.shutdown();
-        let bytes: u64 = std::fs::read_dir(&dir)
-            .expect("data dir")
-            .map(|entry| entry.expect("entry"))
-            .filter(|entry| {
-                entry
-                    .file_name()
-                    .to_str()
-                    .is_some_and(|name| name.starts_with("wal-") && name.ends_with(".log"))
-            })
-            .map(|entry| entry.metadata().expect("metadata").len())
-            .sum();
         let _ = std::fs::remove_dir_all(&dir);
-        let per_fit = bytes as f64 / FITS as f64;
+        let total = writers * FITS_PER_WRITER;
+        let ns = elapsed.as_nanos() as f64 / total as f64;
+        let id = format!("store_multi_writer/fit_batch/w{writers:02}_group_adaptive");
+        println!("{id:<56} {ns:>12.1} ns/iter ({total} iters)");
+    }
+}
+
+/// WAL bytes per durable fit at d=10_000, plain frames vs the adaptive
+/// codec. The angle encoder revisits a small set of circular level
+/// vectors, so the adaptive codec's dictionary turns most records into a
+/// few gap varints; a plain frame pays the full 1.25 KB hypervector every
+/// time. `adaptive` is measured from the on-disk segment sizes after a
+/// fixed stream (one 23-byte header included); `raw` sums the plain
+/// frames (8-byte frame header plus [`WalRecord::encode`] payload) of the
+/// same fits. Printed as bytes/fit (not ns).
+fn bench_wal_bytes(c: &mut Criterion) {
+    let _ = c; // manual measurement; keep the criterion_group! signature
+    const FITS: usize = 256;
+    let observations = hours();
+    let model = blank();
+    let raw: usize = (0..FITS)
+        .map(|i| {
+            let record = WalRecord::Fit {
+                hv: model.encode(&observations[i % 256]),
+                label: (i % CLASSES) as u64,
+            };
+            8 + record.encode().expect("encodable").len()
+        })
+        .sum();
+
+    let dir = scratch("bytes");
+    let config = RuntimeConfig {
+        durability: Some(DurabilityConfig {
+            snapshot_every: 0,
+            segment_bytes: 64 << 20,
+            ..DurabilityConfig::new(&dir)
+        }),
+        ..RuntimeConfig::default()
+    };
+    let runtime = Runtime::spawn(model, config).expect("spawn");
+    let handle = runtime.handle();
+    for i in 0..FITS {
+        handle
+            .fit(&observations[i % 256], i % CLASSES)
+            .expect("durable fit");
+    }
+    runtime.shutdown();
+    let adaptive: u64 = std::fs::read_dir(&dir)
+        .expect("data dir")
+        .map(|entry| entry.expect("entry"))
+        .filter(|entry| {
+            entry
+                .file_name()
+                .to_str()
+                .is_some_and(|name| name.starts_with("wal-") && name.ends_with(".log"))
+        })
+        .map(|entry| entry.metadata().expect("metadata").len())
+        .sum();
+    let _ = std::fs::remove_dir_all(&dir);
+    for (codec_name, bytes) in [("raw", raw as f64), ("adaptive", adaptive as f64)] {
+        let per_fit = bytes / FITS as f64;
         let id = format!("store_wal_bytes/fit_d10k/{codec_name}");
         println!("{id:<56} {per_fit:>12.1} bytes/fit ({FITS} fits)");
     }

@@ -5,8 +5,7 @@
 //! ```text
 //! hdc-cluster shard  --listen ADDR --snapshot PATH [--name NAME]
 //!                    [--data-dir DIR] [--segment-bytes N] [--snapshot-every N]
-//!                    [--fsync always|batch|never] [--page-cache N]
-//!                    [--wal-codec raw|adaptive]
+//!                    [--fsync batch|never] [--page-cache N]
 //! hdc-cluster router --listen ADDR --shard ADDR [--shard ADDR ...] [--seed N]
 //! ```
 //!
@@ -33,18 +32,17 @@
 //! still stream the full item set: a live snapshot reads the paged store
 //! around its cache.
 //!
-//! `--fsync` picks the flush policy. Under `batch` (the default) and
-//! `always` alike, every fit, insert and remove is acknowledged after one
-//! group `fdatasync` covers its log record: the flusher thread retires
-//! every commit parked when it wakes with one flush, and never waits on a
-//! timer. `always` adds one thing: with `--page-cache`, the paged item
-//! files are fsynced before an insert or a remove is acknowledged. `never`
-//! acknowledges without syncing (the page cache decides).
+//! `--fsync` picks the flush policy. Under `batch` (the default), every
+//! fit, insert and remove is acknowledged after one group `fdatasync`
+//! covers its log record: the flusher thread retires every commit parked
+//! when it wakes with one flush, and never waits on a timer. With
+//! `--page-cache`, the paged item files are also fsynced before an insert
+//! or a remove is acknowledged. `never` acknowledges without syncing (the
+//! page cache decides).
 //!
-//! `--wal-codec raw|adaptive` picks the log record codec (`adaptive` by
-//! default: per record, the smallest of sparse/delta/run-length against a
-//! rolling dictionary, falling back to raw — never more than one byte
-//! larger than raw).
+//! Log records are compressed per record: the smallest of
+//! sparse/delta/run-length against a rolling dictionary, falling back to
+//! raw — never more than one byte larger than raw.
 //!
 //! Typical bring-up, one trained snapshot shared by every shard:
 //!
@@ -62,16 +60,16 @@ use hdc_encode::Radians;
 use hdc_serve::{
     ClientConfig, ClusterRouter, ClusterServer, DurabilityConfig, EncSpec, HdcError, Pipeline,
     RemoteShard, RingConfig, Runtime, RuntimeConfig, Server, ShardBackend, Snapshot, SpecInput,
-    SyncPolicy, WalCodec,
+    SyncPolicy,
 };
 
 const USAGE: &str = "usage:\n  \
      hdc-cluster shard  --listen ADDR --snapshot PATH [--name NAME]\n    \
      [--data-dir DIR] [--segment-bytes N] [--snapshot-every N]\n    \
-     [--fsync always|batch|never] [--page-cache N] [--wal-codec raw|adaptive]\n  \
+     [--fsync batch|never] [--page-cache N]\n  \
      hdc-cluster router --listen ADDR --shard ADDR [--shard ADDR ...] [--seed N]\n\
-     --fsync: batch (default) and always ack after one group fdatasync;\n  \
-     always also fsyncs the paged item files; never acks without syncing";
+     --fsync: batch (default) acks after one group fdatasync, and fsyncs\n  \
+     the paged item files first; never acks without syncing";
 
 /// The flags a shard accepts, each followed by one value.
 const SHARD_FLAGS: &[&str] = &[
@@ -83,7 +81,6 @@ const SHARD_FLAGS: &[&str] = &[
     "--snapshot-every",
     "--fsync",
     "--page-cache",
-    "--wal-codec",
 ];
 
 /// The flags a router accepts, each followed by one value.
@@ -216,7 +213,6 @@ fn durability_flags(flags: &Flags<'_>) -> Result<Option<DurabilityConfig>, Parse
             "--snapshot-every",
             "--fsync",
             "--page-cache",
-            "--wal-codec",
         ] {
             if !flags.all(flag).is_empty() {
                 return Err(ParseError::Runtime(format!("{flag} requires --data-dir")));
@@ -236,20 +232,10 @@ fn durability_flags(flags: &Flags<'_>) -> Result<Option<DurabilityConfig>, Parse
     }
     config.sync = match flags.optional("--fsync")? {
         None | Some("batch") => SyncPolicy::EveryBatch,
-        Some("always") => SyncPolicy::Always,
         Some("never") => SyncPolicy::Never,
         Some(value) => {
-            return Err(ParseError::Runtime(format!(
-                "invalid --fsync {value:?}; expected always, batch or never"
-            )))
-        }
-    };
-    config.codec = match flags.optional("--wal-codec")? {
-        None | Some("adaptive") => WalCodec::Adaptive,
-        Some("raw") => WalCodec::Raw,
-        Some(value) => {
-            return Err(ParseError::Runtime(format!(
-                "invalid --wal-codec {value:?}; expected raw or adaptive"
+            return Err(ParseError::Usage(format!(
+                "invalid --fsync {value:?}; expected batch or never"
             )))
         }
     };
@@ -375,14 +361,19 @@ mod tests {
         refused(router_args(&foreign), "--fsync");
         let dangling = argv("--listen 127.0.0.1:0 --snapshot m.hdcs --name");
         refused(shard_args(&dangling), "--name");
+        // Settings that no longer exist are refused, not ignored.
+        let removed = argv("--listen 127.0.0.1:0 --snapshot m.hdcs --data-dir d --fsync always");
+        refused(shard_args(&removed), "--fsync \"always\"");
+        let removed =
+            argv("--listen 127.0.0.1:0 --snapshot m.hdcs --data-dir d --wal-codec adaptive");
+        refused(shard_args(&removed), "--wal-codec");
     }
 
     #[test]
     fn every_documented_flag_parses() {
         let line = argv(
             "--listen 127.0.0.1:7101 --snapshot m.hdcs --name s0 --data-dir d \
-             --segment-bytes 4096 --snapshot-every 64 --fsync always --page-cache 8 \
-             --wal-codec raw",
+             --segment-bytes 4096 --snapshot-every 64 --fsync never --page-cache 8",
         );
         let args = shard_args(&line).expect("every shard flag parses");
         assert_eq!(
@@ -392,24 +383,18 @@ mod tests {
         let durability = args.durability.expect("--data-dir turns durability on");
         assert_eq!(durability.segment_bytes, 4096);
         assert_eq!(durability.snapshot_every, 64);
-        assert_eq!(durability.sync, SyncPolicy::Always);
+        assert_eq!(durability.sync, SyncPolicy::Never);
         assert_eq!(durability.page_cache, Some(8));
-        assert_eq!(durability.codec, WalCodec::Raw);
-        for (value, policy) in [
-            ("batch", SyncPolicy::EveryBatch),
-            ("never", SyncPolicy::Never),
+        for (line, policy) in [
+            ("--data-dir d --fsync batch", SyncPolicy::EveryBatch),
+            ("--data-dir d", SyncPolicy::EveryBatch),
         ] {
-            let line = argv(&format!(
-                "--listen a --snapshot m --data-dir d --fsync {value} --wal-codec adaptive"
-            ));
+            let line = argv(&format!("--listen a --snapshot m {line}"));
             let durability = shard_args(&line)
                 .expect("parses")
                 .durability
                 .expect("durable");
-            assert_eq!(
-                (durability.sync, durability.codec),
-                (policy, WalCodec::Adaptive)
-            );
+            assert_eq!(durability.sync, policy);
         }
         let line = argv("--listen 127.0.0.1:7100 --shard a:1 --shard b:2 --seed 7");
         let args = router_args(&line).expect("every router flag parses");
@@ -418,7 +403,7 @@ mod tests {
             ("127.0.0.1:7100", vec!["a:1", "b:2"], 7)
         );
         // Tuning flags still need --data-dir.
-        let line = argv("--listen a --snapshot m --fsync always");
+        let line = argv("--listen a --snapshot m --fsync never");
         assert!(matches!(shard_args(&line), Err(ParseError::Runtime(_))));
     }
 }

@@ -940,7 +940,10 @@ impl ClusterRouter {
                 latency_us_p99: 0.0,
             },
         };
+        // Rows over all shards, for the batch-weighted mean batch size.
+        let mut rows = 0.0;
         for (id, stats) in per_shard {
+            rows += stats.metrics.mean_batch_size * stats.metrics.batches as f64;
             aggregate.generation = aggregate.generation.max(stats.generation);
             aggregate.uptime_us = aggregate.uptime_us.min(stats.uptime_us);
             aggregate.shard_loads.push((id as u64, stats.keys));
@@ -956,8 +959,7 @@ impl ClusterRouter {
             aggregate.uptime_us = 0;
         }
         if aggregate.metrics.batches > 0 {
-            aggregate.metrics.mean_batch_size =
-                aggregate.metrics.requests as f64 / aggregate.metrics.batches as f64;
+            aggregate.metrics.mean_batch_size = rows / aggregate.metrics.batches as f64;
         }
         Ok(aggregate)
     }

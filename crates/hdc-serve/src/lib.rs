@@ -78,7 +78,7 @@ pub use cluster::{ClusterRouter, ClusterServer, LocalShard, RemoteShard, ShardBa
 pub use hdc_core::HdcError;
 pub use hdc_encode::{FieldSpec, Radians};
 pub use hdc_store::{
-    DurabilityConfig, GroupCommitConfig, ItemStore, PagedStore, ResidentStore, SyncPolicy, WalCodec,
+    DurabilityConfig, GroupCommitConfig, ItemStore, PagedStore, ResidentStore, SyncPolicy,
 };
 pub use metrics::{MetricsSnapshot, ServeMetrics};
 pub use pipeline::{

@@ -30,6 +30,7 @@ pub struct ServeMetrics {
     started: Instant,
     queue_depth: AtomicU64,
     requests: AtomicU64,
+    rows: AtomicU64,
     batches: AtomicU64,
     inserts: AtomicU64,
     removes: AtomicU64,
@@ -45,7 +46,7 @@ struct Histograms {
 
 impl ServeMetrics {
     /// Creates metrics for a runtime whose micro-batches hold at most
-    /// `max_batch` requests (sizes the batch-size histogram: one bin per
+    /// `max_batch` rows (sizes the batch-size histogram: one bin per
     /// possible size, capped at 256 bins).
     #[must_use]
     pub fn new(max_batch: usize) -> Self {
@@ -55,6 +56,7 @@ impl ServeMetrics {
             started: Instant::now(),
             queue_depth: AtomicU64::new(0),
             requests: AtomicU64::new(0),
+            rows: AtomicU64::new(0),
             batches: AtomicU64::new(0),
             inserts: AtomicU64::new(0),
             removes: AtomicU64::new(0),
@@ -92,16 +94,20 @@ impl ServeMetrics {
         self.queue_depth.fetch_sub(n as u64, Ordering::Relaxed);
     }
 
-    /// Records one served micro-batch of `size` predictions and the
-    /// per-request queue+serve latencies.
-    pub fn record_batch(&self, size: usize, latencies: impl IntoIterator<Item = Duration>) {
-        self.requests.fetch_add(size as u64, Ordering::Relaxed);
+    /// Records one served micro-batch of `rows` rows, counted as the
+    /// batching cap counts them (a predicted row or a fit is one row), and
+    /// the queue+serve latency of each predicted row.
+    pub fn record_batch(&self, rows: usize, latencies: impl IntoIterator<Item = Duration>) {
+        self.rows.fetch_add(rows as u64, Ordering::Relaxed);
         self.batches.fetch_add(1, Ordering::Relaxed);
         let mut histograms = self.histograms.lock().expect("metrics lock never poisons");
-        histograms.batch_sizes.add(size as f64);
+        histograms.batch_sizes.add(rows as f64);
+        let mut predicted = 0;
         for latency in latencies {
             histograms.latency_us.add(latency.as_secs_f64() * 1e6);
+            predicted += 1;
         }
+        self.requests.fetch_add(predicted, Ordering::Relaxed);
     }
 
     /// Records one item-memory insert.
@@ -123,11 +129,11 @@ impl ServeMetrics {
     #[must_use]
     pub fn snapshot(&self) -> MetricsSnapshot {
         let histograms = self.histograms.lock().expect("metrics lock never poisons");
-        let requests = self.requests.load(Ordering::Relaxed);
+        let rows = self.rows.load(Ordering::Relaxed);
         let batches = self.batches.load(Ordering::Relaxed);
         MetricsSnapshot {
             queue_depth: self.queue_depth.load(Ordering::Relaxed),
-            requests,
+            requests: self.requests.load(Ordering::Relaxed),
             batches,
             inserts: self.inserts.load(Ordering::Relaxed),
             removes: self.removes.load(Ordering::Relaxed),
@@ -135,7 +141,7 @@ impl ServeMetrics {
             mean_batch_size: if batches == 0 {
                 0.0
             } else {
-                requests as f64 / batches as f64
+                rows as f64 / batches as f64
             },
             batch_sizes: histograms.batch_sizes.counts().to_vec(),
             latency_us_p50: histograms.latency_us.percentile(50.0).unwrap_or(0.0),
@@ -151,9 +157,9 @@ impl ServeMetrics {
 pub struct MetricsSnapshot {
     /// Work items currently queued (enqueued, not yet picked up).
     pub queue_depth: u64,
-    /// Predictions served since start.
+    /// Predicted rows served since start.
     pub requests: u64,
-    /// Micro-batches served since start.
+    /// Micro-batches served since start, fit-only ones included.
     pub batches: u64,
     /// Item-memory inserts applied since start.
     pub inserts: u64,
@@ -161,9 +167,10 @@ pub struct MetricsSnapshot {
     pub removes: u64,
     /// Training observations folded into the online trainer since start.
     pub fits: u64,
-    /// Mean predictions per micro-batch (`requests / batches`).
+    /// Mean rows per micro-batch, counted as the batching cap counts them:
+    /// a predicted row or a fit is one row.
     pub mean_batch_size: f64,
-    /// Batch-size histogram counts (bin `i` covers sizes around
+    /// Rows-per-batch histogram counts (bin `i` covers sizes around
     /// `(i + 1) · max_batch / bins`).
     pub batch_sizes: Vec<u64>,
     /// Median request latency (enqueue → reply) in microseconds.
@@ -192,18 +199,20 @@ mod tests {
             ],
         );
         metrics.record_batch(1, [Duration::from_micros(150)]);
+        // A fit-only batch: two rows, no prediction.
+        metrics.record_batch(2, std::iter::empty());
         metrics.record_insert();
         metrics.record_remove();
         metrics.record_fit();
         let snapshot = metrics.snapshot();
         assert_eq!(snapshot.queue_depth, 2);
         assert_eq!(snapshot.requests, 4);
-        assert_eq!(snapshot.batches, 2);
+        assert_eq!(snapshot.batches, 3);
         assert_eq!(snapshot.inserts, 1);
         assert_eq!(snapshot.removes, 1);
         assert_eq!(snapshot.fits, 1);
         assert!((snapshot.mean_batch_size - 2.0).abs() < 1e-12);
-        assert_eq!(snapshot.batch_sizes.iter().sum::<u64>(), 2);
+        assert_eq!(snapshot.batch_sizes.iter().sum::<u64>(), 3);
         assert!(snapshot.latency_us_p50 > 0.0);
         // The 90-second outlier clamps into the top bucket.
         assert!(snapshot.latency_us_p99 <= LATENCY_MAX_US);

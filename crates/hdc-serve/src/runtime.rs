@@ -132,14 +132,14 @@ pub struct RuntimeConfig {
     /// runtime recovers **bit-identically** to its last acknowledged state
     /// from the installed snapshot plus WAL replay — this composes with
     /// [`load_snapshot`](Self::load_snapshot), which seeds the model before
-    /// the store's own recovery is applied on top. When durable, every
-    /// fit, insert and remove is acknowledged only after one group
-    /// `fdatasync` covers its log record. [`SyncPolicy::Always`] and
-    /// [`SyncPolicy::EveryBatch`] both run that schedule (`Always` also
-    /// fsyncs the paged item files before acking an insert or a remove);
-    /// [`SyncPolicy::Never`] acks without syncing. A storage failure on the
-    /// logging path is fail-stop: the dispatcher panics rather than
-    /// acknowledge a write it cannot recover.
+    /// the store's own recovery is applied on top. Under the default
+    /// [`SyncPolicy::EveryBatch`], every fit, insert and remove is
+    /// acknowledged only after one group `fdatasync` covers its log
+    /// record, and on the paged item plane an insert or a remove also
+    /// waits for the item files' fsync. [`SyncPolicy::Never`] acks without
+    /// syncing. A storage failure on the logging path is fail-stop: the
+    /// dispatcher panics rather than acknowledge a write it cannot
+    /// recover.
     pub durability: Option<DurabilityConfig>,
 }
 
@@ -1466,9 +1466,9 @@ struct Durability {
     /// Records appended since the last triggered snapshot.
     appended: u64,
     snap_tx: Sender<SnapJob>,
-    /// The configured flush policy — the dispatcher consults it to decide
-    /// whether the paged item plane needs its own fsync at each commit
-    /// boundary.
+    /// The configured flush policy: under every policy but
+    /// [`SyncPolicy::Never`], an item commit also fsyncs the paged item
+    /// files.
     sync: SyncPolicy,
     /// Sequence of the last appended record: the ticket the next
     /// [`commit`](Durability::commit) parks on.
@@ -1495,6 +1495,19 @@ impl Durability {
         self.wal
             .commit(self.last_seq, acks)
             .expect("write-ahead log flush failed; refusing to acknowledge non-durable writes");
+    }
+
+    /// Parks an insert's or a remove's reply like [`commit`](Self::commit).
+    /// The paged item files share the WAL's commit boundary: they are
+    /// fsynced before the reply parks, so an acked binding is durable in
+    /// both planes, not just replayable.
+    fn commit_item(&mut self, plane: Option<&mut PagedStore>, ack: GroupAck) {
+        if let Some(store) = plane.filter(|_| self.sync != SyncPolicy::Never) {
+            store
+                .sync_files()
+                .expect("paged item store fsync failed; refusing to acknowledge");
+        }
+        self.commit(vec![ack]);
     }
 
     fn snapshot_due(&self) -> bool {
@@ -1764,9 +1777,7 @@ where
                 &fleet,
                 adopted.id(),
             );
-            if !latencies.is_empty() {
-                metrics.record_batch(latencies.len(), latencies.drain(..));
-            }
+            metrics.record_batch(rows, latencies.drain(..));
 
             if !fits.is_empty() {
                 scratch.resize_zeroed(fits.len());
@@ -1819,31 +1830,19 @@ where
                     });
                 }
                 let replaced = match plane.as_mut() {
-                    Some(store) => {
-                        let replaced = store
-                            .insert(&key, &hv)
-                            .expect("paged item store write failed; refusing to acknowledge");
-                        // The paged files share the WAL's commit boundary:
-                        // under `Always` they are fsynced before the reply
-                        // parks, so the acked binding is durable in both
-                        // planes (not just replayable).
-                        if durability
-                            .as_ref()
-                            .is_some_and(|dur| matches!(dur.sync, SyncPolicy::Always))
-                        {
-                            store
-                                .sync_files()
-                                .expect("paged item store fsync failed; refusing to acknowledge");
-                        }
-                        replaced
-                    }
+                    Some(store) => store
+                        .insert(&key, &hv)
+                        .expect("paged item store write failed; refusing to acknowledge"),
                     None => fleet.insert(key, hv).is_some(),
                 };
                 metrics.record_insert();
                 match durability.as_mut() {
-                    Some(dur) => dur.commit(vec![Box::new(move || {
-                        let _ = reply.send(replaced);
-                    })]),
+                    Some(dur) => dur.commit_item(
+                        plane.as_mut(),
+                        Box::new(move || {
+                            let _ = reply.send(replaced);
+                        }),
+                    ),
                     None => {
                         let _ = reply.send(replaced);
                     }
@@ -1854,27 +1853,19 @@ where
                     dur.append(&WalRecord::Remove { key: key.clone() });
                 }
                 let removed = match plane.as_mut() {
-                    Some(store) => {
-                        let removed = store
-                            .remove(&key)
-                            .expect("paged item store write failed; refusing to acknowledge");
-                        if durability
-                            .as_ref()
-                            .is_some_and(|dur| matches!(dur.sync, SyncPolicy::Always))
-                        {
-                            store
-                                .sync_files()
-                                .expect("paged item store fsync failed; refusing to acknowledge");
-                        }
-                        removed
-                    }
+                    Some(store) => store
+                        .remove(&key)
+                        .expect("paged item store write failed; refusing to acknowledge"),
                     None => fleet.remove(&key).is_some(),
                 };
                 metrics.record_remove();
                 match durability.as_mut() {
-                    Some(dur) => dur.commit(vec![Box::new(move || {
-                        let _ = reply.send(removed);
-                    })]),
+                    Some(dur) => dur.commit_item(
+                        plane.as_mut(),
+                        Box::new(move || {
+                            let _ = reply.send(removed);
+                        }),
+                    ),
                     None => {
                         let _ = reply.send(removed);
                     }
@@ -2144,23 +2135,30 @@ mod tests {
         // before the 70-row request. 70 rows are a batch of their own. 5
         // rows + 2 fits leave no room for the 2-row request (it would fit
         // if fits did not count), so it waits for the next batch instead of
-        // being split: 7, 3, 70, 5 and 2 predicted rows.
+        // being split. A second `Stats` closes that batch, and 4 fits make a
+        // batch without a prediction: 8, 3, 70, 7, 2 and 4 rows.
         enum Item {
             Request(usize),
             Fit(Target),
-            Stats,
+            /// Answered with these predicted rows and batches served.
+            Stats(u64, u64),
         }
         let queue = [
             Item::Request(3),
             Item::Fit(Target::Label(0)),
             Item::Request(4),
             Item::Request(3),
-            Item::Stats,
+            Item::Stats(10, 2),
             Item::Request(70),
             Item::Request(5),
             Item::Fit(Target::Label(1)),
             Item::Fit(Target::Label(0)),
             Item::Request(2),
+            Item::Stats(87, 5),
+            Item::Fit(Target::Label(2)),
+            Item::Fit(Target::Label(0)),
+            Item::Fit(Target::Label(1)),
+            Item::Fit(Target::Label(2)),
         ];
         let model = trained_model(256, 3);
         let head = Head::Classes(model.classifier().clone());
@@ -2200,10 +2198,10 @@ mod tests {
                         .unwrap();
                     fits.push((hv, target));
                 }
-                Item::Stats => {
+                Item::Stats(requests, batches) => {
                     let (stats_tx, stats_rx) = mpsc::channel();
                     work_tx.send(Work::Stats { reply: stats_tx }).unwrap();
-                    replies.push(Err(stats_rx));
+                    replies.push(Err((stats_rx, requests, batches)));
                 }
             }
         }
@@ -2221,11 +2219,11 @@ mod tests {
                     let labels: Vec<usize> = served.iter().map(|p| p.label).collect();
                     assert_eq!(labels, expected, "rows answered in order");
                 }
-                Err(stats_rx) => {
+                Err((stats_rx, requests, batches)) => {
                     let stats = stats_rx.try_recv().expect("stats is answered");
                     assert_eq!(
                         (stats.metrics.requests, stats.metrics.batches),
-                        (10, 2),
+                        (requests, batches),
                         "stats is served after the rows queued before it, and only those"
                     );
                 }
@@ -2240,14 +2238,15 @@ mod tests {
             })
             .collect();
         assert_eq!(observed, fits);
-        // One histogram bin per predicted-row count: the five batches, each
-        // once.
+        // One histogram bin per row count, fits included: the six batches,
+        // each once. `requests` counts predicted rows only.
         let snapshot = metrics.snapshot();
-        assert_eq!((snapshot.requests, snapshot.batches), (87, 5));
+        assert_eq!((snapshot.requests, snapshot.batches), (87, 6));
+        assert!((snapshot.mean_batch_size - 94.0 / 6.0).abs() < 1e-12);
         let batch_sizes: Vec<usize> = (0..snapshot.batch_sizes.len())
             .filter(|&size| snapshot.batch_sizes[size] > 0)
             .collect();
-        assert_eq!(batch_sizes, [2, 3, 5, 7, 70]);
+        assert_eq!(batch_sizes, [2, 3, 4, 7, 8, 70]);
         assert!(snapshot.batch_sizes.iter().all(|&count| count <= 1));
     }
 

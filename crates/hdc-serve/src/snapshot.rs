@@ -419,22 +419,17 @@ impl Snapshot {
         Ok(Self { spec, state, items })
     }
 
-    /// Writes the snapshot to a file (atomically: a temporary sibling is
-    /// written first, then renamed over `path`, so a crash mid-write never
-    /// leaves a truncated snapshot behind).
+    /// Writes the snapshot to a file atomically (see
+    /// [`hdc_store::atomic_write`]): a crash or a power cut mid-write never
+    /// leaves a truncated or empty snapshot behind.
     ///
     /// # Errors
     ///
     /// Returns [`HdcError::Snapshot`] on I/O failure.
     pub fn write(&self, path: impl AsRef<Path>) -> Result<(), HdcError> {
         let path = path.as_ref();
-        let mut tmp = path.as_os_str().to_owned();
-        tmp.push(".tmp");
-        let tmp = std::path::PathBuf::from(tmp);
-        std::fs::write(&tmp, self.to_bytes())
-            .map_err(|e| snap_err(&format!("writing {}", tmp.display()), e))?;
-        std::fs::rename(&tmp, path)
-            .map_err(|e| snap_err(&format!("renaming into {}", path.display()), e))
+        hdc_store::atomic_write(path, &self.to_bytes())
+            .map_err(|e| snap_err(&format!("writing {}", path.display()), e))
     }
 
     /// Reads a snapshot file.

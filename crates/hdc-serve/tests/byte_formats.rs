@@ -7,7 +7,7 @@
 //! snapshot, so they may change only together with a format version bump.
 
 use hdc_core::BinaryHypervector;
-use hdc_serve::{Basis, Enc, FieldSpec, Pipeline, PipelineSpec, Radians, SyncPolicy, WalCodec};
+use hdc_serve::{Basis, Enc, FieldSpec, Pipeline, PipelineSpec, Radians, SyncPolicy};
 use hdc_store::{Wal, WalConfig, WalRecord};
 
 fn hex(bytes: &[u8]) -> String {
@@ -125,7 +125,6 @@ fn adaptive_wal_segment_bytes_are_pinned() {
     let _ = std::fs::remove_dir_all(&dir);
     let config = WalConfig {
         sync: SyncPolicy::Never,
-        codec: WalCodec::Adaptive,
         ..WalConfig::default()
     };
     let (mut wal, replayed) =

@@ -1,7 +1,7 @@
-//! The per-record WAL compression codec behind [`WalCodec::Adaptive`]:
-//! every frame payload in a tagged segment opens with one record-codec
-//! byte choosing how the record's hypervector is encoded, and the choice
-//! is made per record by *measuring* every candidate and keeping the
+//! The per-record WAL compression codec, the one the log writes: every
+//! frame payload in an adaptive segment opens with one record-codec byte
+//! choosing how the record's hypervector is encoded, and the choice is
+//! made per record by *measuring* every candidate and keeping the
 //! smallest.
 //!
 //! # Why this pays

@@ -124,8 +124,7 @@ impl GroupCommitWal {
     }
 
     /// Appends one record, returning its sequence number — the ticket a
-    /// later [`commit`](Self::commit) parks on. The append is deferred
-    /// (no inline `fsync`, whatever the policy): the flusher's group
+    /// later [`commit`](Self::commit) parks on. The flusher's group
     /// `fdatasync` makes it durable.
     ///
     /// # Errors
@@ -134,7 +133,7 @@ impl GroupCommitWal {
     /// flush (fail-stop).
     pub fn append(&self, record: &WalRecord) -> Result<u64, HdcError> {
         self.check_failed()?;
-        lock(&self.shared.wal, "WAL")?.append_deferred(record)
+        lock(&self.shared.wal, "WAL")?.append(record)
     }
 
     /// Parks `acks` until every record up to and including `upto` is
@@ -289,7 +288,7 @@ fn flusher_loop(shared: &Shared) {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::{WalCodec, WalConfig};
+    use crate::WalConfig;
     use hdc_core::BinaryHypervector;
     use rand::{rngs::StdRng, SeedableRng};
     use std::path::PathBuf;
@@ -302,13 +301,15 @@ mod tests {
         dir
     }
 
-    fn open(dir: &PathBuf, sync: SyncPolicy) -> Wal {
-        let config = WalConfig {
+    fn config(sync: SyncPolicy) -> WalConfig {
+        WalConfig {
             segment_bytes: u64::MAX,
             sync,
-            codec: WalCodec::Adaptive,
-        };
-        Wal::open(dir, 9, config, 0).unwrap().0
+        }
+    }
+
+    fn open(dir: &PathBuf, sync: SyncPolicy) -> Wal {
+        Wal::open(dir, 9, config(sync), 0).unwrap().0
     }
 
     fn records(n: usize) -> Vec<WalRecord> {
@@ -331,9 +332,10 @@ mod tests {
         )
     }
 
-    /// An awaited commit costs exactly one flush: the flusher wakes for the
-    /// lone ticket and retires it with one `fdatasync`, whatever was
-    /// appended before it.
+    /// An awaited commit costs exactly one flush: appends are deferred to
+    /// the flusher, which wakes for the lone ticket and retires it with one
+    /// `fdatasync`, whatever was appended before it. An ack fires only once
+    /// its record is synced.
     #[test]
     fn each_awaited_commit_costs_one_flush() {
         let dir = tmp_dir("one-flush");
@@ -343,31 +345,12 @@ mod tests {
             let mut upto = 0;
             for record in &batch {
                 upto = group.append(record).unwrap();
+                assert_eq!(
+                    group.sync_count().unwrap(),
+                    flushes - 1,
+                    "append is deferred"
+                );
             }
-            let (ack, rx) = ack_pair();
-            group.commit(upto, vec![ack]).unwrap();
-            rx.recv_timeout(Duration::from_secs(5))
-                .expect("the flusher retires a lone ticket");
-            assert_eq!(group.sync_count().unwrap(), flushes);
-        }
-        std::fs::remove_dir_all(&dir).unwrap();
-    }
-
-    /// Under `Always` appends are deferred to the flusher, and an ack
-    /// fires only once its record is synced: one flush per awaited commit,
-    /// never one per append on top.
-    #[test]
-    fn always_acks_only_synced_records() {
-        let dir = tmp_dir("always");
-        let group = GroupCommitWal::new(open(&dir, SyncPolicy::Always), GroupCommitConfig);
-        let all = records(5);
-        for (flushes, record) in (1..).zip(&all) {
-            let upto = group.append(record).unwrap();
-            assert_eq!(
-                group.sync_count().unwrap(),
-                flushes - 1,
-                "append is deferred"
-            );
             let (ack, rx) = ack_pair();
             group.commit(upto, vec![ack]).unwrap();
             rx.recv_timeout(Duration::from_secs(5))
@@ -388,7 +371,7 @@ mod tests {
     #[test]
     fn grouped_commits_coalesce_into_fewer_fsyncs() {
         let dir = tmp_dir("coalesce");
-        let group = GroupCommitWal::new(open(&dir, SyncPolicy::Always), GroupCommitConfig);
+        let group = GroupCommitWal::new(open(&dir, SyncPolicy::EveryBatch), GroupCommitConfig);
         let all = records(16);
         let tickets: Vec<u64> = all.iter().map(|r| group.append(r).unwrap()).collect();
         let wal = group.shared.wal.lock().unwrap();
@@ -410,17 +393,7 @@ mod tests {
         );
         drop(group);
         // Everything acked is on disk and replays bit-identically.
-        let (_, replayed) = Wal::open(
-            &dir,
-            9,
-            WalConfig {
-                segment_bytes: u64::MAX,
-                sync: SyncPolicy::Always,
-                codec: WalCodec::Adaptive,
-            },
-            0,
-        )
-        .unwrap();
+        let (_, replayed) = Wal::open(&dir, 9, config(SyncPolicy::EveryBatch), 0).unwrap();
         assert_eq!(
             replayed.into_iter().map(|(_, r)| r).collect::<Vec<_>>(),
             all

@@ -46,50 +46,30 @@ mod wal;
 pub use group_commit::{GroupAck, GroupCommitConfig, GroupCommitWal};
 pub use paged::{ItemStore, PagedStore, ResidentStore};
 pub use record::{crc32, WalRecord};
-pub use store::{Recovery, SnapshotInstaller, Store, MANIFEST_MAGIC, SNAPSHOT_BLOB_MAGIC};
+pub use store::{
+    atomic_write, Recovery, SnapshotInstaller, Store, MANIFEST_MAGIC, SNAPSHOT_BLOB_MAGIC,
+};
 pub use wal::{Wal, DEFAULT_SEGMENT_BYTES, SEGMENT_MAGIC, SEGMENT_VERSION};
 
 use std::path::PathBuf;
 
 /// When appended log records reach the platters.
 ///
-/// A serving runtime appends through the [`GroupCommitWal`], so under
-/// `Always` and `EveryBatch` alike it acknowledges each fit, insert and
-/// remove after one group `fdatasync` covers its record. Only the raw
-/// [`Wal::append`] syncs per record.
+/// A serving runtime appends through the [`GroupCommitWal`], and the
+/// policy decides whether its acknowledgements wait for a flush.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
 pub enum SyncPolicy {
-    /// The raw [`Wal::append`] `fsync`s after every record. A runtime acks
-    /// after the group `fdatasync`, as under
-    /// [`EveryBatch`](Self::EveryBatch), and also fsyncs its paged item
-    /// files before it acks an insert or a remove.
-    Always,
-    /// One `fsync` per flush group: the raw [`Wal`] syncs when its caller
-    /// invokes [`Wal::sync`], and a runtime's flusher retires every parked
-    /// commit with one `fdatasync`. The default.
+    /// One `fdatasync` per flush group. A runtime acknowledges each fit,
+    /// insert and remove after one group `fdatasync` covers its record;
+    /// with the paged item plane it also fsyncs the item files before it
+    /// acknowledges an insert or a remove. The raw [`Wal`] syncs when its
+    /// caller invokes [`Wal::sync`]. The default.
     #[default]
     EveryBatch,
     /// Never `fsync`; the OS page cache decides. Appends still reach the
     /// kernel immediately (a SIGKILL loses nothing, a power cut may), so
     /// this is the honest baseline for measuring WAL overhead.
     Never,
-}
-
-/// How record frame payloads are encoded on disk, negotiated per segment
-/// in the segment header (so mixed-codec logs replay unambiguously).
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
-pub enum WalCodec {
-    /// Plain [`WalRecord`] payloads, exactly the pre-compression layout.
-    Raw,
-    /// Per-record adaptive compression: every payload carries a one-byte
-    /// record codec choosing raw, sparse set/clear-bit, delta-against-a
-    /// -recent-record, or word-wise RLE encoding of the hypervector —
-    /// whichever measured smallest for that record. Level/circular
-    /// pipelines produce low-density flip structure, so deltas between
-    /// nearby records routinely collapse a `dim/8`-byte hypervector to a
-    /// handful of varint gaps. The default.
-    #[default]
-    Adaptive,
 }
 
 /// Tuning of the write-ahead log itself — the slice of
@@ -101,8 +81,6 @@ pub struct WalConfig {
     pub segment_bytes: u64,
     /// When appended records are `fsync`ed.
     pub sync: SyncPolicy,
-    /// How record payloads are encoded in newly created segments.
-    pub codec: WalCodec,
 }
 
 impl Default for WalConfig {
@@ -110,7 +88,6 @@ impl Default for WalConfig {
         Self {
             segment_bytes: DEFAULT_SEGMENT_BYTES,
             sync: SyncPolicy::default(),
-            codec: WalCodec::default(),
         }
     }
 }
@@ -118,7 +95,8 @@ impl Default for WalConfig {
 /// Configuration of the durability subsystem a serving runtime opens at
 /// spawn. Everything lives under one directory: WAL segments, installed
 /// snapshots, the `MANIFEST`, and (when [`page_cache`](Self::page_cache)
-/// is set) the paged item-memory files under `items/`.
+/// is set) the paged item-memory files under `items/`. Log records are
+/// always written with the adaptive per-record codec (see [`Wal`]).
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub struct DurabilityConfig {
     /// Root directory of the store (created if missing).
@@ -134,14 +112,12 @@ pub struct DurabilityConfig {
     /// file-backed [`PagedStore`] with at most `budget` hypervectors
     /// resident in its LRU cache; `None` keeps items in RAM.
     pub page_cache: Option<usize>,
-    /// How WAL record payloads are encoded in newly created segments.
-    pub codec: WalCodec,
 }
 
 impl DurabilityConfig {
     /// A store rooted at `dir` with default tuning: 4 MiB segments,
     /// a background snapshot every 4096 records, one `fsync` per
-    /// flush group, adaptive record compression, in-RAM item memory.
+    /// flush group, in-RAM item memory.
     pub fn new(dir: impl Into<PathBuf>) -> Self {
         Self {
             dir: dir.into(),
@@ -149,7 +125,6 @@ impl DurabilityConfig {
             snapshot_every: 4096,
             sync: SyncPolicy::EveryBatch,
             page_cache: None,
-            codec: WalCodec::Adaptive,
         }
     }
 
@@ -159,7 +134,6 @@ impl DurabilityConfig {
         WalConfig {
             segment_bytes: self.segment_bytes,
             sync: self.sync,
-            codec: self.codec,
         }
     }
 

@@ -31,6 +31,7 @@ use hdc_core::{BinaryHypervector, HdcError};
 
 use crate::codec::{be_u32, be_u64};
 use crate::record::crc32;
+use crate::store::atomic_write;
 use crate::wal::storage;
 
 /// Keyed hypervector storage behind the serving runtime's item plane:
@@ -442,7 +443,6 @@ impl PagedStore {
     /// appended-record count dwarfs them.
     fn compact_index(&mut self) -> Result<(), HdcError> {
         let path = self.dir.join("keys.idx");
-        let tmp = self.dir.join("keys.idx.tmp");
         let mut buf = Vec::new();
         let mut live: Vec<(&String, &u64)> = self.slots.iter().collect();
         live.sort_unstable_by_key(|(key, _)| key.as_str());
@@ -455,14 +455,9 @@ impl PagedStore {
             buf.extend_from_slice(&crc32(&payload).to_be_bytes());
             buf.extend_from_slice(&payload);
         }
-        let write = || -> std::io::Result<File> {
-            let mut file = File::create(&tmp)?;
-            file.write_all(&buf)?;
-            file.sync_data()?;
-            std::fs::rename(&tmp, &path)?;
-            OpenOptions::new().append(true).open(&path)
-        };
-        self.index_log = write().map_err(|e| storage("compacting keys.idx", e))?;
+        self.index_log = atomic_write(&path, &buf)
+            .and_then(|()| OpenOptions::new().append(true).open(&path))
+            .map_err(|e| storage("compacting keys.idx", e))?;
         self.index_appended = self.slots.len() as u64;
         Ok(())
     }

@@ -158,7 +158,8 @@ impl SnapshotInstaller {
         body.extend_from_slice(snapshot.as_bytes());
         let crc = crc32(&body);
         body.extend_from_slice(&crc.to_be_bytes());
-        atomic_write(&self.dir.join("MANIFEST"), &body)
+        let path = self.dir.join("MANIFEST");
+        atomic_write(&path, &body).map_err(|e| storage(&format!("writing {}", path.display()), e))
     }
 
     /// Deletes every sealed segment whose records all precede `upto` — a
@@ -197,20 +198,22 @@ impl SnapshotInstaller {
     }
 }
 
-/// tmp + write + `fsync` + rename: the file at `path` is atomically either
-/// its old content or `bytes`, never a mix.
-fn atomic_write(path: &Path, bytes: &[u8]) -> Result<(), HdcError> {
+/// Replaces the file at `path` with `bytes` atomically: a sibling
+/// `<path>.tmp` is written and `fsync`ed, then renamed over `path`. After a
+/// crash or a power cut the file holds either its old content or `bytes`,
+/// never a mix or an empty file.
+///
+/// # Errors
+///
+/// Returns the I/O error of the first step that failed.
+pub fn atomic_write(path: &Path, bytes: &[u8]) -> std::io::Result<()> {
     let mut tmp = path.as_os_str().to_owned();
     tmp.push(".tmp");
     let tmp = PathBuf::from(tmp);
-    let write = || -> std::io::Result<()> {
-        let mut file = std::fs::File::create(&tmp)?;
-        std::io::Write::write_all(&mut file, bytes)?;
-        file.sync_data()
-    };
-    write().map_err(|e| storage(&format!("writing {}", tmp.display()), e))?;
+    let mut file = std::fs::File::create(&tmp)?;
+    std::io::Write::write_all(&mut file, bytes)?;
+    file.sync_data()?;
     std::fs::rename(&tmp, path)
-        .map_err(|e| storage(&format!("renaming into {}", path.display()), e))
 }
 
 fn write_snapshot_blob(path: &Path, payload: &[u8], upto: u64) -> Result<(), HdcError> {
@@ -221,7 +224,7 @@ fn write_snapshot_blob(path: &Path, payload: &[u8], upto: u64) -> Result<(), Hdc
     buf.extend_from_slice(&crc32(payload).to_be_bytes());
     buf.extend_from_slice(&(payload.len() as u64).to_be_bytes());
     buf.extend_from_slice(payload);
-    atomic_write(path, &buf)
+    atomic_write(path, &buf).map_err(|e| storage(&format!("writing {}", path.display()), e))
 }
 
 fn read_snapshot_blob(path: &Path, expected_upto: u64) -> Result<Vec<u8>, HdcError> {
@@ -303,7 +306,7 @@ fn read_manifest(dir: &Path, spec_digest: u64) -> Result<Option<(String, u64)>, 
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::{SyncPolicy, WalCodec};
+    use crate::SyncPolicy;
     use hdc_core::BinaryHypervector;
     use rand::{rngs::StdRng, SeedableRng};
 
@@ -311,7 +314,6 @@ mod tests {
         WalConfig {
             segment_bytes: 256,
             sync: SyncPolicy::EveryBatch,
-            codec: WalCodec::Raw,
         }
     }
 
@@ -319,7 +321,6 @@ mod tests {
         WalConfig {
             segment_bytes: u64::MAX,
             sync: SyncPolicy::Never,
-            codec: WalCodec::Raw,
         }
     }
 
@@ -329,6 +330,8 @@ mod tests {
         dir
     }
 
+    /// A fit of a dense random hypervector: incompressible, so 256-byte
+    /// segments rotate after every few records.
     fn fit(seed: u64, label: u64) -> WalRecord {
         let mut rng = StdRng::seed_from_u64(seed);
         WalRecord::Fit {

@@ -16,13 +16,14 @@
 //! every header is the owning pipeline spec's 64-bit digest, so a log can
 //! never replay into a model with a different spec.
 //!
-//! The header's `codec` byte negotiates how frame payloads are encoded —
-//! `0` for plain [`WalRecord`] payloads, `1` for per-record adaptively
-//! compressed payloads (see [`compress`](crate::compress)) — fixed for
-//! the segment's lifetime, so every segment replays standalone. Version-1
-//! segments (22-byte header, no codec byte, raw payloads) written before
-//! compression existed still replay; an *unknown* version or codec byte
-//! is loud, never guessed at.
+//! The header's `codec` byte says how frame payloads are encoded, fixed
+//! for the segment's lifetime, so every segment replays standalone. This
+//! build writes only `1`: per-record adaptively compressed payloads (see
+//! [`compress`](crate::compress)). It still replays `0`, plain
+//! [`WalRecord`] payloads, and version-1 segments (22-byte header, no codec
+//! byte, plain payloads), but never appends to them: [`Wal::open`] seals
+//! such an active segment and starts a fresh one. An *unknown* version or
+//! codec byte is loud, never guessed at.
 //!
 //! # Corruption contract
 //!
@@ -44,7 +45,7 @@ use hdc_core::HdcError;
 use crate::codec::{be_u16, be_u32, be_u64};
 use crate::compress::{self, CodecDict};
 use crate::record::{crc32, WalRecord};
-use crate::{SyncPolicy, WalCodec, WalConfig};
+use crate::{SyncPolicy, WalConfig};
 
 /// Magic bytes opening every segment file.
 pub const SEGMENT_MAGIC: [u8; 4] = *b"HDCW";
@@ -58,17 +59,10 @@ const SEGMENT_HEADER_LEN_V1: u64 = 22;
 const SEGMENT_HEADER_LEN: u64 = 23;
 const FRAME_HEADER_LEN: usize = 8;
 
-/// Header codec byte: plain [`WalRecord`] frame payloads.
+/// Header codec byte: plain [`WalRecord`] frame payloads (read only).
 const HEADER_CODEC_RAW: u8 = 0;
 /// Header codec byte: per-record adaptively compressed payloads.
 const HEADER_CODEC_TAGGED: u8 = 1;
-
-fn codec_byte(codec: WalCodec) -> u8 {
-    match codec {
-        WalCodec::Raw => HEADER_CODEC_RAW,
-        WalCodec::Adaptive => HEADER_CODEC_TAGGED,
-    }
-}
 
 pub(crate) fn storage(context: &str, error: impl std::fmt::Display) -> HdcError {
     HdcError::Storage(format!("{context}: {error}"))
@@ -79,14 +73,22 @@ fn segment_name(first_seq: u64) -> String {
     format!("wal-{first_seq:016x}.log")
 }
 
-fn segment_header(first_seq: u64, spec_digest: u64, codec: u8) -> Vec<u8> {
-    let mut buf = Vec::with_capacity(SEGMENT_HEADER_LEN as usize);
-    buf.extend_from_slice(&SEGMENT_MAGIC);
-    buf.extend_from_slice(&SEGMENT_VERSION.to_be_bytes());
-    buf.extend_from_slice(&first_seq.to_be_bytes());
-    buf.extend_from_slice(&spec_digest.to_be_bytes());
-    buf.push(codec);
-    buf
+/// Creates the adaptive segment starting at `first_seq` and writes its
+/// header, replacing any file of that name (only ever one that holds no
+/// record).
+fn create_segment(dir: &Path, first_seq: u64, spec_digest: u64) -> Result<File, HdcError> {
+    let mut header = Vec::with_capacity(SEGMENT_HEADER_LEN as usize);
+    header.extend_from_slice(&SEGMENT_MAGIC);
+    header.extend_from_slice(&SEGMENT_VERSION.to_be_bytes());
+    header.extend_from_slice(&first_seq.to_be_bytes());
+    header.extend_from_slice(&spec_digest.to_be_bytes());
+    header.push(HEADER_CODEC_TAGGED);
+    let path = dir.join(segment_name(first_seq));
+    let mut file =
+        File::create(&path).map_err(|e| storage(&format!("creating {}", path.display()), e))?;
+    file.write_all(&header)
+        .map_err(|e| storage(&format!("writing {}", path.display()), e))?;
+    Ok(file)
 }
 
 /// Lists `dir`'s segment files sorted by their `first_seq` (parsed from the
@@ -124,7 +126,7 @@ struct SegmentScan {
     next_seq: u64,
     /// `Some(reason)` if the bytes past `valid_len` are damaged.
     torn: Option<String>,
-    /// The header's negotiated codec byte.
+    /// The header's codec byte.
     codec: u8,
     /// Decoder dictionary state after the valid prefix — what the append
     /// half must resume from when this is the active segment.
@@ -262,11 +264,6 @@ pub struct Wal {
     spec_digest: u64,
     segment_bytes: u64,
     sync_policy: SyncPolicy,
-    codec: WalCodec,
-    /// The active segment's negotiated codec byte — adopted from the
-    /// header when appending into an existing segment, the configured
-    /// codec for every fresh one.
-    active_codec: u8,
     dict: CodecDict,
     active: File,
     active_len: u64,
@@ -276,10 +273,22 @@ pub struct Wal {
     appended_bytes: u64,
 }
 
+/// The last segment found at open, which appends would continue.
+struct LastSegment {
+    path: PathBuf,
+    first_seq: u64,
+    scan: SegmentScan,
+}
+
 impl Wal {
     /// Opens (creating if needed) the log in `dir`, replaying every record
     /// with sequence `>= from_seq` and returning the log positioned for
     /// appending after the last valid record.
+    ///
+    /// Appends always land in an adaptive segment. A raw or version-1 last
+    /// segment is sealed (`fsync`ed) and an adaptive one started after it;
+    /// a raw one that holds no record is replaced instead, since its
+    /// successor would carry the same name.
     ///
     /// # Errors
     ///
@@ -312,12 +321,12 @@ impl Wal {
             segments.pop();
         }
         let mut replayed = Vec::new();
-        let mut active_meta: Option<(PathBuf, u64, u64, u8, CodecDict)> = None;
+        let mut last_segment = None;
         let last = segments.len().checked_sub(1);
-        for (index, (first_seq, path)) in segments.iter().enumerate() {
-            let bytes = std::fs::read(path)
+        for (index, (first_seq, path)) in segments.into_iter().enumerate() {
+            let bytes = std::fs::read(&path)
                 .map_err(|e| storage(&format!("reading {}", path.display()), e))?;
-            let scan = scan_segment(&bytes, path, *first_seq, spec_digest, from_seq)?;
+            let mut scan = scan_segment(&bytes, &path, first_seq, spec_digest, from_seq)?;
             let is_last = Some(index) == last;
             if let Some(reason) = &scan.torn {
                 if !is_last {
@@ -332,51 +341,53 @@ impl Wal {
                 // acknowledged. Drop it so appends restart cleanly.
                 let file = OpenOptions::new()
                     .write(true)
-                    .open(path)
+                    .open(&path)
                     .map_err(|e| storage(&format!("opening {}", path.display()), e))?;
                 file.set_len(scan.valid_len)
                     .map_err(|e| storage(&format!("truncating {}", path.display()), e))?;
                 file.sync_data()
                     .map_err(|e| storage(&format!("syncing {}", path.display()), e))?;
             }
-            replayed.extend(scan.records);
+            replayed.append(&mut scan.records);
             if is_last {
-                active_meta = Some((
-                    path.clone(),
-                    scan.valid_len,
-                    scan.next_seq,
-                    scan.codec,
-                    scan.dict,
-                ));
+                last_segment = Some(LastSegment {
+                    path,
+                    first_seq,
+                    scan,
+                });
             }
         }
-        let (active, active_len, next_seq, active_codec, dict) = match active_meta {
-            Some((path, valid_len, next_seq, codec, dict)) => {
+        let mut syncs = 0;
+        let (active, active_len, next_seq, dict) = match last_segment {
+            Some(LastSegment { path, scan, .. }) if scan.codec == HEADER_CODEC_TAGGED => {
                 let active = OpenOptions::new()
                     .append(true)
                     .open(&path)
                     .map_err(|e| storage(&format!("opening {}", path.display()), e))?;
-                (active, valid_len, next_seq, codec, dict)
+                (active, scan.valid_len, scan.next_seq, scan.dict)
+            }
+            Some(LastSegment {
+                path,
+                first_seq,
+                scan,
+            }) => {
+                // A raw segment takes no more appends. Seal it durably
+                // before it stops being last, as rotation does; one with
+                // no record is simply replaced below.
+                if scan.next_seq > first_seq {
+                    OpenOptions::new()
+                        .write(true)
+                        .open(&path)
+                        .and_then(|file| file.sync_data())
+                        .map_err(|e| storage(&format!("sealing {}", path.display()), e))?;
+                    syncs += 1;
+                }
+                let active = create_segment(&dir, scan.next_seq, spec_digest)?;
+                (active, SEGMENT_HEADER_LEN, scan.next_seq, CodecDict::new())
             }
             None => {
-                let first_seq = from_seq;
-                let codec = codec_byte(config.codec);
-                let path = dir.join(segment_name(first_seq));
-                let mut active = OpenOptions::new()
-                    .create(true)
-                    .append(true)
-                    .open(&path)
-                    .map_err(|e| storage(&format!("creating {}", path.display()), e))?;
-                active
-                    .write_all(&segment_header(first_seq, spec_digest, codec))
-                    .map_err(|e| storage(&format!("writing {}", path.display()), e))?;
-                (
-                    active,
-                    SEGMENT_HEADER_LEN,
-                    first_seq,
-                    codec,
-                    CodecDict::new(),
-                )
+                let active = create_segment(&dir, from_seq, spec_digest)?;
+                (active, SEGMENT_HEADER_LEN, from_seq, CodecDict::new())
             }
         };
         Ok((
@@ -385,14 +396,12 @@ impl Wal {
                 spec_digest,
                 segment_bytes: config.segment_bytes.max(SEGMENT_HEADER_LEN + 1),
                 sync_policy: config.sync,
-                codec: config.codec,
-                active_codec,
                 dict,
                 active,
                 active_len,
                 next_seq,
                 dirty: false,
-                syncs: 0,
+                syncs,
                 appended_bytes: 0,
             },
             replayed,
@@ -412,10 +421,9 @@ impl Wal {
         self.sync_policy
     }
 
-    /// Data `fsync`s issued since open (appends under
-    /// [`SyncPolicy::Always`], [`sync`](Self::sync) calls that had work,
-    /// segment seals, and group flushes) — the observable flush schedule,
-    /// which the group-commit tests pin down.
+    /// Data `fsync`s issued since open ([`sync`](Self::sync) calls that
+    /// had work, segment seals, and group flushes) — the observable flush
+    /// schedule, which the group-commit tests pin down.
     #[must_use]
     pub fn sync_count(&self) -> u64 {
         self.syncs
@@ -428,36 +436,18 @@ impl Wal {
         self.appended_bytes
     }
 
-    /// Appends one record, returning its sequence number. Under
-    /// [`SyncPolicy::Always`] the record is `fsync`ed before returning;
-    /// otherwise it reaches the kernel immediately and the platters at the
-    /// next [`sync`](Self::sync) (or the OS's leisure).
+    /// Appends one record, returning its sequence number. The record
+    /// reaches the kernel immediately and the platters at the next
+    /// [`sync`](Self::sync) or group flush (or at the OS's leisure under
+    /// [`SyncPolicy::Never`]). Rotation seals the outgoing segment
+    /// durably, whatever the policy.
     ///
     /// # Errors
     ///
     /// Returns [`HdcError::Storage`] on I/O failure.
     pub fn append(&mut self, record: &WalRecord) -> Result<u64, HdcError> {
-        self.append_inner(record, matches!(self.sync_policy, SyncPolicy::Always))
-    }
-
-    /// Appends one record *without* the [`SyncPolicy::Always`] inline
-    /// `fsync` — the group-commit path, where a flusher issues one
-    /// `fdatasync` for the whole ticket group before any ack is released.
-    /// Rotation still seals the outgoing segment durably.
-    ///
-    /// # Errors
-    ///
-    /// Returns [`HdcError::Storage`] on I/O failure.
-    pub fn append_deferred(&mut self, record: &WalRecord) -> Result<u64, HdcError> {
-        self.append_inner(record, false)
-    }
-
-    fn append_inner(&mut self, record: &WalRecord, inline_sync: bool) -> Result<u64, HdcError> {
-        let payload = match self.active_codec {
-            HEADER_CODEC_RAW => record.encode(),
-            _ => compress::encode_tagged(record, &mut self.dict),
-        }
-        .map_err(|e| storage("encoding WAL record", e))?;
+        let payload = compress::encode_tagged(record, &mut self.dict)
+            .map_err(|e| storage("encoding WAL record", e))?;
         let mut frame = Vec::with_capacity(FRAME_HEADER_LEN + payload.len());
         frame.extend_from_slice(&(payload.len() as u32).to_be_bytes());
         frame.extend_from_slice(&crc32(&payload).to_be_bytes());
@@ -470,17 +460,20 @@ impl Wal {
         let seq = self.next_seq;
         self.next_seq += 1;
         self.dirty = true;
-        if inline_sync {
-            self.active
-                .sync_data()
-                .map_err(|e| storage("syncing WAL segment", e))?;
-            self.syncs += 1;
-            self.dirty = false;
-        }
         if self.active_len >= self.segment_bytes {
             self.rotate()?;
         }
         Ok(seq)
+    }
+
+    /// [`append`](Self::append) under its group-commit name: every append
+    /// is deferred to the next flush.
+    ///
+    /// # Errors
+    ///
+    /// Returns [`HdcError::Storage`] on I/O failure.
+    pub fn append_deferred(&mut self, record: &WalRecord) -> Result<u64, HdcError> {
+        self.append(record)
     }
 
     /// Flushes appended records to disk — the batch-boundary call under
@@ -491,7 +484,7 @@ impl Wal {
     ///
     /// Returns [`HdcError::Storage`] on I/O failure.
     pub fn sync(&mut self) -> Result<(), HdcError> {
-        if self.dirty && !matches!(self.sync_policy, SyncPolicy::Never) {
+        if self.dirty && self.sync_policy != SyncPolicy::Never {
             self.active
                 .sync_data()
                 .map_err(|e| storage("syncing WAL segment", e))?;
@@ -538,19 +531,8 @@ impl Wal {
             .map_err(|e| storage("sealing WAL segment", e))?;
         self.syncs += 1;
         self.dirty = false;
-        let codec = codec_byte(self.codec);
-        let path = self.dir.join(segment_name(self.next_seq));
-        let mut active = OpenOptions::new()
-            .create(true)
-            .append(true)
-            .open(&path)
-            .map_err(|e| storage(&format!("creating {}", path.display()), e))?;
-        active
-            .write_all(&segment_header(self.next_seq, self.spec_digest, codec))
-            .map_err(|e| storage(&format!("writing {}", path.display()), e))?;
-        self.active = active;
+        self.active = create_segment(&self.dir, self.next_seq, self.spec_digest)?;
         self.active_len = SEGMENT_HEADER_LEN;
-        self.active_codec = codec;
         self.dict.reset();
         Ok(())
     }
@@ -572,18 +554,11 @@ mod tests {
         WalConfig {
             segment_bytes,
             sync,
-            codec: WalCodec::Raw,
         }
     }
 
-    fn tagged(segment_bytes: u64, sync: SyncPolicy) -> WalConfig {
-        WalConfig {
-            segment_bytes,
-            sync,
-            codec: WalCodec::Adaptive,
-        }
-    }
-
+    /// Dense random records: the adaptive codec keeps them raw (one tag
+    /// byte more), so byte thresholds behave as for plain payloads.
     fn sample_records(n: usize) -> Vec<WalRecord> {
         let mut rng = StdRng::seed_from_u64(1);
         (0..n)
@@ -591,6 +566,35 @@ mod tests {
                 hv: BinaryHypervector::random(256, &mut rng),
                 label: (i % 3) as u64,
             })
+            .collect()
+    }
+
+    /// A hand-written segment with plain payloads, as older builds wrote
+    /// them: version 1 (22-byte header) or version 2 with codec byte 0.
+    fn raw_segment(version: u16, first_seq: u64, records: &[WalRecord]) -> Vec<u8> {
+        let mut bytes = Vec::new();
+        bytes.extend_from_slice(&SEGMENT_MAGIC);
+        bytes.extend_from_slice(&version.to_be_bytes());
+        bytes.extend_from_slice(&first_seq.to_be_bytes());
+        bytes.extend_from_slice(&9u64.to_be_bytes());
+        if version == 2 {
+            bytes.push(HEADER_CODEC_RAW);
+        }
+        for record in records {
+            let payload = record.encode().unwrap();
+            bytes.extend_from_slice(&(payload.len() as u32).to_be_bytes());
+            bytes.extend_from_slice(&crc32(&payload).to_be_bytes());
+            bytes.extend_from_slice(&payload);
+        }
+        bytes
+    }
+
+    /// The header codec byte of every segment in `dir`, oldest first.
+    fn header_codecs(dir: &Path) -> Vec<u8> {
+        list_segments(dir)
+            .unwrap()
+            .iter()
+            .map(|(_, path)| std::fs::read(path).unwrap()[22])
             .collect()
     }
 
@@ -607,8 +611,8 @@ mod tests {
             }
             wal.sync().unwrap();
         }
-        // 512-byte segments force several rotations for 10 records of ~300
-        // bytes; replay must stitch them back in order.
+        // 512-byte segments force rotations for 10 records of ~60 bytes;
+        // replay must stitch them back in order.
         assert!(list_segments(&dir).unwrap().len() > 1, "rotation happened");
         let (wal, replayed) = Wal::open(&dir, 9, cfg(512, SyncPolicy::EveryBatch), 0).unwrap();
         assert_eq!(wal.next_seq(), 10);
@@ -652,7 +656,7 @@ mod tests {
             key: "item-0".into(),
         });
         {
-            let (mut wal, _) = Wal::open(&dir, 9, tagged(700, SyncPolicy::EveryBatch), 0).unwrap();
+            let (mut wal, _) = Wal::open(&dir, 9, cfg(700, SyncPolicy::EveryBatch), 0).unwrap();
             for record in &records {
                 wal.append(record).unwrap();
             }
@@ -661,7 +665,7 @@ mod tests {
         // Rotation at 700 bytes means delta chains restart per segment
         // and replay crosses segment boundaries.
         assert!(list_segments(&dir).unwrap().len() > 1, "rotation happened");
-        let (wal, replayed) = Wal::open(&dir, 9, tagged(700, SyncPolicy::EveryBatch), 0).unwrap();
+        let (wal, replayed) = Wal::open(&dir, 9, cfg(700, SyncPolicy::EveryBatch), 0).unwrap();
         assert_eq!(wal.next_seq(), records.len() as u64);
         assert_eq!(
             replayed.into_iter().map(|(_, r)| r).collect::<Vec<_>>(),
@@ -670,7 +674,7 @@ mod tests {
         // Replay from the middle still decodes bit-identically: the delta
         // chain is walked from each segment's start regardless.
         let from = records.len() as u64 / 2;
-        let (_, tail) = Wal::open(&dir, 9, tagged(700, SyncPolicy::EveryBatch), from).unwrap();
+        let (_, tail) = Wal::open(&dir, 9, cfg(700, SyncPolicy::EveryBatch), from).unwrap();
         assert_eq!(
             tail.into_iter().map(|(_, r)| r).collect::<Vec<_>>(),
             records[from as usize..]
@@ -679,30 +683,47 @@ mod tests {
     }
 
     #[test]
-    fn reopening_with_a_different_codec_adopts_the_active_segment() {
-        let dir = tmp_dir("mixed-codec");
+    fn raw_segments_replay_but_take_no_appends() {
+        let dir = tmp_dir("raw-active");
         let records = sample_records(6);
+        std::fs::create_dir_all(&dir).unwrap();
+        let raw = raw_segment(2, 0, &records[..3]);
+        std::fs::write(dir.join(segment_name(0)), &raw).unwrap();
         {
-            let (mut wal, _) = Wal::open(&dir, 9, cfg(u64::MAX, SyncPolicy::Never), 0).unwrap();
-            for record in &records[..3] {
-                wal.append(record).unwrap();
-            }
-        }
-        {
-            // Reopened with compression configured: the active raw segment
-            // keeps its negotiated codec, so the file stays self-consistent.
             let (mut wal, replayed) =
-                Wal::open(&dir, 9, tagged(u64::MAX, SyncPolicy::Never), 0).unwrap();
+                Wal::open(&dir, 9, cfg(u64::MAX, SyncPolicy::Never), 0).unwrap();
             assert_eq!(replayed.len(), 3);
+            assert_eq!(wal.sync_count(), 1, "the raw segment is sealed");
             for record in &records[3..] {
                 wal.append(record).unwrap();
             }
         }
-        let (_, replayed) = Wal::open(&dir, 9, tagged(u64::MAX, SyncPolicy::Never), 0).unwrap();
+        // The raw segment is untouched; appends went to a fresh adaptive
+        // segment starting at the next sequence.
+        assert_eq!(std::fs::read(dir.join(segment_name(0))).unwrap(), raw);
+        assert!(dir.join(segment_name(3)).exists());
+        assert_eq!(header_codecs(&dir), [HEADER_CODEC_RAW, HEADER_CODEC_TAGGED]);
+        let (_, replayed) = Wal::open(&dir, 9, cfg(u64::MAX, SyncPolicy::Never), 0).unwrap();
         assert_eq!(
             replayed.into_iter().map(|(_, r)| r).collect::<Vec<_>>(),
             records
         );
+        std::fs::remove_dir_all(&dir).unwrap();
+
+        // A raw segment holding only a header is replaced under its own
+        // name, not sealed: its successor would start at the same sequence.
+        std::fs::create_dir_all(&dir).unwrap();
+        std::fs::write(dir.join(segment_name(0)), raw_segment(2, 0, &[])).unwrap();
+        {
+            let (mut wal, replayed) =
+                Wal::open(&dir, 9, cfg(u64::MAX, SyncPolicy::Never), 0).unwrap();
+            assert!(replayed.is_empty());
+            assert_eq!(wal.sync_count(), 0, "nothing to seal");
+            wal.append(&records[0]).unwrap();
+        }
+        assert_eq!(header_codecs(&dir), [HEADER_CODEC_TAGGED]);
+        let (_, replayed) = Wal::open(&dir, 9, cfg(u64::MAX, SyncPolicy::Never), 0).unwrap();
+        assert_eq!(replayed, [(0, records[0].clone())]);
         std::fs::remove_dir_all(&dir).unwrap();
     }
 
@@ -712,27 +733,16 @@ mod tests {
         let records = sample_records(3);
         // Hand-write a version-1 segment: 22-byte header, raw payloads.
         std::fs::create_dir_all(&dir).unwrap();
-        let mut bytes = Vec::new();
-        bytes.extend_from_slice(&SEGMENT_MAGIC);
-        bytes.extend_from_slice(&1u16.to_be_bytes());
-        bytes.extend_from_slice(&0u64.to_be_bytes());
-        bytes.extend_from_slice(&9u64.to_be_bytes());
-        for record in &records {
-            let payload = record.encode().unwrap();
-            bytes.extend_from_slice(&(payload.len() as u32).to_be_bytes());
-            bytes.extend_from_slice(&crc32(&payload).to_be_bytes());
-            bytes.extend_from_slice(&payload);
-        }
-        std::fs::write(dir.join(segment_name(0)), &bytes).unwrap();
-        let (mut wal, replayed) =
-            Wal::open(&dir, 9, tagged(u64::MAX, SyncPolicy::Never), 0).unwrap();
+        std::fs::write(dir.join(segment_name(0)), raw_segment(1, 0, &records)).unwrap();
+        let (mut wal, replayed) = Wal::open(&dir, 9, cfg(u64::MAX, SyncPolicy::Never), 0).unwrap();
         assert_eq!(
             replayed.iter().map(|(_, r)| r.clone()).collect::<Vec<_>>(),
             records
         );
-        // Appends adopt the v1 segment's raw codec.
+        // Appends land in a fresh adaptive segment after the v1 one.
         wal.append(&records[0]).unwrap();
-        let (_, replayed) = Wal::open(&dir, 9, tagged(u64::MAX, SyncPolicy::Never), 0).unwrap();
+        assert_eq!(list_segments(&dir).unwrap().len(), 2);
+        let (_, replayed) = Wal::open(&dir, 9, cfg(u64::MAX, SyncPolicy::Never), 0).unwrap();
         assert_eq!(replayed.len(), 4);
         std::fs::remove_dir_all(&dir).unwrap();
     }
@@ -741,14 +751,14 @@ mod tests {
     fn unknown_header_codec_is_loud() {
         let dir = tmp_dir("badcodec");
         {
-            let (mut wal, _) = Wal::open(&dir, 9, tagged(u64::MAX, SyncPolicy::Never), 0).unwrap();
+            let (mut wal, _) = Wal::open(&dir, 9, cfg(u64::MAX, SyncPolicy::Never), 0).unwrap();
             wal.append(&sample_records(1)[0]).unwrap();
         }
         let (_, path) = list_segments(&dir).unwrap().pop().unwrap();
         let mut bytes = std::fs::read(&path).unwrap();
         bytes[22] = 99; // an unassigned codec byte
         std::fs::write(&path, &bytes).unwrap();
-        let err = Wal::open(&dir, 9, tagged(u64::MAX, SyncPolicy::Never), 0).unwrap_err();
+        let err = Wal::open(&dir, 9, cfg(u64::MAX, SyncPolicy::Never), 0).unwrap_err();
         let HdcError::Storage(reason) = err else {
             panic!("expected a storage error")
         };

@@ -28,12 +28,13 @@
 //! * the item memory writes acknowledged before the kill are all present
 //!   and bit-identical.
 //!
-//! `--fsync always|batch|never` picks the [`SyncPolicy`] for both lives;
-//! CI runs the `always` leg, where the group commit is doing the most
-//! work.
+//! `--fsync batch|never` picks the [`SyncPolicy`] for both lives. CI runs
+//! both: `batch` (the default), where every ack waits for a group
+//! `fdatasync`, and `never`, where acks fire once the record reaches the
+//! kernel — which a SIGKILL does not lose either.
 //!
 //! ```text
-//! cargo run --release --example crash_recovery [-- --fsync always]
+//! cargo run --release --example crash_recovery [-- --fsync never]
 //! ```
 
 use std::io::{BufRead, BufReader, Write as _};
@@ -81,11 +82,10 @@ fn durable(dir: &Path, sync: SyncPolicy) -> RuntimeConfig {
 
 fn parse_sync(value: &str) -> Result<SyncPolicy, String> {
     match value {
-        "always" => Ok(SyncPolicy::Always),
         "batch" => Ok(SyncPolicy::EveryBatch),
         "never" => Ok(SyncPolicy::Never),
         other => Err(format!(
-            "invalid --fsync {other:?}; expected always, batch or never"
+            "invalid --fsync {other:?}; expected batch or never"
         )),
     }
 }
@@ -174,7 +174,6 @@ fn parent(sync: SyncPolicy) -> Result<(), Box<dyn std::error::Error>> {
     let dir = std::env::temp_dir().join(format!("hdc-crash-recovery-{}", std::process::id()));
     let _ = std::fs::remove_dir_all(&dir);
     let fsync_arg = match sync {
-        SyncPolicy::Always => "always",
         SyncPolicy::EveryBatch => "batch",
         SyncPolicy::Never => "never",
     };

@@ -88,5 +88,5 @@ pub use hdc_serve::{
     DurabilityConfig, Enc, EncSpec, GroupCommitConfig, ItemStore, LocalShard, Model, PagedStore,
     Pipeline, PipelineSpec, Prediction, RemoteShard, ResidentStore, RingConfig, Runtime,
     RuntimeConfig, RuntimeHandle, RuntimeStats, Server, ShardBackend, ShardedModel, Snapshot,
-    SyncPolicy, Target, Task, ValuePrediction, WalCodec,
+    SyncPolicy, Target, Task, ValuePrediction,
 };

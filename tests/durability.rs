@@ -11,8 +11,9 @@ use std::sync::atomic::{AtomicUsize, Ordering};
 use hdc::serve::Radians;
 use hdc::{
     Basis, BinaryHypervector, DurabilityConfig, Enc, HdcError, ItemStore, Model, PagedStore,
-    Pipeline, ResidentStore, Runtime, RuntimeConfig, SyncPolicy, WalCodec,
+    Pipeline, ResidentStore, Runtime, RuntimeConfig,
 };
+use hdc_store::{crc32, WalRecord, SEGMENT_MAGIC};
 use proptest::prelude::*;
 use rand::{rngs::StdRng, Rng, SeedableRng};
 
@@ -80,6 +81,29 @@ fn probes() -> Vec<Radians> {
     (0..48)
         .map(|i| Radians::periodic(f64::from(i) / 2.0, 24.0))
         .collect()
+}
+
+/// The file name of the log segment whose first record is `first_seq`.
+fn segment_name(first_seq: u64) -> String {
+    format!("wal-{first_seq:016x}.log")
+}
+
+/// A version-2 segment with plain record payloads (header codec byte 0),
+/// as builds before the adaptive-only writer logged them.
+fn raw_segment(first_seq: u64, spec_digest: u64, records: &[WalRecord]) -> Vec<u8> {
+    let mut bytes = Vec::new();
+    bytes.extend_from_slice(&SEGMENT_MAGIC);
+    bytes.extend_from_slice(&2u16.to_be_bytes());
+    bytes.extend_from_slice(&first_seq.to_be_bytes());
+    bytes.extend_from_slice(&spec_digest.to_be_bytes());
+    bytes.push(0);
+    for record in records {
+        let payload = record.encode().unwrap();
+        bytes.extend_from_slice(&(payload.len() as u32).to_be_bytes());
+        bytes.extend_from_slice(&crc32(&payload).to_be_bytes());
+        bytes.extend_from_slice(&payload);
+    }
+    bytes
 }
 
 /// The log segments under `dir`, oldest first (hex names sort by seq).
@@ -259,59 +283,76 @@ proptest! {
         std::fs::remove_dir_all(&dir).unwrap();
     }
 
-    /// Mixed raw and adaptive segments in one log — the codec changed
-    /// across restarts, so sealed segments carry different header codec
-    /// bytes — replay bit-identically to a reference fed the whole
-    /// stream.
+    /// Raw segments from older builds — one sealed, one active — replay
+    /// next to the adaptive segments this build writes, bit-identically
+    /// to a reference fed the whole stream. No append lands in a raw
+    /// segment: the first one starts a fresh adaptive segment, and an
+    /// active raw segment holding only a header is replaced under its own
+    /// name rather than sealed.
     #[test]
     fn mixed_codec_segments_replay_bit_identically(
         seed in 0u64..1_000,
         n1 in 4usize..20,
         n2 in 4usize..20,
     ) {
-        let dir = scratch_dir("mixed");
-        let config = |codec| RuntimeConfig {
-            durability: Some(DurabilityConfig {
-                // Small segments force rotation, so both codecs seal
-                // segments into the shared log.
-                segment_bytes: 600,
-                codec,
-                ..DurabilityConfig::new(&dir)
-            }),
-            ..RuntimeConfig::default()
-        };
         let observations = stream(seed, n1 + n2);
-
-        let runtime = Runtime::spawn(classify(seed), config(WalCodec::Raw)).unwrap();
-        let handle = runtime.handle();
-        for (hour, label, _) in &observations[..n1] {
-            handle.fit(hour, *label).unwrap();
-        }
-        runtime.shutdown();
-
-        let runtime = Runtime::spawn(classify(seed), config(WalCodec::Adaptive)).unwrap();
-        let handle = runtime.handle();
-        for (hour, label, _) in &observations[n1..] {
-            handle.fit(hour, *label).unwrap();
-        }
-        runtime.shutdown();
-
-        let runtime = Runtime::spawn(classify(seed), config(WalCodec::Adaptive)).unwrap();
-        let handle = runtime.handle();
-        let recovered: Vec<usize> = probes()
+        let model = classify(seed);
+        let digest = model.spec().hash64();
+        let records: Vec<WalRecord> = observations[..n1]
             .iter()
-            .map(|hour| handle.predict("k", hour).unwrap().label)
+            .map(|(hour, label, _)| WalRecord::Fit { hv: model.encode(hour), label: *label as u64 })
             .collect();
-        let (_, learner) = runtime.shutdown();
-        prop_assert_eq!(learner.observed(), n1 + n2, "every acked fit must replay");
+        // The active raw segment holds records, then only a header.
+        for split in [n1 / 2, n1] {
+            let dir = scratch_dir("mixed");
+            std::fs::create_dir_all(&dir).unwrap();
+            let sealed = raw_segment(0, digest, &records[..split]);
+            let active = raw_segment(split as u64, digest, &records[split..]);
+            std::fs::write(dir.join(segment_name(0)), &sealed).unwrap();
+            std::fs::write(dir.join(segment_name(split as u64)), &active).unwrap();
 
-        let mut reference = classify(seed);
-        for (hour, label, _) in &observations {
-            reference.fit(hour, *label).unwrap();
+            // Small segments force the appends to rotate.
+            let runtime = Runtime::spawn(classify(seed), durable(&dir, 600, 0)).unwrap();
+            let handle = runtime.handle();
+            for (hour, label, _) in &observations[n1..] {
+                handle.fit(hour, *label).unwrap();
+            }
+            runtime.shutdown();
+
+            let files = segments(&dir);
+            prop_assert_eq!(std::fs::read(&files[0]).unwrap(), sealed);
+            let appended = if split < n1 {
+                prop_assert_eq!(std::fs::read(&files[1]).unwrap(), active);
+                &files[2..]
+            } else {
+                &files[1..]
+            };
+            prop_assert_eq!(
+                appended[0].file_name().and_then(|name| name.to_str()),
+                Some(&*segment_name(n1 as u64)),
+                "the first append starts a fresh segment"
+            );
+            for path in appended {
+                prop_assert_eq!(std::fs::read(path).unwrap()[22], 1, "adaptive header codec");
+            }
+
+            let runtime = Runtime::spawn(classify(seed), durable(&dir, 600, 0)).unwrap();
+            let handle = runtime.handle();
+            let recovered: Vec<usize> = probes()
+                .iter()
+                .map(|hour| handle.predict("k", hour).unwrap().label)
+                .collect();
+            let (_, learner) = runtime.shutdown();
+            prop_assert_eq!(learner.observed(), n1 + n2, "every acked fit must replay");
+
+            let mut reference = classify(seed);
+            for (hour, label, _) in &observations {
+                reference.fit(hour, *label).unwrap();
+            }
+            let expected: Vec<usize> = probes().iter().map(|hour| reference.predict(hour)).collect();
+            prop_assert_eq!(recovered, expected);
+            std::fs::remove_dir_all(&dir).unwrap();
         }
-        let expected: Vec<usize> = probes().iter().map(|hour| reference.predict(hour)).collect();
-        prop_assert_eq!(recovered, expected);
-        std::fs::remove_dir_all(&dir).unwrap();
     }
 
     /// N concurrent durable writers under the group-commit scheduler:
@@ -327,10 +368,7 @@ proptest! {
     ) {
         let dir = scratch_dir("writers");
         let config = || RuntimeConfig {
-            durability: Some(DurabilityConfig {
-                sync: SyncPolicy::Always,
-                ..DurabilityConfig::new(&dir)
-            }),
+            durability: Some(DurabilityConfig::new(&dir)),
             ..RuntimeConfig::default()
         };
         let streams: Vec<Vec<(Radians, usize, f64)>> = (0..writers)
@@ -377,9 +415,9 @@ proptest! {
 
     /// A torn write to the paged item plane — the crash chopped the tail
     /// of `pages.dat` — is healed by WAL replay: every acknowledged
-    /// insert reads back bit-identically after recovery, because under
-    /// [`SyncPolicy::Always`] the paged files share the WAL's commit
-    /// boundary and the log re-applies inserts idempotently.
+    /// insert reads back bit-identically after recovery, because under the
+    /// default policy the paged files share the WAL's commit boundary and
+    /// the log re-applies inserts idempotently.
     #[test]
     fn paged_torn_write_is_healed_by_replay(
         seed in 0u64..1_000,
@@ -389,7 +427,6 @@ proptest! {
         let dir = scratch_dir("paged-torn");
         let config = || RuntimeConfig {
             durability: Some(DurabilityConfig {
-                sync: SyncPolicy::Always,
                 page_cache: Some(2),
                 ..DurabilityConfig::new(&dir)
             }),
