@@ -332,10 +332,9 @@ mod tests {
         )
     }
 
-    /// An awaited commit costs exactly one flush: appends are deferred to
-    /// the flusher, which wakes for the lone ticket and retires it with one
-    /// `fdatasync`, whatever was appended before it. An ack fires only once
-    /// its record is synced.
+    /// An awaited commit costs exactly one flush: the flusher wakes for the
+    /// lone ticket and retires it with one `fdatasync`, whatever was
+    /// appended before it.
     #[test]
     fn each_awaited_commit_costs_one_flush() {
         let dir = tmp_dir("one-flush");
@@ -345,12 +344,31 @@ mod tests {
             let mut upto = 0;
             for record in &batch {
                 upto = group.append(record).unwrap();
-                assert_eq!(
-                    group.sync_count().unwrap(),
-                    flushes - 1,
-                    "append is deferred"
-                );
             }
+            let (ack, rx) = ack_pair();
+            group.commit(upto, vec![ack]).unwrap();
+            rx.recv_timeout(Duration::from_secs(5))
+                .expect("the flusher retires a lone ticket");
+            assert_eq!(group.sync_count().unwrap(), flushes);
+        }
+        std::fs::remove_dir_all(&dir).unwrap();
+    }
+
+    /// Under the default policy appends are deferred to the flusher, and
+    /// an ack always fires only once its record is synced: one flush per
+    /// awaited commit, never one per append on top.
+    #[test]
+    fn always_acks_only_synced_records() {
+        let dir = tmp_dir("always");
+        let group = GroupCommitWal::new(open(&dir, SyncPolicy::default()), GroupCommitConfig);
+        let all = records(5);
+        for (flushes, record) in (1..).zip(&all) {
+            let upto = group.append(record).unwrap();
+            assert_eq!(
+                group.sync_count().unwrap(),
+                flushes - 1,
+                "append is deferred"
+            );
             let (ack, rx) = ack_pair();
             group.commit(upto, vec![ack]).unwrap();
             rx.recv_timeout(Duration::from_secs(5))
