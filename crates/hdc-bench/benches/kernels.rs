@@ -1,6 +1,6 @@
 //! Dispatched SIMD kernel backends head to head against the scalar
-//! reference, and record bundling through `i32` counters against the
-//! bit-sliced bundle.
+//! reference, record bundling through `i32` counters against the
+//! bit-sliced bundle, and the trainers' batch fold both ways.
 //!
 //! Every backend the running CPU supports is benched through its
 //! function-pointer table — the same tables `kernels::dispatch::selected`
@@ -11,7 +11,7 @@
 
 use criterion::{criterion_group, criterion_main, BenchmarkId, Criterion};
 use hdc_core::kernels::dispatch::{available, table, KernelTable};
-use hdc_core::{kernels, BinaryHypervector, BitSlicedBundle, HvMut, TieBreak};
+use hdc_core::{kernels, BinaryHypervector, BitSlicedBundle, HvMut, MajorityAccumulator, TieBreak};
 use rand::{rngs::StdRng, Rng, SeedableRng};
 use std::hint::black_box;
 
@@ -150,6 +150,44 @@ fn bench_bundle(c: &mut Criterion) {
         });
         group.bench_with_input(BenchmarkId::new("bit_sliced", n), &n, |bencher, _| {
             bencher.iter(|| sliced_bundle(black_box(&mut sliced_out)));
+        });
+    }
+
+    // A trainer's batch fold of `n` rows into `i32` counters: one
+    // dispatched `accumulate` per row, against counting the rows into a
+    // bit-sliced bundle and adding it with one `accumulate` per plane
+    // (`MajorityAccumulator::push_bundle`).
+    for n in [256usize, 4_096] {
+        let mut rng = StdRng::seed_from_u64(0xF01D + n as u64);
+        let rows: Vec<_> = (0..n)
+            .map(|_| BinaryHypervector::random(dim, &mut rng))
+            .collect();
+        let mut per_row_acc = MajorityAccumulator::new(dim);
+        let per_row = |acc: &mut MajorityAccumulator| {
+            acc.clear();
+            for row in &rows {
+                acc.push_row(row.view());
+            }
+        };
+        let mut bundle = BitSlicedBundle::new(dim);
+        let mut bundled_acc = MajorityAccumulator::new(dim);
+        let mut bundled = |acc: &mut MajorityAccumulator| {
+            bundle.reset(dim);
+            for row in &rows {
+                bundle.push(row.view());
+            }
+            acc.clear();
+            acc.push_bundle(&bundle);
+        };
+        per_row(&mut per_row_acc);
+        bundled(&mut bundled_acc);
+        assert_eq!(bundled_acc, per_row_acc, "n={n}: bundled fold disagrees");
+
+        group.bench_with_input(BenchmarkId::new("fold_i32_per_row", n), &n, |bencher, _| {
+            bencher.iter(|| per_row(black_box(&mut per_row_acc)));
+        });
+        group.bench_with_input(BenchmarkId::new("fold_bit_sliced", n), &n, |bencher, _| {
+            bencher.iter(|| bundled(black_box(&mut bundled_acc)));
         });
     }
     group.finish();

@@ -17,6 +17,12 @@
 //! * **store_wal_bytes** — WAL bytes per durable fit at d=10_000: the
 //!   adaptive segments the log writes, against the plain frames of the
 //!   same fit stream (the compression half of the durability story).
+//! * **store_recovery** — a durable restart, timed from
+//!   [`Runtime::spawn`] to the first answer, on a prepared store holding
+//!   one installed snapshot and a log tail of about 3.6k value fits
+//!   (d=10_000, a three-field record regressor): open the store, restore
+//!   the snapshot, fold the tail, finalize the head. Timed manually over
+//!   several restarts and printed as the median in the `ns/iter` shape.
 //! * **store_paged_get** — item-memory reads at hot/cold key ratios:
 //!   the in-RAM [`ResidentStore`] baseline vs a [`PagedStore`] holding
 //!   2048 keys on a 256-entry cache budget (8× oversubscribed). `hot`
@@ -31,7 +37,7 @@
 use criterion::{criterion_group, criterion_main, BenchmarkId, Criterion};
 use hdc_core::BinaryHypervector;
 use hdc_encode::Radians;
-use hdc_serve::{Basis, Enc, Model, Pipeline, Runtime, RuntimeConfig};
+use hdc_serve::{Basis, Enc, FieldSpec, Model, Pipeline, Runtime, RuntimeConfig};
 use hdc_store::{DurabilityConfig, ItemStore, PagedStore, ResidentStore, SyncPolicy, WalRecord};
 use rand::{rngs::StdRng, Rng, SeedableRng};
 use std::hint::black_box;
@@ -229,6 +235,94 @@ fn bench_wal_bytes(c: &mut Criterion) {
     }
 }
 
+/// The regressor a recovery restarts: d=10_000, 64 label levels, a
+/// (scalar, angle, angle) record, trained on 2048 rows.
+fn regressor() -> Model<[f64]> {
+    let mut rng = StdRng::seed_from_u64(11);
+    let rows: Vec<Vec<f64>> = (0..2_048)
+        .map(|_| {
+            vec![
+                rng.random_range(0.0..4.0),
+                rng.random_range(0.0..std::f64::consts::TAU),
+                rng.random_range(0.0..std::f64::consts::TAU),
+            ]
+        })
+        .collect();
+    let values: Vec<f64> = rows
+        .iter()
+        .map(|row| 10.0 * row[1].sin() + row[0])
+        .collect();
+    let mut model = Pipeline::builder(DIM)
+        .seed(11)
+        .regression(-12.0, 16.0, 64)
+        .basis(Basis::Circular { m: 24, r: 0.0 })
+        .encoder(Enc::record(vec![
+            FieldSpec::scalar(0.0, 4.0),
+            FieldSpec::angle(),
+            FieldSpec::angle(),
+        ]))
+        .build()
+        .expect("valid spec");
+    model
+        .fit_value_batch(rows.iter().map(Vec::as_slice), &values)
+        .expect("training rows fit");
+    model
+}
+
+/// Spawn to first answer on a store with one installed snapshot (at 4096
+/// records, the default cadence) and a tail of 3_600 more records, the
+/// shape a crash leaves behind. The store is written once; every restart
+/// replays the same tail, since it only answers.
+fn bench_recovery(c: &mut Criterion) {
+    let _ = c; // manual timing; keep the criterion_group! signature
+    const TAIL: usize = 3_600;
+    const RESTARTS: usize = 15;
+    let dir = scratch("recovery");
+    let config = RuntimeConfig {
+        durability: Some(DurabilityConfig {
+            sync: SyncPolicy::Never,
+            ..DurabilityConfig::new(&dir)
+        }),
+        ..RuntimeConfig::default()
+    };
+    let snapshot_every = DurabilityConfig::new(&dir).snapshot_every as usize;
+    let mut rng = StdRng::seed_from_u64(12);
+    let probe = [1.0, 2.0, 3.0];
+    {
+        let runtime = Runtime::spawn(regressor(), config.clone()).expect("spawn");
+        let handle = runtime.handle();
+        for _ in 0..snapshot_every + TAIL {
+            let row = [
+                rng.random_range(0.0..4.0),
+                rng.random_range(0.0..std::f64::consts::TAU),
+                rng.random_range(0.0..std::f64::consts::TAU),
+            ];
+            handle
+                .fit_value(&row[..], 10.0 * row[1].sin() + row[0])
+                .expect("fit");
+        }
+        runtime.shutdown();
+    }
+    let mut times = Vec::with_capacity(RESTARTS);
+    for _ in 0..RESTARTS {
+        let model = regressor();
+        let started = Instant::now();
+        let runtime = Runtime::spawn(model, config.clone()).expect("recovery");
+        let answer = runtime
+            .handle()
+            .predict_value("probe", &probe[..])
+            .expect("first answer");
+        times.push(started.elapsed().as_nanos() as f64);
+        black_box(answer);
+        runtime.shutdown();
+    }
+    let _ = std::fs::remove_dir_all(&dir);
+    times.sort_by(f64::total_cmp);
+    let median = times[RESTARTS / 2];
+    let id = format!("store_recovery/spawn_to_first_answer/tail_{TAIL}");
+    println!("{id:<56} {median:>12.1} ns/iter (median of {RESTARTS} restarts)");
+}
+
 fn bench_paged_get(c: &mut Criterion) {
     const KEYS: usize = 2048;
     const BUDGET: usize = 256;
@@ -298,6 +392,7 @@ criterion_group!(
     bench_fit_path,
     bench_multi_writer,
     bench_wal_bytes,
+    bench_recovery,
     bench_paged_get
 );
 criterion_main!(benches);

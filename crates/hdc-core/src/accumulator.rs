@@ -1,6 +1,6 @@
 use rand::Rng;
 
-use crate::{kernels, BinaryHypervector, HvMut, HvRef};
+use crate::{kernels, BinaryHypervector, BitSlicedBundle, HvMut, HvRef};
 
 /// Policy for resolving ties when a [`MajorityAccumulator`] is finalized and
 /// a dimension has seen exactly as many ones as zeros.
@@ -178,6 +178,42 @@ impl MajorityAccumulator {
         );
         kernels::accumulate(&mut self.counts, row.as_words(), weight);
         self.weight += i64::from(weight);
+    }
+
+    /// Adds every input of a [`BitSlicedBundle`]: the same counters as
+    /// pushing its `n` inputs one by one, for one [`kernels::accumulate`]
+    /// per counter plane instead of one per input. Plane `j` holds bit `j`
+    /// of each dimension's count `c` of one-bits, so accumulating it with
+    /// weight `2^j` adds `±2^j`; over the bundle's `p` planes that is
+    /// `2c − (2^p − 1)`, and one constant `2^p − 1 − n` per counter makes
+    /// it the `2c − n` that `n` single pushes add. Counting and adding are
+    /// order-free integer sums, so the result is bit-identical. `n` must
+    /// stay below `2^31`, as the `i32` counters already require.
+    ///
+    /// # Panics
+    ///
+    /// Panics if the dimensionalities differ.
+    pub fn push_bundle(&mut self, bundle: &BitSlicedBundle) {
+        assert_eq!(
+            self.counts.len(),
+            bundle.dim(),
+            "dimension mismatch: expected {}, found {}",
+            self.counts.len(),
+            bundle.dim()
+        );
+        let mut top = 0i64;
+        for (j, plane) in bundle.planes().enumerate() {
+            kernels::accumulate(&mut self.counts, plane, 1 << j);
+            top = (top << 1) | 1;
+        }
+        let n = bundle.len() as i64;
+        let offset = (top - n) as i32;
+        if offset != 0 {
+            for count in &mut self.counts {
+                *count += offset;
+            }
+        }
+        self.weight += n;
     }
 
     /// Merges another accumulator into this one by adding its counters —
@@ -496,6 +532,40 @@ mod tests {
         by_row.push_row(hv.view());
         assert_eq!(by_owned, by_row);
         assert_eq!(by_owned.dot_bipolar(&hv), by_row.dot_bipolar_row(hv.view()));
+    }
+
+    #[test]
+    fn push_bundle_matches_per_row_pushes() {
+        for dim in [1usize, 63, 64, 65, 10_000] {
+            let mut r = StdRng::seed_from_u64(dim as u64);
+            let rows: Vec<_> = (0..4_096)
+                .map(|_| BinaryHypervector::random(dim, &mut r))
+                .collect();
+            // Start from counters that already hold something, so the
+            // bundle is added onto state rather than onto zeros.
+            let mut base = MajorityAccumulator::new(dim);
+            base.push(&rows[0]);
+            base.subtract(&rows[1]);
+            for n in (0..=70).chain([4_096]) {
+                let mut bundle = BitSlicedBundle::new(dim);
+                let mut per_row = base.clone();
+                for row in &rows[..n] {
+                    bundle.push(row.view());
+                    per_row.push_row(row.view());
+                }
+                let mut bundled = base.clone();
+                bundled.push_bundle(&bundle);
+                assert_eq!(bundled, per_row, "dim={dim} n={n}");
+                assert_eq!(bundled.weight(), per_row.weight(), "dim={dim} n={n}");
+            }
+        }
+    }
+
+    #[test]
+    #[should_panic(expected = "dimension mismatch")]
+    fn push_bundle_dimension_mismatch_panics() {
+        let mut acc = MajorityAccumulator::new(8);
+        acc.push_bundle(&BitSlicedBundle::new(9));
     }
 
     #[test]

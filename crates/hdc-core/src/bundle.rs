@@ -17,10 +17,12 @@ use crate::{kernels, BinaryHypervector, HvMut, HvRef, TieBreak};
 /// `MajorityAccumulator` and finalizing with the same [`TieBreak`]. What
 /// the bundle gives up is what the encoders never use: subtraction,
 /// weights, merging and random tie-breaking. The counts are unsigned and
-/// only ever grow, so it suits one sample's bundle of a bounded number of
-/// inputs (record fields, sequence positions), not a trainer's
-/// accumulator. Reuse one bundle across samples with
-/// [`reset`](Self::reset), which keeps its buffers.
+/// only ever grow. The encoders bundle one sample's inputs (record fields,
+/// sequence positions) this way; reuse one bundle across samples with
+/// [`reset`](Self::reset), which keeps its buffers. The trainers' batched
+/// fold counts a batch's rows per target this way too, then adds the
+/// planes to their `i32` counters once with
+/// [`MajorityAccumulator::push_bundle`](crate::MajorityAccumulator::push_bundle).
 ///
 /// # Example
 ///
@@ -64,7 +66,8 @@ impl BitSlicedBundle {
     /// a bound 18-input bundle, finalize included, took 4.7 µs — 1.7 ns per
     /// input word — against 59–75 µs through `i32` counters with the AVX2
     /// backend. Encoders that bundle state their per-row work as inputs ×
-    /// words × this factor.
+    /// words × this factor, and the trainers' batched fold as rows × words
+    /// × this factor.
     pub const PUSH_WORD_OPS: usize = 2;
 
     /// Creates an empty bundle for hypervectors of dimensionality `dim`.
@@ -206,6 +209,12 @@ impl BitSlicedBundle {
         let mut words = vec![0u64; self.words];
         self.finalize_into(tie, &mut HvMut::new(self.dim, &mut words));
         BinaryHypervector::from_words(self.dim, words)
+    }
+
+    /// The counter planes, least significant first: `⌊log2 n⌋ + 1` packed
+    /// slices for `n` inputs (none while empty).
+    pub(crate) fn planes(&self) -> std::slice::ChunksExact<'_, u64> {
+        self.planes.chunks_exact(self.words)
     }
 
     fn check_dim(&self, found: usize) {

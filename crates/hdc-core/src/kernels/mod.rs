@@ -35,10 +35,10 @@ mod x86;
 /// What one packed word of [`accumulate`] (64 counter updates) costs in
 /// the word-ops `minipool`'s fork rule counts, where one word-op is one
 /// word of [`hamming`]: ≈18 ns against ≈0.9 ns with the AVX2 backend on
-/// an x86-64 host. It prices the trainers' `observe_batch` folds, the one
-/// batch path left on `i32` counters; the encoders bundle bit-sliced
-/// instead (see
-/// [`BitSlicedBundle::PUSH_WORD_OPS`](crate::BitSlicedBundle::PUSH_WORD_OPS)).
+/// an x86-64 host. No batch path pays it per row: the encoders and the
+/// trainers' batched folds bundle bit-sliced (see
+/// [`BitSlicedBundle::PUSH_WORD_OPS`](crate::BitSlicedBundle::PUSH_WORD_OPS))
+/// and pay it once per counter plane.
 pub const ACCUMULATE_WORD_OPS: usize = 20;
 
 /// XORs `src` into `dst` word by word (the binding operation `⊗`).

@@ -12,7 +12,7 @@
 //!
 //! This crate provides the packed binary hypervector type used throughout the
 //! workspace, integer accumulators for exact majority bundling (and a
-//! bit-sliced [`BitSlicedBundle`] for one sample's bounded bundle), a
+//! bit-sliced [`BitSlicedBundle`] for a sample's or a batch's bundle), a
 //! bipolar (±1) model for ablations, similarity search helpers and an associative
 //! item memory. For batched pipelines it adds a contiguous
 //! [`HypervectorBatch`] arena whose rows are borrowed [`HvRef`]/[`HvMut`]

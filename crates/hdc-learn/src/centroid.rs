@@ -1,5 +1,6 @@
 use hdc_core::{
-    kernels, BinaryHypervector, HdcError, HvRef, HypervectorBatch, MajorityAccumulator, TieBreak,
+    BinaryHypervector, BitSlicedBundle, HdcError, HvRef, HypervectorBatch, MajorityAccumulator,
+    TieBreak,
 };
 use rand::Rng;
 
@@ -172,12 +173,67 @@ impl CentroidTrainer {
         &self.accumulators[label]
     }
 
-    /// Adds a whole batch of encoded samples in one pass. When the batch is
-    /// large enough to fork, the rows are partitioned across the worker
-    /// pool, each worker accumulates into private per-class partial
-    /// accumulators, and the partials are merged in row order. Because
-    /// counter addition commutes, the resulting accumulator state is
-    /// **bit-identical** to observing the samples one by one.
+    /// Adds borrowed `(row, label)` samples in one bit-sliced pass: each
+    /// class's rows are counted carry-save into a [`BitSlicedBundle`],
+    /// which is then added to the class's counters once
+    /// ([`MajorityAccumulator::push_bundle`]). Counter addition commutes,
+    /// so the state is **bit-identical** to observing the samples one by
+    /// one. A class without rows is left untouched.
+    ///
+    /// # Errors
+    ///
+    /// Returns [`HdcError::LabelOutOfRange`] for the first unknown label
+    /// (in which case nothing is accumulated).
+    ///
+    /// # Panics
+    ///
+    /// Panics if a row's dimensionality differs from the trainer's.
+    pub fn observe_rows<'a>(
+        &mut self,
+        rows: impl IntoIterator<Item = (HvRef<'a>, usize)>,
+    ) -> Result<(), HdcError> {
+        let bundles = self.bundle_rows(rows)?;
+        self.add_bundles(&bundles);
+        Ok(())
+    }
+
+    /// Counts each class's rows into a bundle of its own.
+    fn bundle_rows<'a>(
+        &self,
+        rows: impl IntoIterator<Item = (HvRef<'a>, usize)>,
+    ) -> Result<Vec<BitSlicedBundle>, HdcError> {
+        let classes = self.accumulators.len();
+        let dim = self.accumulators[0].dim();
+        let mut bundles: Vec<BitSlicedBundle> =
+            (0..classes).map(|_| BitSlicedBundle::new(dim)).collect();
+        for (row, label) in rows {
+            bundles
+                .get_mut(label)
+                .ok_or(HdcError::LabelOutOfRange { label, classes })?
+                .push(row);
+        }
+        Ok(bundles)
+    }
+
+    /// Adds one bundle per class to the counters and sample counts.
+    fn add_bundles(&mut self, bundles: &[BitSlicedBundle]) {
+        for ((acc, count), bundle) in self
+            .accumulators
+            .iter_mut()
+            .zip(&mut self.counts)
+            .zip(bundles)
+        {
+            acc.push_bundle(bundle);
+            *count += bundle.len();
+        }
+    }
+
+    /// Adds a whole batch of encoded samples in one bit-sliced pass (see
+    /// [`observe_rows`](Self::observe_rows)). When the batch is large
+    /// enough to fork, the rows are partitioned across the worker pool,
+    /// each worker bundles its range per class, and the bundles are added
+    /// to the counters in row order — still **bit-identical** to observing
+    /// the samples one by one.
     ///
     /// # Errors
     ///
@@ -199,10 +255,6 @@ impl CentroidTrainer {
                 labels: labels.len(),
             });
         }
-        let classes = self.accumulators.len();
-        if let Some(&label) = labels.iter().find(|&&l| l >= classes) {
-            return Err(HdcError::LabelOutOfRange { label, classes });
-        }
         let dim = self.accumulators[0].dim();
         assert_eq!(
             dim,
@@ -211,48 +263,23 @@ impl CentroidTrainer {
             dim,
             batch.dim()
         );
-        // A forked call gives each worker its own `classes` partial
-        // accumulators; on the calling thread, accumulate straight into the
-        // trainer instead (same counter arithmetic, so still bit-identical).
-        let work = batch.len() * batch.words_per_row() * kernels::ACCUMULATE_WORD_OPS;
-        if minipool::workers(batch.len(), work) == 1 {
-            for (i, &label) in labels.iter().enumerate() {
-                self.accumulators[label].push_row(batch.row(i));
-                self.counts[label] += 1;
-            }
-            return Ok(());
-        }
-        let partials = minipool::par_fold_ranges(
+        let work = batch.len() * batch.words_per_row() * BitSlicedBundle::PUSH_WORD_OPS;
+        let ranges = minipool::par_fold_ranges(
             batch.len(),
             work,
             |range| {
-                let mut accumulators: Vec<MajorityAccumulator> = (0..classes)
-                    .map(|_| MajorityAccumulator::new(dim))
-                    .collect();
-                let mut counts = vec![0usize; classes];
-                for i in range {
-                    accumulators[labels[i]].push_row(batch.row(i));
-                    counts[labels[i]] += 1;
-                }
-                (accumulators, counts)
+                Ok(vec![
+                    self.bundle_rows(range.map(|i| (batch.row(i), labels[i])))?
+                ])
             },
-            |(mut accumulators, mut counts), (other_accs, other_counts)| {
-                for (a, b) in accumulators.iter_mut().zip(&other_accs) {
-                    a.merge(b);
-                }
-                for (a, b) in counts.iter_mut().zip(&other_counts) {
-                    *a += b;
-                }
-                (accumulators, counts)
+            |done: Result<Vec<_>, HdcError>, next| {
+                let mut done = done?;
+                done.extend(next?);
+                Ok(done)
             },
         );
-        if let Some((accumulators, counts)) = partials {
-            for (dst, src) in self.accumulators.iter_mut().zip(&accumulators) {
-                dst.merge(src);
-            }
-            for (dst, src) in self.counts.iter_mut().zip(&counts) {
-                *dst += src;
-            }
+        for bundles in ranges.transpose()?.into_iter().flatten() {
+            self.add_bundles(&bundles);
         }
         Ok(())
     }
@@ -741,6 +768,67 @@ mod tests {
         assert_eq!(trainer.counts(), &[0, 0]);
         trainer.observe_batch(&batch, &[1]).unwrap();
         assert_eq!(trainer.counts(), &[0, 1]);
+    }
+
+    /// The bit-sliced fold against one `observe` per row, with a class of
+    /// one row and classes of none, for a batch on each side of the fork
+    /// break-even.
+    #[test]
+    fn batched_fold_matches_per_row_observe() {
+        let mut r = rng();
+        let classes = 6;
+        for n in [1usize, 2, 45, 4_000] {
+            let rows: Vec<BinaryHypervector> = (0..n)
+                .map(|_| BinaryHypervector::random(10_000, &mut r))
+                .collect();
+            // Class 1 gets the first row only; classes 2 and 5 get none.
+            let labels: Vec<usize> = (0..n)
+                .map(|i| match i {
+                    0 => 1,
+                    _ if i % 2 == 0 => 0,
+                    _ if i % 3 == 0 => 3,
+                    _ => 4,
+                })
+                .collect();
+            let mut per_row = CentroidTrainer::new(classes, 10_000).unwrap();
+            per_row.observe(&rows[0], 2).unwrap();
+            let mut by_rows = per_row.clone();
+            let mut by_batch = per_row.clone();
+            for (hv, &label) in rows.iter().zip(&labels) {
+                per_row.observe(hv, label).unwrap();
+            }
+            by_rows
+                .observe_rows(
+                    rows.iter()
+                        .map(BinaryHypervector::view)
+                        .zip(labels.iter().copied()),
+                )
+                .unwrap();
+            let arena = HypervectorBatch::from_vectors(&rows).unwrap();
+            by_batch.observe_batch(&arena, &labels).unwrap();
+            for trainer in [&by_rows, &by_batch] {
+                assert_eq!(trainer.counts(), per_row.counts(), "n={n}");
+                for class in 0..classes {
+                    assert_eq!(
+                        trainer.accumulator(class),
+                        per_row.accumulator(class),
+                        "n={n} class {class}"
+                    );
+                }
+            }
+        }
+        // An unknown label anywhere accumulates nothing.
+        let mut trainer = CentroidTrainer::new(2, 64).unwrap();
+        let hv = BinaryHypervector::random(64, &mut r);
+        assert!(matches!(
+            trainer.observe_rows([(hv.view(), 0), (hv.view(), 2), (hv.view(), 3)]),
+            Err(HdcError::LabelOutOfRange {
+                label: 2,
+                classes: 2
+            })
+        ));
+        assert_eq!(trainer.counts(), &[0, 0]);
+        assert!(trainer.accumulator(0).is_empty());
     }
 
     #[test]

@@ -1,5 +1,6 @@
 use hdc_core::{
-    kernels, BinaryHypervector, HdcError, HvRef, HypervectorBatch, MajorityAccumulator,
+    kernels, BinaryHypervector, BitSlicedBundle, HdcError, HvRef, HypervectorBatch,
+    MajorityAccumulator,
 };
 use hdc_encode::ScalarEncoder;
 use rand::Rng;
@@ -153,12 +154,40 @@ impl RegressionTrainer {
         self.observed += 1;
     }
 
-    /// Adds a whole batch of `(encoded sample, label)` pairs in one pass.
-    /// When the batch is large enough to fork, rows are partitioned across
-    /// the worker pool, each worker binds and accumulates into a private
-    /// partial accumulator, and the partials are merged in row order.
-    /// Counter addition commutes, so the resulting state is
-    /// **bit-identical** to observing the pairs one by one.
+    /// Adds borrowed `(row, label)` pairs in one bit-sliced pass: each
+    /// bound vector `φ(x) ⊗ φ_ℓ(y)` is counted carry-save into one
+    /// [`BitSlicedBundle`] (never materialized), which is then added to the
+    /// counters once ([`MajorityAccumulator::push_bundle`]).
+    /// **Bit-identical** to observing the pairs one by one.
+    ///
+    /// # Panics
+    ///
+    /// Panics if a row's dimensionality differs from the label encoder's.
+    pub fn observe_rows<'a>(&mut self, rows: impl IntoIterator<Item = (HvRef<'a>, f64)>) {
+        let bundle = self.bundle_rows(rows);
+        self.add_bundle(&bundle);
+    }
+
+    /// Counts the bound vectors of `rows` into one bundle.
+    fn bundle_rows<'a>(&self, rows: impl IntoIterator<Item = (HvRef<'a>, f64)>) -> BitSlicedBundle {
+        let mut bundle = BitSlicedBundle::new(self.label_encoder.dim());
+        for (row, label) in rows {
+            bundle.push_bound(row, self.label_encoder.encode(label).view());
+        }
+        bundle
+    }
+
+    fn add_bundle(&mut self, bundle: &BitSlicedBundle) {
+        self.accumulator.push_bundle(bundle);
+        self.observed += bundle.len();
+    }
+
+    /// Adds a whole batch of `(encoded sample, label)` pairs in one
+    /// bit-sliced pass (see [`observe_rows`](Self::observe_rows)). When
+    /// the batch is large enough to fork, rows are partitioned across the
+    /// worker pool, each worker bundles its range, and the bundles are
+    /// added to the counters in row order — still **bit-identical** to
+    /// observing the pairs one by one.
     ///
     /// # Errors
     ///
@@ -191,40 +220,18 @@ impl RegressionTrainer {
             dim,
             batch.dim()
         );
-        // A forked call gives each worker its own partial accumulator; on
-        // the calling thread, bind straight into the trainer instead (same
-        // counter arithmetic, so still bit-identical).
-        let work = batch.len() * batch.words_per_row() * kernels::ACCUMULATE_WORD_OPS;
-        if minipool::workers(batch.len(), work) == 1 {
-            for (i, &label) in labels.iter().enumerate() {
-                self.observe_row(batch.row(i), label);
-            }
-            return Ok(());
-        }
-        let label_encoder = &self.label_encoder;
-        let partial = minipool::par_fold_ranges(
+        let work = batch.len() * batch.words_per_row() * BitSlicedBundle::PUSH_WORD_OPS;
+        let bundles = minipool::par_fold_ranges(
             batch.len(),
             work,
-            |range| {
-                let mut acc = MajorityAccumulator::new(dim);
-                let mut words = vec![0u64; dim.div_ceil(64)];
-                let mut observed = 0usize;
-                for i in range {
-                    words.copy_from_slice(batch.row(i).as_words());
-                    kernels::xor_into(&mut words, label_encoder.encode(labels[i]).as_words());
-                    acc.push_row(HvRef::new(dim, &words));
-                    observed += 1;
-                }
-                (acc, observed)
-            },
-            |(mut acc, observed), (other_acc, other_observed)| {
-                acc.merge(&other_acc);
-                (acc, observed + other_observed)
+            |range| vec![self.bundle_rows(range.map(|i| (batch.row(i), labels[i])))],
+            |mut done, next| {
+                done.extend(next);
+                done
             },
         );
-        if let Some((acc, observed)) = partial {
-            self.accumulator.merge(&acc);
-            self.observed += observed;
+        for bundle in bundles.into_iter().flatten() {
+            self.add_bundle(&bundle);
         }
         Ok(())
     }
@@ -1114,6 +1121,41 @@ mod tests {
         ));
         assert_eq!(untouched.observed(), 0);
         assert!(untouched.accumulator().is_empty());
+    }
+
+    /// The bit-sliced fold against one `observe` per row, for batches on
+    /// each side of the fork break-even and for a single row.
+    #[test]
+    fn batched_fold_matches_per_row_observe() {
+        let mut r = rng();
+        let input = ScalarEncoder::with_levels(0.0, 1.0, 32, 10_000, &mut r).unwrap();
+        let label = ScalarEncoder::with_levels(0.0, 1.0, 24, 10_000, &mut r).unwrap();
+        for n in [1usize, 2, 67, 4_000] {
+            let values: Vec<f64> = (0..n).map(|i| (i % 97) as f64 / 96.0).collect();
+            let samples: Vec<BinaryHypervector> = values
+                .iter()
+                .map(|&x| input.encode(x).corrupt(0.02, &mut r))
+                .collect();
+            let mut per_row = RegressionTrainer::new(label.clone());
+            per_row.observe(&samples[0], 0.5);
+            let mut by_rows = per_row.clone();
+            let mut by_batch = per_row.clone();
+            for (hv, &y) in samples.iter().zip(&values) {
+                per_row.observe(hv, y);
+            }
+            by_rows.observe_rows(
+                samples
+                    .iter()
+                    .map(BinaryHypervector::view)
+                    .zip(values.iter().copied()),
+            );
+            let arena = HypervectorBatch::from_vectors(&samples).unwrap();
+            by_batch.observe_batch(&arena, &values).unwrap();
+            for trainer in [&by_rows, &by_batch] {
+                assert_eq!(trainer.observed(), per_row.observed(), "n={n}");
+                assert_eq!(trainer.accumulator(), per_row.accumulator(), "n={n}");
+            }
+        }
     }
 
     #[test]

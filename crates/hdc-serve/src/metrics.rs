@@ -46,12 +46,19 @@ struct Histograms {
 
 impl ServeMetrics {
     /// Creates metrics for a runtime whose micro-batches hold at most
-    /// `max_batch` rows (sizes the batch-size histogram: one bin per
-    /// possible size, capped at 256 bins).
+    /// `max_batch` rows. That sizes the batch-size histogram: one bin per
+    /// size `1..=max_batch` (bins share sizes evenly past 256), then one
+    /// overflow bin for the batches larger than the cap, which a request
+    /// bigger than the cap makes on its own.
     #[must_use]
     pub fn new(max_batch: usize) -> Self {
-        let top = max_batch.max(1) as f64;
-        let bins = max_batch.clamp(1, 256);
+        let cap = max_batch.max(1);
+        let bins = cap.min(256);
+        // Bin `i` covers sizes around `i + 1` (centred on the integers, so
+        // no float rounding moves a size across an edge); the overflow bin
+        // has the same width and absorbs everything above it.
+        let width = cap as f64 / bins as f64;
+        let top = 0.5 + width * (bins + 1) as f64;
         Self {
             started: Instant::now(),
             queue_depth: AtomicU64::new(0),
@@ -62,7 +69,7 @@ impl ServeMetrics {
             removes: AtomicU64::new(0),
             fits: AtomicU64::new(0),
             histograms: Mutex::new(Histograms {
-                batch_sizes: LinearHistogram::new(0.0, top, bins)
+                batch_sizes: LinearHistogram::new(0.5, top, bins + 1)
                     .expect("max_batch >= 1 yields a valid range"),
                 latency_us: LogHistogram::new(
                     LATENCY_MIN_US,
@@ -170,8 +177,12 @@ pub struct MetricsSnapshot {
     /// Mean rows per micro-batch, counted as the batching cap counts them:
     /// a predicted row or a fit is one row.
     pub mean_batch_size: f64,
-    /// Rows-per-batch histogram counts (bin `i` covers sizes around
-    /// `(i + 1) · max_batch / bins`).
+    /// Rows-per-batch histogram counts. When `max_batch <= 256`, bin `i`
+    /// counts the batches of exactly `i + 1` rows for every size up to
+    /// the cap; a larger cap spreads its sizes evenly over 256 bins. The
+    /// last bin counts the batches larger than `max_batch`: a request
+    /// bigger than the cap is never split, so it is served as one such
+    /// batch.
     pub batch_sizes: Vec<u64>,
     /// Median request latency (enqueue → reply) in microseconds.
     pub latency_us_p50: f64,
@@ -237,6 +248,27 @@ mod tests {
                 "{reported} vs {exact}"
             );
         }
+    }
+
+    #[test]
+    fn every_size_up_to_the_cap_has_a_bin_and_oversize_batches_overflow() {
+        let metrics = ServeMetrics::new(8);
+        for size in 1..=8 {
+            metrics.record_batch(size, std::iter::empty());
+        }
+        metrics.record_batch(9, std::iter::empty());
+        metrics.record_batch(70, std::iter::empty());
+        let snapshot = metrics.snapshot();
+        assert_eq!(snapshot.batch_sizes, [1, 1, 1, 1, 1, 1, 1, 1, 2]);
+
+        // Past 256 sizes the bins widen, and the overflow bin stays last.
+        let metrics = ServeMetrics::new(1_024);
+        for size in [1, 4, 5, 1_024, 1_025, 5_000] {
+            metrics.record_batch(size, std::iter::empty());
+        }
+        let sizes = metrics.snapshot().batch_sizes;
+        assert_eq!(sizes.len(), 257);
+        assert_eq!((sizes[0], sizes[1], sizes[255], sizes[256]), (2, 1, 1, 2));
     }
 
     #[test]

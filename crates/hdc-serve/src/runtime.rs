@@ -34,6 +34,15 @@
 //! that state before serving — so the restarted process answers
 //! bit-identically to the one that shut down.
 //!
+//! With [`RuntimeConfig::durability`] set, `spawn` also recovers from the
+//! store. It checks the installed snapshot's spec, restores its counters
+//! into the online learner, folds the logged fits after the snapshot's
+//! cover point in one bit-sliced pass, and finalizes the head once. Each
+//! background snapshot cuts the log at its cover point and its install
+//! deletes the segments it covers, so that tail holds about
+//! [`DurabilityConfig::snapshot_every`] records, whatever the segment
+//! size.
+//!
 //! ```
 //! use hdc_serve::{Basis, Enc, Pipeline, Radians, Runtime, RuntimeConfig};
 //!
@@ -438,6 +447,51 @@ impl OnlineLearner {
         }
     }
 
+    /// Folds every fit among logged `records` into the accumulators in one
+    /// bit-sliced pass that reads each hypervector in place, and returns how
+    /// many it folded. Each fit first meets the checks a live fit meets, so
+    /// a bad record folds nothing and fails recovery loudly.
+    fn replay(&mut self, records: &[WalRecord], task: Task, dim: usize) -> Result<usize, HdcError> {
+        let fits = || {
+            records.iter().filter_map(|record| match record {
+                WalRecord::Fit { hv, label } => Some((
+                    hv,
+                    Target::Label(usize::try_from(*label).unwrap_or(usize::MAX)),
+                )),
+                WalRecord::FitValue { hv, value } => Some((hv, Target::Value(*value))),
+                WalRecord::Insert { .. } | WalRecord::Remove { .. } => None,
+            })
+        };
+        let mut folded = 0;
+        for (hv, target) in fits() {
+            if hv.dim() != dim {
+                return Err(HdcError::Storage(format!(
+                    "logged fit has dimension {}, model expects {dim}",
+                    hv.dim()
+                )));
+            }
+            target
+                .check(task)
+                .map_err(|e| HdcError::Storage(format!("replaying fit: {e}")))?;
+            folded += 1;
+        }
+        match self {
+            OnlineLearner::Classify(trainer) => trainer
+                .observe_rows(fits().filter_map(|(hv, target)| match target {
+                    Target::Label(label) => Some((hv.view(), label)),
+                    Target::Value(_) => None,
+                }))
+                .map_err(|e| HdcError::Storage(format!("replaying fit: {e}")))?,
+            OnlineLearner::Regress(trainer) => {
+                trainer.observe_rows(fits().filter_map(|(hv, target)| match target {
+                    Target::Value(value) => Some((hv.view(), value)),
+                    Target::Label(_) => None,
+                }));
+            }
+        }
+        Ok(folded)
+    }
+
     fn task_name(&self) -> &'static str {
         match self {
             OnlineLearner::Classify(_) => "classification",
@@ -627,13 +681,39 @@ where
     /// With [`RuntimeConfig::load_snapshot`] set and the file present, the
     /// snapshot's trainer state and item memories are restored first (the
     /// snapshot must describe the model's spec), so the runtime resumes
-    /// bit-identically where the snapshotting process stopped.
+    /// bit-identically where the snapshotting process stopped. With
+    /// [`RuntimeConfig::durability`] set, the store's installed snapshot
+    /// and log tail are applied on top (see the module's "Warm restarts").
+    /// The head is finalized once, after everything is restored.
     ///
     /// # Errors
     ///
     /// Returns [`HdcError`] for an invalid shard count or ring geometry,
     /// and [`HdcError::Snapshot`] for a present-but-incompatible snapshot.
-    pub fn spawn(mut model: Model<X>, config: RuntimeConfig) -> Result<Self, HdcError> {
+    pub fn spawn(model: Model<X>, config: RuntimeConfig) -> Result<Self, HdcError> {
+        let (spec, encoder, state) = model.into_parts();
+        let encoder: Arc<dyn DynEncoder<X>> = Arc::from(encoder);
+        let task = spec.task;
+        let (mut head, mut learner) = match state {
+            TaskState::Classify {
+                trainer,
+                classifier,
+            } => (Head::Classes(classifier), OnlineLearner::Classify(trainer)),
+            TaskState::Regress { trainer, model } => {
+                (Head::Values(model), OnlineLearner::Regress(trainer))
+            }
+        };
+        // Warm and durable restarts restore counters into the learner; the
+        // head is then finalized once, after all of them.
+        let adopt = |learner: &mut OnlineLearner, snapshot: &Snapshot| {
+            if *snapshot.spec() != spec {
+                return Err(HdcError::Snapshot(
+                    "snapshot spec does not match the model's spec".into(),
+                ));
+            }
+            learner.restore(snapshot)
+        };
+        let mut restored = false;
         let mut restored_items = Vec::new();
         if let Some(path) = &config.load_snapshot {
             // Only a *missing* file is a cold start. Any other read failure
@@ -644,7 +724,8 @@ where
                 Ok(bytes) => {
                     let mut snapshot = Snapshot::from_bytes(&bytes)?;
                     restored_items = snapshot.take_items();
-                    model.restore(&snapshot)?;
+                    adopt(&mut learner, &snapshot)?;
+                    restored = true;
                 }
                 Err(error) if error.kind() == std::io::ErrorKind::NotFound => {}
                 Err(error) => {
@@ -659,62 +740,31 @@ where
         // the installed background snapshot restores first, then the WAL
         // tail replays over it. The spec digest in every segment header
         // guarantees the log belongs to this model's spec.
-        let mut replay = Vec::new();
+        let mut item_replay = Vec::new();
         let mut durable_parts = None;
         if let Some(dcfg) = &config.durability {
-            let digest = model.spec().hash64();
-            let (store, recovery) = Store::open(&dcfg.dir, digest, dcfg.wal_config())?;
+            let (store, recovery) = Store::open(&dcfg.dir, spec.hash64(), dcfg.wal_config())?;
             if let Some(blob) = &recovery.snapshot {
                 let mut snapshot = Snapshot::from_bytes(blob)?;
                 restored_items.extend(snapshot.take_items());
-                model.restore(&snapshot)?;
+                adopt(&mut learner, &snapshot)?;
+                restored = true;
             }
-            replay = recovery.records;
+            // Fits fold into the accumulators in one pass (commutative
+            // integer addition, so the result is bit-identical to the
+            // pre-crash fold order); item mutations are applied to the
+            // item plane below, in log order.
+            restored |= learner.replay(&recovery.records, task, spec.dim)? > 0;
+            item_replay = recovery
+                .records
+                .into_iter()
+                .filter(|record| {
+                    matches!(record, WalRecord::Insert { .. } | WalRecord::Remove { .. })
+                })
+                .collect();
             durable_parts = Some(store.into_parts());
         }
-        let (spec, encoder, state) = model.into_parts();
-        let encoder: Arc<dyn DynEncoder<X>> = Arc::from(encoder);
-        let task = spec.task;
-        let (mut head, mut learner) = match state {
-            TaskState::Classify {
-                trainer,
-                classifier,
-            } => (Head::Classes(classifier), OnlineLearner::Classify(trainer)),
-            TaskState::Regress { trainer, model } => {
-                (Head::Values(model), OnlineLearner::Regress(trainer))
-            }
-        };
-        // Replay the WAL tail: fits fold into the trainer accumulators
-        // (commutative integer addition, so the result is bit-identical to
-        // the pre-crash fold order); item mutations are applied to the item
-        // plane below, in log order.
-        let mut item_replay = Vec::new();
-        let mut replayed_fits = 0usize;
-        for record in replay {
-            let (hv, target) = match record {
-                WalRecord::Fit { hv, label } => (
-                    hv,
-                    Target::Label(usize::try_from(label).unwrap_or(usize::MAX)),
-                ),
-                WalRecord::FitValue { hv, value } => (hv, Target::Value(value)),
-                item => {
-                    item_replay.push(item);
-                    continue;
-                }
-            };
-            if hv.dim() != spec.dim {
-                return Err(HdcError::Storage(format!(
-                    "logged fit has dimension {}, model expects {}",
-                    hv.dim(),
-                    spec.dim
-                )));
-            }
-            learner
-                .observe(&hv, target)
-                .map_err(|e| HdcError::Storage(format!("replaying fit: {e}")))?;
-            replayed_fits += 1;
-        }
-        if replayed_fits > 0 {
+        if restored {
             head = learner.finish();
         }
         let mut fleet = ShardedModel::with_head(
@@ -788,9 +838,8 @@ where
                         fleet.remove(&key);
                     }
                 },
-                WalRecord::Fit { .. } | WalRecord::FitValue { .. } => {
-                    unreachable!("fits are folded above, never deferred")
-                }
+                // Filtered out: the fits were folded above.
+                WalRecord::Fit { .. } | WalRecord::FitValue { .. } => {}
             }
         }
         let policy = BatchPolicy {
@@ -1550,9 +1599,11 @@ fn snapshot_items(
     }
 }
 
-/// Triggers one background snapshot: flush/collect the items, mark the
-/// cover point, and wire the trainer's capture (queued behind every
-/// observation relayed so far) to the snapshotter thread.
+/// Triggers one background snapshot: flush/collect the items, cut the log
+/// at the cover point (the next segment starts there, so the install's
+/// segment GC deletes every record the snapshot covers), and wire the
+/// trainer's capture (queued behind every observation relayed so far) to
+/// the snapshotter thread.
 fn trigger_snapshot(
     dur: &mut Durability,
     plane: &mut Option<PagedStore>,
@@ -1566,13 +1617,12 @@ fn trigger_snapshot(
             return;
         }
     };
-    let upto = match dur.wal.next_seq() {
-        Ok(seq) => seq,
-        Err(error) => {
-            eprintln!("hdc-serve: background snapshot skipped: {error}");
-            return;
-        }
-    };
+    // The cut seals the outgoing segment with an fsync. Fail-stop like an
+    // append: after a failed fsync the log can no longer vouch for acks.
+    let upto = dur
+        .wal
+        .cut()
+        .expect("write-ahead log segment cut failed; refusing to acknowledge non-durable writes");
     let (reply, snapshot_rx) = mpsc::channel();
     if trainer_tx
         .send(TrainerMsg::Snapshot {
@@ -2207,7 +2257,7 @@ mod tests {
         }
         work_tx.send(Work::Shutdown).unwrap();
         let (_, encoder, _) = model.into_parts();
-        let metrics = Arc::new(ServeMetrics::new(80));
+        let metrics = Arc::new(ServeMetrics::new(8));
         let trainer_rx = run_dispatcher(work_rx, fleet, encoder, 8, &metrics, generations, spawned);
 
         for reply in replies {
@@ -2238,16 +2288,13 @@ mod tests {
             })
             .collect();
         assert_eq!(observed, fits);
-        // One histogram bin per row count, fits included: the six batches,
-        // each once. `requests` counts predicted rows only.
+        // One histogram bin per row count up to the cap, fits included,
+        // and the 70-row batch in the overflow bin after them: the six
+        // batches, each once. `requests` counts predicted rows only.
         let snapshot = metrics.snapshot();
         assert_eq!((snapshot.requests, snapshot.batches), (87, 6));
         assert!((snapshot.mean_batch_size - 94.0 / 6.0).abs() < 1e-12);
-        let batch_sizes: Vec<usize> = (0..snapshot.batch_sizes.len())
-            .filter(|&size| snapshot.batch_sizes[size] > 0)
-            .collect();
-        assert_eq!(batch_sizes, [2, 3, 4, 7, 8, 70]);
-        assert!(snapshot.batch_sizes.iter().all(|&count| count <= 1));
+        assert_eq!(snapshot.batch_sizes, [0, 1, 1, 1, 0, 0, 1, 1, 1]);
     }
 
     #[test]
@@ -2821,6 +2868,83 @@ mod tests {
             Runtime::spawn(blank_classify(256, 99), durable(0)),
             Err(HdcError::Storage(_))
         ));
+        std::fs::remove_dir_all(&dir).unwrap();
+    }
+
+    /// `snapshot_every: 8` cuts the log every 8 records: each life runs
+    /// several cuts, background installs and segment GCs, and the next life
+    /// replays only the tail after the newest installed snapshot, yet
+    /// answers bit-identically to a model fed every fit.
+    #[test]
+    fn durable_runtime_replays_bit_identically_across_cuts() {
+        let dir = std::env::temp_dir().join(format!("hdc-runtime-cuts-{}", std::process::id()));
+        let _ = std::fs::remove_dir_all(&dir);
+        let durable = || {
+            let mut cfg = config(1, 4);
+            cfg.durability = Some(DurabilityConfig {
+                snapshot_every: 8,
+                ..DurabilityConfig::new(&dir)
+            });
+            cfg
+        };
+        let blank = || {
+            Pipeline::builder(256)
+                .seed(51)
+                .regression(0.0, 24.0, 24)
+                .basis(Basis::Circular { m: 24, r: 0.0 })
+                .encoder(Enc::angle())
+                .build()
+                .unwrap()
+        };
+        let hours: Vec<Radians> = (0..48)
+            .map(|i| Radians::periodic(f64::from(i) / 2.0, 24.0))
+            .collect();
+        let mut reference = blank();
+        let mut fitted = 0;
+        for life in 0..3 {
+            let runtime = Runtime::spawn(blank(), durable()).unwrap();
+            let handle = runtime.handle();
+            let recovered: Vec<u64> = hours
+                .iter()
+                .map(|h| handle.predict_value("k", h).unwrap().value.to_bits())
+                .collect();
+            let expected: Vec<u64> = hours
+                .iter()
+                .map(|h| reference.predict_value(h).to_bits())
+                .collect();
+            assert_eq!(recovered, expected, "life {life} recovers bit-identically");
+            // 29 more fits per life: three cuts and a tail that no
+            // snapshot covers.
+            for i in 0..29 {
+                let hour = &hours[(fitted + i * 7) % hours.len()];
+                let value = (fitted + i) as f64 % 24.0;
+                handle.fit_value(hour, value).unwrap();
+                reference.fit_value(hour, value).unwrap();
+            }
+            fitted += 29;
+            let (_, learner) = runtime.shutdown();
+            assert_eq!(learner.observed(), fitted);
+            // Each install deleted the segments its snapshot covers: what
+            // is left starts at the newest installed cover point.
+            let segments: Vec<String> = std::fs::read_dir(&dir)
+                .unwrap()
+                .filter_map(|entry| entry.ok()?.file_name().into_string().ok())
+                .filter(|name| name.starts_with("wal-"))
+                .collect();
+            assert!(segments.len() <= 2, "life {life}: {segments:?}");
+            let (_, recovery) = Store::open(
+                &dir,
+                blank().spec().hash64(),
+                durable().durability.unwrap().wal_config(),
+            )
+            .unwrap();
+            assert!(recovery.snapshot.is_some());
+            assert!(
+                recovery.records.len() < 16,
+                "life {life}: {}",
+                recovery.records.len()
+            );
+        }
         std::fs::remove_dir_all(&dir).unwrap();
     }
 

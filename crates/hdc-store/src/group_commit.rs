@@ -167,13 +167,17 @@ impl GroupCommitWal {
         Ok(())
     }
 
-    /// The sequence number the next appended record will carry.
+    /// Seals the active segment at the current sequence and returns that
+    /// sequence (see [`Wal::cut`]): a snapshot's cover point. It runs under
+    /// the WAL lock, as [`append`](Self::append)'s size rotation does.
     ///
     /// # Errors
     ///
-    /// Returns [`HdcError::Storage`] if the WAL lock is poisoned.
-    pub fn next_seq(&self) -> Result<u64, HdcError> {
-        Ok(lock(&self.shared.wal, "WAL")?.next_seq())
+    /// Returns [`HdcError::Storage`] on I/O failure or after a failed
+    /// flush (fail-stop).
+    pub fn cut(&self) -> Result<u64, HdcError> {
+        self.check_failed()?;
+        lock(&self.shared.wal, "WAL")?.cut()
     }
 
     /// Data `fsync`s issued since open (see [`Wal::sync_count`]).

@@ -5,7 +5,8 @@
 //!
 //! * [`Wal`] — an append-only segmented log of [`WalRecord`]s
 //!   (`insert`/`remove`/`fit`/`fit_value`), one CRC-protected frame per
-//!   record, rotated into fixed-size segment files. Replay tolerates a torn
+//!   record, rotated into segment files at a size threshold and cut at
+//!   every snapshot's cover point. Replay tolerates a torn
 //!   tail in the **last** segment (the write the crash interrupted) by
 //!   truncating to the longest valid prefix; corruption anywhere earlier is
 //!   loud — those records were acknowledged and must not be silently
@@ -101,10 +102,15 @@ impl Default for WalConfig {
 pub struct DurabilityConfig {
     /// Root directory of the store (created if missing).
     pub dir: PathBuf,
-    /// Segment rotation threshold in bytes.
+    /// Segment rotation threshold in bytes. A segment also ends at every
+    /// snapshot's cover point (see [`Wal::cut`]), so with snapshots on this
+    /// only bounds segments between two snapshots.
     pub segment_bytes: u64,
     /// Log records between automatic background snapshots; `0` disables
-    /// periodic snapshotting (recovery then replays the whole log).
+    /// periodic snapshotting (recovery then replays the whole log). Every
+    /// snapshot starts a segment of its own, and installing it deletes the
+    /// segments it covers, so recovery reads and replays about this many
+    /// records at most, whatever the segment size.
     pub snapshot_every: u64,
     /// When appended records are `fsync`ed.
     pub sync: SyncPolicy,

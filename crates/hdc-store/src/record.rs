@@ -7,21 +7,38 @@ use hdc_core::BinaryHypervector;
 
 use crate::codec::{self, Cursor};
 
-/// CRC-32 (IEEE 802.3 polynomial, the `cksum`/zlib one), table-driven.
+/// CRC-32 (IEEE 802.3 polynomial, the `cksum`/zlib one), slicing-by-8:
+/// eight bytes per step through eight lookup tables, then a bytewise tail.
 /// Every record frame, snapshot blob and index entry in this crate carries
 /// one so a torn or bit-flipped write is detected rather than replayed.
 #[must_use]
 pub fn crc32(bytes: &[u8]) -> u32 {
-    const TABLE: [u32; 256] = build_crc_table();
+    let t = &CRC_TABLES;
     let mut crc = !0u32;
-    for &byte in bytes {
-        crc = (crc >> 8) ^ TABLE[((crc ^ u32::from(byte)) & 0xFF) as usize];
+    let mut chunks = bytes.chunks_exact(8);
+    for c in &mut chunks {
+        let lo = crc ^ u32::from_le_bytes([c[0], c[1], c[2], c[3]]);
+        crc = t[7][(lo & 0xFF) as usize]
+            ^ t[6][((lo >> 8) & 0xFF) as usize]
+            ^ t[5][((lo >> 16) & 0xFF) as usize]
+            ^ t[4][(lo >> 24) as usize]
+            ^ t[3][usize::from(c[4])]
+            ^ t[2][usize::from(c[5])]
+            ^ t[1][usize::from(c[6])]
+            ^ t[0][usize::from(c[7])];
+    }
+    for &byte in chunks.remainder() {
+        crc = (crc >> 8) ^ t[0][((crc ^ u32::from(byte)) & 0xFF) as usize];
     }
     !crc
 }
 
-const fn build_crc_table() -> [u32; 256] {
-    let mut table = [0u32; 256];
+/// `CRC_TABLES[0]` is the bytewise table; `CRC_TABLES[k][i]` is the CRC of
+/// byte `i` followed by `k` zero bytes, so one step folds eight bytes.
+const CRC_TABLES: [[u32; 256]; 8] = build_crc_tables();
+
+const fn build_crc_tables() -> [[u32; 256]; 8] {
+    let mut tables = [[0u32; 256]; 8];
     let mut i = 0;
     while i < 256 {
         let mut crc = i as u32;
@@ -34,10 +51,20 @@ const fn build_crc_table() -> [u32; 256] {
             };
             bit += 1;
         }
-        table[i] = crc;
+        tables[0][i] = crc;
         i += 1;
     }
-    table
+    let mut k = 1;
+    while k < 8 {
+        let mut i = 0;
+        while i < 256 {
+            let prev = tables[k - 1][i];
+            tables[k][i] = (prev >> 8) ^ tables[0][(prev & 0xFF) as usize];
+            i += 1;
+        }
+        k += 1;
+    }
+    tables
 }
 
 const TAG_INSERT: u8 = 1;
@@ -161,6 +188,34 @@ mod tests {
         // The IEEE check value: CRC-32 of "123456789".
         assert_eq!(crc32(b"123456789"), 0xCBF4_3926);
         assert_eq!(crc32(b""), 0);
+    }
+
+    /// The plain one-table walk the sliced form must reproduce.
+    fn crc32_bytewise(bytes: &[u8]) -> u32 {
+        let mut crc = !0u32;
+        for &byte in bytes {
+            crc = (crc >> 8) ^ CRC_TABLES[0][((crc ^ u32::from(byte)) & 0xFF) as usize];
+        }
+        !crc
+    }
+
+    #[test]
+    fn sliced_crc32_matches_the_bytewise_walk() {
+        let mut rng = StdRng::seed_from_u64(32);
+        let mut bytes = vec![0u8; 308];
+        rand::RngCore::fill_bytes(&mut rng, &mut bytes);
+        // Every length 0..=300 at every start offset 0..8: each tail
+        // length and each alignment of the 8-byte steps.
+        for start in 0..8 {
+            for len in 0..=300 {
+                let slice = &bytes[start..start + len];
+                assert_eq!(
+                    crc32(slice),
+                    crc32_bytewise(slice),
+                    "start {start} len {len}"
+                );
+            }
+        }
     }
 
     #[test]

@@ -359,15 +359,73 @@ mod tests {
 
         let (_, recovery) = Store::open(&dir, 7, small()).unwrap();
         assert_eq!(recovery.snapshot.as_deref(), Some(&b"state-after-8"[..]));
-        let labels: Vec<u64> = recovery
-            .records
+        assert_eq!(labels(&recovery.records), vec![8, 9, 10, 11]);
+        std::fs::remove_dir_all(&dir).unwrap();
+    }
+
+    fn labels(records: &[WalRecord]) -> Vec<u64> {
+        records
             .iter()
             .map(|r| match r {
                 WalRecord::Fit { label, .. } => *label,
                 _ => unreachable!(),
             })
-            .collect();
-        assert_eq!(labels, vec![8, 9, 10, 11]);
+            .collect()
+    }
+
+    #[test]
+    fn a_cut_and_its_install_leave_only_the_tail() {
+        let dir = tmp_dir("cut");
+        let (store, _) = Store::open(&dir, 7, unbounded()).unwrap();
+        let (mut wal, installer) = store.into_parts();
+        let records: Vec<WalRecord> = (0..9).map(|i| fit(i, i)).collect();
+        for record in &records[..6] {
+            wal.append(record).unwrap();
+        }
+        let upto = wal.cut().unwrap();
+        assert_eq!(upto, 6);
+        for record in &records[6..] {
+            wal.append(record).unwrap();
+        }
+        installer.install(b"state-after-6", upto).unwrap();
+        let starts: Vec<u64> = list_segments(&dir).unwrap().iter().map(|s| s.0).collect();
+        assert_eq!(starts, [6], "only the segment starting at the cut remains");
+        drop(wal);
+
+        let (_, recovery) = Store::open(&dir, 7, unbounded()).unwrap();
+        assert_eq!(recovery.snapshot.as_deref(), Some(&b"state-after-6"[..]));
+        assert_eq!(recovery.records, records[6..]);
+        std::fs::remove_dir_all(&dir).unwrap();
+    }
+
+    #[test]
+    fn a_crash_between_cut_and_install_replays_both_segments() {
+        let dir = tmp_dir("cut-crash");
+        let (store, _) = Store::open(&dir, 7, unbounded()).unwrap();
+        let (mut wal, installer) = store.into_parts();
+        let records: Vec<WalRecord> = (0..10).map(|i| fit(i, i)).collect();
+        for record in &records[..4] {
+            wal.append(record).unwrap();
+        }
+        let older = wal.cut().unwrap();
+        installer.install(b"state-after-4", older).unwrap();
+        for record in &records[4..7] {
+            wal.append(record).unwrap();
+        }
+        // The second snapshot's cut lands, but the process dies before its
+        // install: the manifest still names the older snapshot.
+        assert_eq!(wal.cut().unwrap(), 7);
+        for record in &records[7..] {
+            wal.append(record).unwrap();
+        }
+        drop(wal);
+        let starts: Vec<u64> = list_segments(&dir).unwrap().iter().map(|s| s.0).collect();
+        assert_eq!(starts, [4, 7]);
+
+        let (_, recovery) = Store::open(&dir, 7, unbounded()).unwrap();
+        assert_eq!(recovery.snapshot.as_deref(), Some(&b"state-after-4"[..]));
+        assert_eq!(labels(&recovery.records), (4..10).collect::<Vec<u64>>());
+        assert_eq!(recovery.records, records[4..]);
         std::fs::remove_dir_all(&dir).unwrap();
     }
 

@@ -1,6 +1,12 @@
-//! The segmented write-ahead log: fixed-threshold segment files of
-//! CRC-framed [`WalRecord`]s, appended by exactly one writer, replayed at
-//! open with a truncated-tail tolerance in the last segment only.
+//! The segmented write-ahead log: segment files of CRC-framed
+//! [`WalRecord`]s, appended by exactly one writer, replayed at open with a
+//! truncated-tail tolerance in the last segment only.
+//!
+//! A segment ends in one of two ways. It is sealed when it grows past the
+//! size threshold, and [`Wal::cut`] seals it at a snapshot's cover point.
+//! So every installed snapshot starts a segment of its own, the
+//! installer's segment GC deletes every record it covers, and opening
+//! the log reads and decodes only the records after that point.
 //!
 //! # On-disk layout
 //!
@@ -521,6 +527,23 @@ impl Wal {
         }
     }
 
+    /// Seals the active segment, unless it holds no record, and starts the
+    /// next one at the current sequence, which it returns. A snapshot
+    /// taking that sequence as its cover point then starts a segment of its
+    /// own: once the snapshot is installed, the installer deletes every
+    /// segment before it, and the next open reads only the records after
+    /// it. The seal `fsync`s like a size rotation, whatever the policy.
+    ///
+    /// # Errors
+    ///
+    /// Returns [`HdcError::Storage`] on I/O failure.
+    pub fn cut(&mut self) -> Result<u64, HdcError> {
+        if self.active_len > SEGMENT_HEADER_LEN {
+            self.rotate()?;
+        }
+        Ok(self.next_seq)
+    }
+
     /// Seals the active segment and starts a fresh one at the current
     /// sequence.
     fn rotate(&mut self) -> Result<(), HdcError> {
@@ -628,6 +651,40 @@ mod tests {
         let (_, tail) = Wal::open(&dir, 9, cfg(512, SyncPolicy::EveryBatch), 7).unwrap();
         assert_eq!(tail.len(), 3);
         assert_eq!(tail[0].0, 7);
+        std::fs::remove_dir_all(&dir).unwrap();
+    }
+
+    #[test]
+    fn cut_of_a_header_only_segment_is_a_no_op() {
+        let dir = tmp_dir("cut-empty");
+        let records = sample_records(3);
+        let (mut wal, _) = Wal::open(&dir, 9, cfg(u64::MAX, SyncPolicy::Never), 0).unwrap();
+        let header = std::fs::read(dir.join(segment_name(0))).unwrap();
+        // Nothing appended yet: the active segment already starts at the
+        // cut, so no file is sealed, created or replaced.
+        assert_eq!(wal.cut().unwrap(), 0);
+        assert_eq!(wal.sync_count(), 0, "nothing sealed");
+        assert_eq!(list_segments(&dir).unwrap().len(), 1);
+        assert_eq!(std::fs::read(dir.join(segment_name(0))).unwrap(), header);
+        for record in &records {
+            wal.append(record).unwrap();
+        }
+        // A cut after records seals them and starts the next segment at
+        // the returned sequence; a second cut right after it is a no-op.
+        assert_eq!(wal.cut().unwrap(), 3);
+        assert_eq!(wal.sync_count(), 1, "the outgoing segment is sealed");
+        assert_eq!(wal.cut().unwrap(), 3);
+        assert_eq!(wal.sync_count(), 1);
+        let starts: Vec<u64> = list_segments(&dir).unwrap().iter().map(|s| s.0).collect();
+        assert_eq!(starts, [0, 3]);
+        wal.append(&records[0]).unwrap();
+        drop(wal);
+        let (wal, replayed) = Wal::open(&dir, 9, cfg(u64::MAX, SyncPolicy::Never), 0).unwrap();
+        assert_eq!(wal.next_seq(), 4);
+        assert_eq!(replayed.len(), 4);
+        // Replay from the cut reads only the segment that starts there.
+        let (_, tail) = Wal::open(&dir, 9, cfg(u64::MAX, SyncPolicy::Never), 3).unwrap();
+        assert_eq!(tail, [(3, records[0].clone())]);
         std::fs::remove_dir_all(&dir).unwrap();
     }
 

@@ -28,6 +28,12 @@
 //! * the item memory writes acknowledged before the kill are all present
 //!   and bit-identical.
 //!
+//! The child snapshots every [`SNAPSHOT_EVERY`] records, so before the
+//! kill its log has been cut at several snapshot cover points, with
+//! background installs and segment GC running beside the writers: the
+//! recovery starts from the newest installed snapshot, not from an empty
+//! model.
+//!
 //! `--fsync batch|never` picks the [`SyncPolicy`] for both lives. CI runs
 //! both: `batch` (the default), where every ack waits for a group
 //! `fdatasync`, and `never`, where acks fire once the record reaches the
@@ -57,6 +63,9 @@ const WRITERS: usize = 4;
 const ACKS_BEFORE_KILL: usize = 40;
 /// Item-memory keys the child registers (and acks) before fitting.
 const ITEMS: usize = 4;
+/// Log records between background snapshots: small, so the 40-odd acked
+/// writes span several log cuts, installs and segment collections.
+const SNAPSHOT_EVERY: u64 = 8;
 
 /// The untrained pipeline every life starts from: writer-of-origin
 /// classification over the daily circle — one class per writer, so the
@@ -74,6 +83,7 @@ fn durable(dir: &Path, sync: SyncPolicy) -> RuntimeConfig {
     RuntimeConfig {
         durability: Some(DurabilityConfig {
             sync,
+            snapshot_every: SNAPSHOT_EVERY,
             ..DurabilityConfig::new(dir)
         }),
         ..RuntimeConfig::default()
@@ -169,6 +179,21 @@ fn child(dir: &Path, sync: SyncPolicy) -> Result<(), Box<dyn std::error::Error>>
     Err("child was never killed".into())
 }
 
+/// The cover point of the newest snapshot installed in `dir`, read from
+/// the `snap-{upto:016x}.hdcs` file names.
+fn newest_snapshot(dir: &Path) -> std::io::Result<Option<u64>> {
+    let mut newest = None;
+    for entry in std::fs::read_dir(dir)? {
+        let name = entry?.file_name();
+        let upto = name
+            .to_str()
+            .and_then(|name| name.strip_prefix("snap-")?.strip_suffix(".hdcs"))
+            .and_then(|hex| u64::from_str_radix(hex, 16).ok());
+        newest = newest.max(upto);
+    }
+    Ok(newest)
+}
+
 fn parent(sync: SyncPolicy) -> Result<(), Box<dyn std::error::Error>> {
     let started = Instant::now();
     let dir = std::env::temp_dir().join(format!("hdc-crash-recovery-{}", std::process::id()));
@@ -213,6 +238,10 @@ fn parent(sync: SyncPolicy) -> Result<(), Box<dyn std::error::Error>> {
     println!(
         "killed the shard after {total_acked} acknowledged fits across {WRITERS} writers {acked:?}"
     );
+    match newest_snapshot(&dir)? {
+        Some(upto) => println!("the newest installed snapshot covers the first {upto} log records"),
+        None => println!("no background snapshot was installed before the kill"),
+    }
 
     // --- Second life: recover from the log alone. ---
     let runtime = Runtime::spawn(blank()?, durable(&dir, sync))?;

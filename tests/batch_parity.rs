@@ -7,7 +7,7 @@
 //! [`TieBreak`] policy.
 
 use hdc::basis::BasisKind;
-use hdc::core::{kernels, similarity};
+use hdc::core::{similarity, BitSlicedBundle};
 use hdc::encode::{Encoder, FeatureRecordEncoder, FieldSpec, ScalarEncoder};
 use hdc::learn::{CentroidClassifier, CentroidTrainer, RegressionModel, RegressionTrainer};
 use hdc::{BinaryHypervector, HypervectorBatch, MajorityAccumulator, TieBreak};
@@ -111,10 +111,10 @@ proptest! {
         }
     }
 
-    /// Parallel batch fitting merges per-worker partial accumulators into
+    /// Parallel batch fitting adds per-worker bit-sliced bundles into
     /// exactly the serial counters, so with equal RNG streams the finished
     /// models match bit for bit — for batch sizes on both sides of the fork
-    /// break-even.
+    /// break-even (the fold is priced at `PUSH_WORD_OPS` per word).
     #[test]
     fn fit_batch_matches_serial_fit(
         seed in 0u64..100,
@@ -123,7 +123,7 @@ proptest! {
         side in 0.0f64..2.0,
     ) {
         let mut rng = StdRng::seed_from_u64(seed);
-        let row_word_ops = dim.div_ceil(64) * kernels::ACCUMULATE_WORD_OPS;
+        let row_word_ops = dim.div_ceil(64) * BitSlicedBundle::PUSH_WORD_OPS;
         let n = rows_around_break_even(side, row_word_ops).max(1);
         let samples: Vec<BinaryHypervector> =
             (0..n).map(|_| BinaryHypervector::random(dim, &mut rng)).collect();
@@ -230,7 +230,17 @@ fn regression_parallel_prediction_matches_serial() {
     .unwrap();
     let row_word_ops = model.row_word_ops();
     let pivot = break_even_rows(row_word_ops);
-    for n in [31, pivot - 1, pivot, 2 * pivot + 3] {
+    // The batched fold forks at its own, larger break-even.
+    let observe_word_ops = 4_099usize.div_ceil(64) * BitSlicedBundle::PUSH_WORD_OPS;
+    let fold_pivot = break_even_rows(observe_word_ops);
+    for n in [
+        31,
+        pivot - 1,
+        pivot,
+        2 * pivot + 3,
+        fold_pivot,
+        2 * fold_pivot + 3,
+    ] {
         let queries: Vec<BinaryHypervector> = (0..n)
             .map(|i| input.encode(i as f64 / n as f64).corrupt(0.05, &mut rng))
             .collect();
@@ -247,7 +257,6 @@ fn regression_parallel_prediction_matches_serial() {
             one_by_one.observe(hv, y);
         }
         let mut batched = RegressionTrainer::new(label.clone());
-        let observe_word_ops = arena.words_per_row() * kernels::ACCUMULATE_WORD_OPS;
         batch_call(n, observe_word_ops, || {
             batched.observe_batch(&arena, &values)
         })
