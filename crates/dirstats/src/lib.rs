@@ -16,7 +16,6 @@
 //!   needs no external distribution crate),
 //! * [`correlation`] — circular–linear (Mardia) and circular–circular
 //!   (Jammalamadaka–SenGupta) association measures,
-//! * [`uniformity`] — the Rayleigh test,
 //! * [`CircularHistogram`] — binned summaries of angle samples,
 //! * [`LinearHistogram`] — its bounded-range linear sibling (batch-size
 //!   distributions in the serving layer's metrics),
@@ -47,7 +46,6 @@ pub mod descriptive;
 mod error;
 mod histogram;
 mod normal;
-pub mod uniformity;
 mod von_mises;
 mod wrapped_cauchy;
 

@@ -10,12 +10,13 @@ use crate::diag::{Diagnostic, Level};
 use crate::lints::is_method_call;
 use crate::workspace::Workspace;
 
-/// The hot-path files (workspace-relative). Request dispatch, wire
-/// decoding, WAL append/replay, the byte codec every durable format reads
-/// through, group-commit flushing, cluster fan-out, and the paged item
-/// store.
+/// The hot-path files (workspace-relative). Request dispatch, the task
+/// family's readout and trainer fold, wire decoding, WAL append/replay,
+/// the byte codec every durable format reads through, group-commit
+/// flushing, cluster fan-out, and the paged item store.
 const HOT_PATH_FILES: &[&str] = &[
     "crates/hdc-serve/src/runtime.rs",
+    "crates/hdc-serve/src/task.rs",
     "crates/hdc-serve/src/wire.rs",
     "crates/hdc-serve/src/cluster.rs",
     "crates/hdc-store/src/codec.rs",

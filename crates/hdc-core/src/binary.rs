@@ -32,10 +32,26 @@ const WORD_BITS: usize = 64;
 /// // Two independently sampled hypervectors are quasi-orthogonal.
 /// assert!((a.normalized_hamming(&b) - 0.5).abs() < 0.05);
 /// ```
-#[derive(Clone, PartialEq, Eq, Hash)]
+#[derive(PartialEq, Eq, Hash)]
 pub struct BinaryHypervector {
     dim: usize,
     words: Vec<u64>,
+}
+
+impl Clone for BinaryHypervector {
+    fn clone(&self) -> Self {
+        Self {
+            dim: self.dim,
+            words: self.words.clone(),
+        }
+    }
+
+    /// Copies `source` into `self`'s word buffer, which allocates nothing
+    /// when the buffer already holds enough words (e.g. equal widths).
+    fn clone_from(&mut self, source: &Self) {
+        self.dim = source.dim;
+        self.words.clone_from(&source.words);
+    }
 }
 
 impl BinaryHypervector {
@@ -464,6 +480,24 @@ mod tests {
         for dim in [1, 63, 64, 65, 100, 10_000] {
             assert_eq!(BinaryHypervector::zeros(dim).count_ones(), 0);
             assert_eq!(BinaryHypervector::ones(dim).count_ones(), dim);
+        }
+    }
+
+    #[test]
+    fn clone_from_copies_into_the_existing_buffer() {
+        let mut rng = rng();
+        let source = BinaryHypervector::random(1_000, &mut rng);
+        let mut target = BinaryHypervector::random(1_000, &mut rng);
+        let buffer = target.as_words().as_ptr();
+        target.clone_from(&source);
+        assert_eq!(target, source);
+        assert_eq!(target.as_words().as_ptr(), buffer, "no reallocation");
+        // Other widths are copied exactly too.
+        for dim in [1, 64, 5_000] {
+            let other = BinaryHypervector::random(dim, &mut rng);
+            target.clone_from(&other);
+            assert_eq!(target, other);
+            assert!(target.tail_is_clean());
         }
     }
 

@@ -74,10 +74,11 @@ use hdc_hash::HdcHashRing;
 use rand::{rngs::StdRng, SeedableRng};
 
 use crate::metrics::MetricsSnapshot;
-use crate::runtime::{Answers, Prediction, RuntimeHandle, RuntimeStats, Target, ValuePrediction};
+use crate::runtime::{RuntimeHandle, RuntimeStats};
 use crate::server::{fail, BlockingClient, ClientConfig, Listener};
 use crate::sharded::RingConfig;
 use crate::snapshot::Snapshot;
+use crate::task::{Answers, Prediction, Target, ValuePrediction};
 use crate::wire::{Request, Response};
 
 /// Rows per `predict_batch` frame a [`RemoteShard`] sends at once — far
@@ -323,7 +324,7 @@ impl ShardBackend for RemoteShard {
                 .map_err(|e| transport("predict", &e))?;
             parts.push((indices, answers));
             if pairs.is_empty() {
-                return merge(len, parts);
+                return Answers::merge(len, parts);
             }
         }
     }
@@ -404,32 +405,6 @@ fn fan_out<I: Send, R: Send>(
             })
             .collect()
     })
-}
-
-/// Reassembles partial answers into input order: each part answers the
-/// input positions listed beside it, and together they cover `len` inputs.
-fn merge(len: usize, parts: Vec<(Vec<usize>, Answers)>) -> Result<Answers, HdcError> {
-    fn place<T: Clone + Default>(len: usize, parts: Vec<(Vec<usize>, Vec<T>)>) -> Vec<T> {
-        let mut merged = vec![T::default(); len];
-        for (indices, answers) in parts {
-            for (index, answer) in indices.into_iter().zip(answers) {
-                merged[index] = answer;
-            }
-        }
-        merged
-    }
-    if matches!(parts.first(), Some((_, Answers::Values(_)))) {
-        let parts = parts
-            .into_iter()
-            .map(|(indices, answers)| Ok((indices, answers.into_values()?)))
-            .collect::<Result<_, HdcError>>()?;
-        return Ok(Answers::Values(place(len, parts)));
-    }
-    let parts = parts
-        .into_iter()
-        .map(|(indices, answers)| Ok((indices, answers.into_labels()?)))
-        .collect::<Result<_, HdcError>>()?;
-    Ok(Answers::Labels(place(len, parts)))
 }
 
 /// The routing front-end of a shard cluster: maps keys to shard processes
@@ -630,7 +605,7 @@ impl ClusterRouter {
             // answer still names the task.
             return self.shards[0].1.answer(Vec::new());
         }
-        merge(pairs.len(), parts)
+        Answers::merge(pairs.len(), parts)
     }
 
     /// Predicts a batch of keyed, encoded queries' labels (see

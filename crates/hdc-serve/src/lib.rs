@@ -8,21 +8,25 @@
 //!   pick a dimensionality, seed, [`Basis`] family and [`Enc`] encoder
 //!   spec, get one object with `fit`/`fit_batch`/`predict`/`predict_batch`/
 //!   `evaluate`, backed by the workspace's batched parallel paths.
-//! * [`ShardedModel`] — production-shaped serving on top: class vectors
+//! * [`Target`] / [`OnlineLearner`] / [`Head`] / [`Answers`] — the task
+//!   family (classification or regression) behind one type each: what an
+//!   observation teaches, the accumulators it folds into, the finalized
+//!   model with its one readout, and that readout's rows. Every layer
+//!   below reaches the task through these.
+//! * [`ShardedModel`] — production-shaped serving on top: the head
 //!   replicated across shards, per-key item memories partitioned over an
 //!   `hdc-hash` consistent-hash ring, query batches routed per shard
-//!   through `predict_rows` and merged in input order. Bit-identical to
-//!   the unsharded model for any shard count, with graceful `1/n`
+//!   through the head's readout and merged in input order. Bit-identical
+//!   to the unsharded model for any shard count, with graceful `1/n`
 //!   remapping under shard churn — the serving setting circular
 //!   hypervectors were invented for (Heddes et al., DAC 2022).
-//! * [`Runtime`] — the long-running process around the fleet: an MPSC
-//!   ingestion queue that serves whatever requests are queued as one
-//!   micro-batch, up to a [`BatchPolicy`] size cap and without waiting
-//!   for more, a background trainer publishing
-//!   `Arc`-snapshotted class-vector [`Generation`]s that swap atomically
-//!   across all shards (reads never block on training; every
-//!   [`Prediction`] carries its generation id), and live
-//!   [`metrics`].
+//! * [`Runtime`] — the long-running process: an MPSC ingestion queue
+//!   that serves whatever requests are queued as one micro-batch, up to a
+//!   [`BatchPolicy`] size cap and without waiting for more, answered by
+//!   the head of the adopted [`Generation`]; a background trainer
+//!   publishing `Arc`-snapshotted generations (reads never block on
+//!   training; every [`Prediction`] carries its generation id); item
+//!   memories in a [`ShardedModel`]'s shard maps; and live [`metrics`].
 //! * [`Server`] / [`BlockingClient`] — a `std::net` framed-TCP front-end
 //!   over the runtime ([`wire`] documents the protocol), so many processes
 //!   can share one fleet and their traffic coalesces into the same
@@ -72,6 +76,7 @@ mod server;
 mod sharded;
 mod snapshot;
 mod spec;
+mod task;
 pub mod wire;
 
 pub use cluster::{ClusterRouter, ClusterServer, LocalShard, RemoteShard, ShardBackend};
@@ -85,11 +90,9 @@ pub use pipeline::{
     AngleSpec, CategoricalSpec, DynEncoder, Enc, EncoderSpec, Model, ModelBuilder, Pipeline,
     PipelineBuilder, RecordSpec, ScalarSpec, SequenceSpec,
 };
-pub use runtime::{
-    Answers, BatchPolicy, Generation, OnlineLearner, Prediction, Runtime, RuntimeConfig,
-    RuntimeHandle, RuntimeStats, Target, ValuePrediction,
-};
+pub use runtime::{BatchPolicy, Generation, Runtime, RuntimeConfig, RuntimeHandle, RuntimeStats};
 pub use server::{BlockingClient, ClientConfig, Server};
-pub use sharded::{Head, RingConfig, ShardedModel};
+pub use sharded::{RingConfig, ShardedModel};
 pub use snapshot::{Snapshot, SNAPSHOT_MAGIC, SNAPSHOT_VERSION};
 pub use spec::{Basis, EncSpec, PipelineSpec, SpecInput, Task, SPEC_VERSION};
+pub use task::{Answers, Head, OnlineLearner, Prediction, Target, ValuePrediction};

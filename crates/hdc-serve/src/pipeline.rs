@@ -15,13 +15,14 @@
 use std::fmt;
 use std::path::Path;
 
-use hdc_core::{BinaryHypervector, HdcError, HvMut, HypervectorBatch, TieBreak};
+use hdc_core::{BinaryHypervector, HdcError, HvMut, HypervectorBatch};
 use hdc_encode::{Encoder, FieldSpec, Radians};
-use hdc_learn::{metrics, CentroidClassifier, CentroidTrainer, RegressionModel, RegressionTrainer};
+use hdc_learn::{metrics, CentroidClassifier, RegressionModel};
 use rand::{rngs::StdRng, SeedableRng};
 
 use crate::snapshot::Snapshot;
 use crate::spec::{Basis, EncSpec, PipelineSpec, SpecInput, Task};
+use crate::task::{Answers, Head, OnlineLearner, Target};
 
 /// Object-safe seam over [`hdc_encode::Encoder`]: the methods a [`Model`]
 /// and a serving runtime need (`dim`, in-place `encode_into`, the input
@@ -287,11 +288,13 @@ impl Pipeline {
     pub fn from_spec<X: ?Sized + SpecInput>(spec: PipelineSpec) -> Result<Model<X>, HdcError> {
         let mut rng = StdRng::seed_from_u64(spec.seed);
         let encoder = X::build_encoder(&spec.encoder, spec.dim, spec.basis, &mut rng)?;
-        let state = TaskState::fresh(&spec, &mut rng)?;
+        let learner = OnlineLearner::fresh(&spec, &mut rng)?;
+        let head = learner.finish();
         Ok(Model {
             spec,
             encoder,
-            state,
+            learner,
+            head,
         })
     }
 
@@ -416,75 +419,8 @@ impl<S: EncoderSpec> ModelBuilder<S> {
     }
 }
 
-/// The task-specific half of a live model: trainer accumulators plus the
-/// finalized head they deterministically refresh into. Shared with the
-/// runtime (which moves it into its background trainer thread) and the
-/// snapshot format (which captures/restores exactly this state).
-pub(crate) enum TaskState {
-    /// Centroid classification: per-class accumulators + finalized
-    /// class-vectors.
-    Classify {
-        /// Accumulated per-class counters.
-        trainer: CentroidTrainer,
-        /// `trainer.finish_deterministic(TieBreak::Alternate)`.
-        classifier: CentroidClassifier,
-    },
-    /// Associative regression: one bound-pair bundle + the finalized
-    /// integer-readout model.
-    Regress {
-        /// Accumulated bundle counters.
-        trainer: RegressionTrainer,
-        /// `trainer.finish_integer()`.
-        model: RegressionModel,
-    },
-}
-
-impl TaskState {
-    /// The untrained state for a spec — also consumes the spec's RNG
-    /// stream deterministically (the regression label table is drawn right
-    /// after the encoder), so `(spec, seed)` fully determines the state.
-    pub(crate) fn fresh(spec: &PipelineSpec, rng: &mut StdRng) -> Result<Self, HdcError> {
-        match spec.task {
-            Task::Classification { classes } => {
-                let trainer = CentroidTrainer::new(classes, spec.dim)?;
-                let classifier = trainer.finish_deterministic(TieBreak::Alternate);
-                Ok(TaskState::Classify {
-                    trainer,
-                    classifier,
-                })
-            }
-            Task::Regression { low, high, levels } => {
-                let label =
-                    hdc_encode::ScalarEncoder::with_levels(low, high, levels, spec.dim, rng)?;
-                let trainer = RegressionTrainer::new(label);
-                let model = trainer.finish_integer();
-                Ok(TaskState::Regress { trainer, model })
-            }
-        }
-    }
-
-    /// The task family this state serves.
-    pub(crate) fn task_name(&self) -> &'static str {
-        match self {
-            TaskState::Classify { .. } => "classification",
-            TaskState::Regress { .. } => "regression",
-        }
-    }
-
-    /// Re-finalizes the head from the trainer accumulators (deterministic).
-    pub(crate) fn refresh(&mut self) {
-        match self {
-            TaskState::Classify {
-                trainer,
-                classifier,
-            } => *classifier = trainer.finish_deterministic(TieBreak::Alternate),
-            TaskState::Regress { trainer, model } => *model = trainer.finish_integer(),
-        }
-    }
-}
-
 /// A complete HDC pipeline behind one object: basis-backed encoder plus the
-/// task's trainer and finalized head, with per-sample and batched
+/// task's online learner and finalized head, with per-sample and batched
 /// (parallel, bit-identical) forms of every stage.
 ///
 /// Built by [`Pipeline::builder`] / [`Pipeline::from_spec`] / loaded from a
@@ -500,29 +436,27 @@ impl TaskState {
 ///   [`predict_value`](Self::predict_value)/
 ///   [`evaluate_mae`](Self::evaluate_mae) over `f64` labels.
 ///
-/// Fallible mutation through the wrong family returns
+/// Each typed form is one call into one fit path and one readout.
+/// Fallible mutation with the other task's target returns
 /// [`HdcError::TaskMismatch`]; infallible hot-path reads (`predict*`)
 /// panic, exactly like their dimension checks.
 ///
-/// Training is incremental: every fit folds samples into the trainer
+/// Training is incremental: every fit folds samples into the learner's
 /// accumulators and deterministically re-finalizes the head, so the same
 /// samples always produce a bit-identical model — the property sharded
 /// serving and snapshot restore rely on.
 pub struct Model<X: ?Sized> {
     spec: PipelineSpec,
     encoder: Box<dyn DynEncoder<X>>,
-    state: TaskState,
+    learner: OnlineLearner,
+    head: Head,
 }
 
 impl<X: ?Sized> fmt::Debug for Model<X> {
     fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
-        let observed = match &self.state {
-            TaskState::Classify { trainer, .. } => trainer.counts().iter().sum(),
-            TaskState::Regress { trainer, .. } => trainer.observed(),
-        };
         f.debug_struct("Model")
             .field("spec", &self.spec)
-            .field("observed", &observed)
+            .field("observed", &self.learner.observed())
             .field("encoder", &self.encoder)
             .finish()
     }
@@ -560,21 +494,13 @@ impl<X: ?Sized + Sync> Model<X> {
     /// Panics on a regression pipeline (which has no class set).
     #[must_use]
     pub fn classes(&self) -> usize {
-        match &self.state {
-            TaskState::Classify { trainer, .. } => trainer.classes(),
-            TaskState::Regress { .. } => {
-                panic!("classes() requires a classification pipeline, found regression")
-            }
-        }
+        self.classifier().classes()
     }
 
     /// Total number of training samples observed (either task).
     #[must_use]
     pub fn observed(&self) -> usize {
-        match &self.state {
-            TaskState::Classify { trainer, .. } => trainer.counts().iter().sum(),
-            TaskState::Regress { trainer, .. } => trainer.observed(),
-        }
+        self.learner.observed()
     }
 
     /// Number of training samples observed per class.
@@ -584,11 +510,9 @@ impl<X: ?Sized + Sync> Model<X> {
     /// Panics on a regression pipeline.
     #[must_use]
     pub fn counts(&self) -> &[usize] {
-        match &self.state {
-            TaskState::Classify { trainer, .. } => trainer.counts(),
-            TaskState::Regress { .. } => {
-                panic!("counts() requires a classification pipeline, found regression")
-            }
+        match self.learner.as_classify() {
+            Some(trainer) => trainer.counts(),
+            None => panic!("counts() requires a classification pipeline, found regression"),
         }
     }
 
@@ -601,12 +525,7 @@ impl<X: ?Sized + Sync> Model<X> {
     /// [`regressor`](Self::regressor).
     #[must_use]
     pub fn classifier(&self) -> &CentroidClassifier {
-        match &self.state {
-            TaskState::Classify { classifier, .. } => classifier,
-            TaskState::Regress { .. } => {
-                panic!("classifier() requires a classification pipeline, found regression")
-            }
-        }
+        self.head.classifier()
     }
 
     /// The finalized regression model (integer readout).
@@ -617,19 +536,12 @@ impl<X: ?Sized + Sync> Model<X> {
     /// [`classifier`](Self::classifier).
     #[must_use]
     pub fn regressor(&self) -> &RegressionModel {
-        match &self.state {
-            TaskState::Regress { model, .. } => model,
-            TaskState::Classify { .. } => {
-                panic!("regressor() requires a regression pipeline, found classification")
-            }
-        }
+        self.head.regressor()
     }
 
-    fn task_mismatch(&self, expected: &'static str) -> HdcError {
-        HdcError::TaskMismatch {
-            expected,
-            found: self.state.task_name(),
-        }
+    /// The finalized head.
+    pub(crate) fn head(&self) -> &Head {
+        &self.head
     }
 
     /// Encodes one sample into an owned hypervector.
@@ -679,23 +591,52 @@ impl<X: ?Sized + Sync> Model<X> {
         batch
     }
 
-    /// Checks every input before any is encoded: a malformed one is an
-    /// error instead of an encoder panic, and nothing is accumulated.
-    fn check_inputs(&self, refs: &[&X]) -> Result<(), HdcError> {
+    /// Checks an input count against its per-sample values, then every
+    /// input, before any encoding work is spent: a malformed input is an
+    /// error instead of an encoder panic.
+    fn check_inputs(&self, refs: &[&X], values: usize) -> Result<(), HdcError> {
+        if refs.len() != values {
+            return Err(HdcError::BatchLengthMismatch {
+                rows: refs.len(),
+                labels: values,
+            });
+        }
         refs.iter()
             .try_for_each(|input| self.encoder.check_input(input))
     }
 
-    /// Checks an input count against its per-sample values before any
-    /// encoding work is spent.
-    fn check_paired(refs: usize, values: usize) -> Result<(), HdcError> {
-        if refs != values {
-            return Err(HdcError::BatchLengthMismatch {
-                rows: refs,
-                labels: values,
-            });
+    /// The one fit path: checks every target and input, encodes the inputs
+    /// in one parallel pass, folds them through the learner's batched fold
+    /// and re-finalizes the head. A refused call accumulates nothing.
+    fn learn<'a, I>(
+        &mut self,
+        inputs: I,
+        targets: impl IntoIterator<Item = Target>,
+    ) -> Result<(), HdcError>
+    where
+        I: IntoIterator<Item = &'a X>,
+        X: 'a,
+    {
+        let refs: Vec<&X> = inputs.into_iter().collect();
+        let targets: Vec<Target> = targets.into_iter().collect();
+        for target in &targets {
+            target.check(self.spec.task)?;
         }
+        self.check_inputs(&refs, targets.len())?;
+        self.learner
+            .observe_batch(&self.encode_refs(&refs), &targets)?;
+        self.head = self.learner.finish();
         Ok(())
+    }
+
+    /// The one evaluation readout: checks and encodes a labelled set, then
+    /// answers it with the head.
+    fn answer_checked(&self, refs: &[&X], values: usize) -> Result<Answers, HdcError> {
+        self.check_inputs(refs, values)?;
+        if refs.is_empty() {
+            return Err(HdcError::EmptyInput);
+        }
+        Ok(self.head.answer(&self.encode_refs(refs)))
     }
 
     // --- classification surface -----------------------------------------
@@ -710,17 +651,7 @@ impl<X: ?Sized + Sync> Model<X> {
     /// encoder's input error for an input it cannot encode and
     /// [`HdcError::TaskMismatch`] on a regression pipeline.
     pub fn fit(&mut self, input: &X, label: usize) -> Result<(), HdcError> {
-        if !matches!(self.state, TaskState::Classify { .. }) {
-            return Err(self.task_mismatch("classification"));
-        }
-        self.encoder.check_input(input)?;
-        let hv = self.encode(input);
-        let TaskState::Classify { trainer, .. } = &mut self.state else {
-            unreachable!("task checked above");
-        };
-        trainer.observe(&hv, label)?;
-        self.state.refresh();
-        Ok(())
+        self.learn([input], [Target::Label(label)])
     }
 
     /// Folds a batch of labelled samples into the model in one parallel
@@ -739,19 +670,7 @@ impl<X: ?Sized + Sync> Model<X> {
         I: IntoIterator<Item = &'a X>,
         X: 'a,
     {
-        if !matches!(self.state, TaskState::Classify { .. }) {
-            return Err(self.task_mismatch("classification"));
-        }
-        let refs: Vec<&X> = inputs.into_iter().collect();
-        Self::check_paired(refs.len(), labels.len())?;
-        self.check_inputs(&refs)?;
-        let batch = self.encode_refs(&refs);
-        let TaskState::Classify { trainer, .. } = &mut self.state else {
-            unreachable!("task checked above");
-        };
-        trainer.observe_batch(&batch, labels)?;
-        self.state.refresh();
-        Ok(())
+        self.learn(inputs, labels.iter().map(|&label| Target::Label(label)))
     }
 
     /// Predicts the label of one sample.
@@ -764,7 +683,7 @@ impl<X: ?Sized + Sync> Model<X> {
     /// e.g. a record of the wrong arity.
     #[must_use]
     pub fn predict(&self, input: &X) -> usize {
-        self.classifier().predict(&self.encode(input))
+        self.predict_batch([input])[0]
     }
 
     /// Predicts a batch of samples: parallel batched encode into one arena,
@@ -780,7 +699,7 @@ impl<X: ?Sized + Sync> Model<X> {
         I: IntoIterator<Item = &'a X>,
         X: 'a,
     {
-        self.classifier().predict_rows(&self.encode_batch(inputs))
+        self.predict_encoded(&self.encode_batch(inputs))
     }
 
     /// Predicts every row of an already encoded arena (the entry point
@@ -792,7 +711,10 @@ impl<X: ?Sized + Sync> Model<X> {
     /// differs from the model's.
     #[must_use]
     pub fn predict_encoded(&self, batch: &HypervectorBatch) -> Vec<usize> {
-        self.classifier().predict_rows(batch)
+        self.head
+            .answer(batch)
+            .labels()
+            .unwrap_or_else(|e| panic!("predict requires a classification pipeline: {e}"))
     }
 
     /// Classification accuracy over a labelled evaluation set.
@@ -808,17 +730,9 @@ impl<X: ?Sized + Sync> Model<X> {
         I: IntoIterator<Item = &'a X>,
         X: 'a,
     {
-        let TaskState::Classify { classifier, .. } = &self.state else {
-            return Err(self.task_mismatch("classification"));
-        };
         let refs: Vec<&X> = inputs.into_iter().collect();
-        Self::check_paired(refs.len(), labels.len())?;
-        if refs.is_empty() {
-            return Err(HdcError::EmptyInput);
-        }
-        self.check_inputs(&refs)?;
-        let batch = self.encode_refs(&refs);
-        Ok(metrics::accuracy(&classifier.predict_rows(&batch), labels))
+        let predicted = self.answer_checked(&refs, labels.len())?.labels()?;
+        Ok(metrics::accuracy(&predicted, labels))
     }
 
     // --- regression surface ----------------------------------------------
@@ -832,17 +746,7 @@ impl<X: ?Sized + Sync> Model<X> {
     /// Returns the encoder's input error for an input it cannot encode and
     /// [`HdcError::TaskMismatch`] on a classification pipeline.
     pub fn fit_value(&mut self, input: &X, value: f64) -> Result<(), HdcError> {
-        if !matches!(self.state, TaskState::Regress { .. }) {
-            return Err(self.task_mismatch("regression"));
-        }
-        self.encoder.check_input(input)?;
-        let hv = self.encode(input);
-        let TaskState::Regress { trainer, .. } = &mut self.state else {
-            unreachable!("task checked above");
-        };
-        trainer.observe(&hv, value);
-        self.state.refresh();
-        Ok(())
+        self.learn([input], [Target::Value(value)])
     }
 
     /// Folds a batch of `(sample, value)` pairs into the model in one
@@ -861,19 +765,7 @@ impl<X: ?Sized + Sync> Model<X> {
         I: IntoIterator<Item = &'a X>,
         X: 'a,
     {
-        if !matches!(self.state, TaskState::Regress { .. }) {
-            return Err(self.task_mismatch("regression"));
-        }
-        let refs: Vec<&X> = inputs.into_iter().collect();
-        Self::check_paired(refs.len(), values.len())?;
-        self.check_inputs(&refs)?;
-        let batch = self.encode_refs(&refs);
-        let TaskState::Regress { trainer, .. } = &mut self.state else {
-            unreachable!("task checked above");
-        };
-        trainer.observe_batch(&batch, values)?;
-        self.state.refresh();
-        Ok(())
+        self.learn(inputs, values.iter().map(|&value| Target::Value(value)))
     }
 
     /// Predicts the real-valued label of one sample.
@@ -886,7 +778,7 @@ impl<X: ?Sized + Sync> Model<X> {
     /// the wrong arity.
     #[must_use]
     pub fn predict_value(&self, input: &X) -> f64 {
-        self.regressor().predict(&self.encode(input))
+        self.predict_value_batch([input])[0]
     }
 
     /// Predicts a batch of samples: parallel batched encode, then parallel
@@ -902,7 +794,7 @@ impl<X: ?Sized + Sync> Model<X> {
         I: IntoIterator<Item = &'a X>,
         X: 'a,
     {
-        self.regressor().predict_rows(&self.encode_batch(inputs))
+        self.predict_values_encoded(&self.encode_batch(inputs))
     }
 
     /// Predicts every row of an already encoded arena — the entry point
@@ -914,7 +806,10 @@ impl<X: ?Sized + Sync> Model<X> {
     /// dimensionality differs from the model's.
     #[must_use]
     pub fn predict_values_encoded(&self, batch: &HypervectorBatch) -> Vec<f64> {
-        self.regressor().predict_rows(batch)
+        self.head
+            .answer(batch)
+            .values()
+            .unwrap_or_else(|e| panic!("predict_value requires a regression pipeline: {e}"))
     }
 
     /// Mean absolute error over a labelled evaluation set — the paper's
@@ -931,17 +826,9 @@ impl<X: ?Sized + Sync> Model<X> {
         I: IntoIterator<Item = &'a X>,
         X: 'a,
     {
-        let TaskState::Regress { model, .. } = &self.state else {
-            return Err(self.task_mismatch("regression"));
-        };
         let refs: Vec<&X> = inputs.into_iter().collect();
-        Self::check_paired(refs.len(), values.len())?;
-        if refs.is_empty() {
-            return Err(HdcError::EmptyInput);
-        }
-        self.check_inputs(&refs)?;
-        let batch = self.encode_refs(&refs);
-        Ok(metrics::mae(&model.predict_rows(&batch), values))
+        let predicted = self.answer_checked(&refs, values.len())?.values()?;
+        Ok(metrics::mae(&predicted, values))
     }
 
     // --- snapshot surface -------------------------------------------------
@@ -951,7 +838,7 @@ impl<X: ?Sized + Sync> Model<X> {
     /// fleet and are captured by the runtime's snapshot path).
     #[must_use]
     pub fn snapshot(&self) -> Snapshot {
-        Snapshot::of_state(self.spec.clone(), &self.state, Vec::new())
+        Snapshot::capture(self.spec.clone(), &self.learner, Vec::new())
     }
 
     /// Writes the model's [`snapshot`](Self::snapshot) to a file — the
@@ -978,13 +865,15 @@ impl<X: ?Sized + Sync> Model<X> {
                 "snapshot spec does not match the model's spec".into(),
             ));
         }
-        snapshot.restore_into(&mut self.state)
+        snapshot.restore(&mut self.learner)?;
+        self.head = self.learner.finish();
+        Ok(())
     }
 
     /// Decomposes the model into the pieces a long-running runtime takes
-    /// ownership of: the spec, the boxed encoder and the task state.
-    pub(crate) fn into_parts(self) -> (PipelineSpec, Box<dyn DynEncoder<X>>, TaskState) {
-        (self.spec, self.encoder, self.state)
+    /// ownership of: the spec, the boxed encoder, the learner and the head.
+    pub(crate) fn into_parts(self) -> (PipelineSpec, Box<dyn DynEncoder<X>>, OnlineLearner, Head) {
+        (self.spec, self.encoder, self.learner, self.head)
     }
 }
 

@@ -5,34 +5,37 @@
 //!
 //! A [`Runtime`] owns two background threads:
 //!
-//! * the **dispatcher** exclusively owns the [`ShardedModel`] and drains the
-//!   work queue. Each prediction request (one or many keyed rows) and each
-//!   observation is one work item. When the dispatcher is free it takes
-//!   whatever is already queued, up to [`BatchPolicy::max_batch`] rows,
-//!   into one [`HypervectorBatch`] and serves it; it never waits for more.
-//!   Batches grow under load because requests queue while the previous
-//!   batch is served, so encode, ring routing and the minipool fan-out are
-//!   paid once per micro-batch instead of once per caller. The adopted
-//!   head answers every request: labels from a classifier, values from a
-//!   regressor ([`Answers`]). Every observation passes through here on its
-//!   way to the trainer, logged first on a durable runtime;
+//! * the **dispatcher** drains the work queue and owns the item memories
+//!   (a [`ShardedModel`]'s shard maps, or the paged item store). Each
+//!   prediction request (one or many keyed rows) and each observation is
+//!   one work item. When the dispatcher is free it takes whatever is
+//!   already queued, up to [`BatchPolicy::max_batch`] rows, into one
+//!   [`HypervectorBatch`] and serves it; it never waits for more. Batches
+//!   grow under load because requests queue while the previous batch is
+//!   served, so the encode and the readout's fan-out are paid once per
+//!   micro-batch instead of once per caller. The head of the adopted
+//!   generation answers the whole batch at once ([`Head::answer`]): labels
+//!   from a classifier, values from a regressor ([`Answers`]). A key picks
+//!   the item shard an insert or a remove lands on, never a query's
+//!   answer. Every observation passes through here on its way to the
+//!   trainer, logged first on a durable runtime;
 //! * the **trainer** folds observations (each with its [`Target`]) into
-//!   the task's accumulators ([`CentroidTrainer`] or
-//!   [`RegressionTrainer`](hdc_learn::RegressionTrainer)) off the serving
-//!   path and periodically publishes an immutable, `Arc`-snapshotted
-//!   [`Generation`] of the finalized [`Head`]. The dispatcher adopts the
-//!   newest generation at each micro-batch boundary, swapping it across all
-//!   shards at once — readers never block on training, never observe a torn
-//!   mix of two generations, and every [`Prediction`]/[`ValuePrediction`]
-//!   reports the generation that served it.
+//!   the task's [`OnlineLearner`] off the serving path and periodically
+//!   publishes an immutable, `Arc`-snapshotted [`Generation`] of the
+//!   finalized [`Head`]. The dispatcher adopts the newest generation at
+//!   each micro-batch boundary — readers never block on training, never
+//!   observe a torn mix of two generations, and every
+//!   [`Prediction`]/[`ValuePrediction`] reports the generation that served
+//!   it.
 //!
 //! # Warm restarts
 //!
-//! With [`RuntimeConfig::snapshot_on_shutdown`] set, [`Runtime::shutdown`]
-//! writes a [`Snapshot`] (spec + trainer accumulators + item memories);
-//! with [`RuntimeConfig::load_snapshot`] set, [`Runtime::spawn`] restores
-//! that state before serving — so the restarted process answers
-//! bit-identically to the one that shut down.
+//! A live [`RuntimeHandle::snapshot`] captures a [`Snapshot`] (spec +
+//! trainer accumulators + item memories); write it with
+//! [`Snapshot::write`] before [`Runtime::shutdown`]. With
+//! [`RuntimeConfig::load_snapshot`] set, [`Runtime::spawn`] restores that
+//! state before serving — so the restarted process answers bit-identically
+//! to the one that shut down.
 //!
 //! With [`RuntimeConfig::durability`] set, `spawn` also recovers from the
 //! store. It checks the installed snapshot's spec, restores its counters
@@ -73,18 +76,19 @@ use std::sync::{Arc, RwLock};
 use std::thread::{self, JoinHandle};
 use std::time::{Duration, Instant};
 
-use hdc_core::{BinaryHypervector, HdcError, HypervectorBatch, TieBreak};
-use hdc_learn::{CentroidClassifier, CentroidTrainer, RegressionTrainer};
+use hdc_core::{BinaryHypervector, HdcError, HypervectorBatch};
+use hdc_learn::CentroidClassifier;
 use hdc_store::{
     DurabilityConfig, GroupAck, GroupCommitWal, ItemStore, PagedStore, SnapshotInstaller, Store,
     SyncPolicy, WalRecord,
 };
 
 use crate::metrics::ServeMetrics;
-use crate::pipeline::{DynEncoder, TaskState};
-use crate::sharded::{Head, RingConfig};
+use crate::pipeline::DynEncoder;
+use crate::sharded::RingConfig;
 use crate::snapshot::Snapshot;
 use crate::spec::{PipelineSpec, Task};
+use crate::task::{Answers, Head, OnlineLearner, Prediction, Target, ValuePrediction};
 use crate::{Model, ShardedModel};
 
 /// How large a micro-batch may grow. There is no timer: the dispatcher
@@ -115,23 +119,22 @@ pub struct RuntimeConfig {
     /// shard-identity section so a cluster router (or an operator) can
     /// tell shard processes apart. Empty by default.
     pub name: String,
-    /// Number of item-memory shards (`>= 1`).
+    /// Number of item-memory shards (`>= 1`). Shards partition the stored
+    /// items by key; every query is answered by the adopted head, whatever
+    /// its key.
     pub shards: usize,
-    /// Geometry of the consistent-hash ring.
+    /// Geometry of the consistent-hash ring the item shards are placed on.
     pub ring: RingConfig,
-    /// Seed of the ring's circular routing basis.
+    /// Seed of the item ring's circular routing basis.
     pub seed: u64,
     /// Micro-batching policy of the ingestion queue.
     pub policy: BatchPolicy,
     /// Observations between automatic generation publishes; `0` publishes
     /// only on explicit [`RuntimeHandle::refresh`].
     pub refresh_every: usize,
-    /// Write a [`Snapshot`] (spec + trainer accumulators + item memories)
-    /// to this path on [`Runtime::shutdown`]. Best-effort: a write failure
-    /// is reported on stderr, never a panic mid-shutdown.
-    pub snapshot_on_shutdown: Option<PathBuf>,
-    /// Restore a previously written [`Snapshot`] from this path on
-    /// [`Runtime::spawn`], making the restart warm. A missing file is a
+    /// Restore a previously written [`Snapshot`] (see
+    /// [`RuntimeHandle::snapshot`]) from this path on [`Runtime::spawn`],
+    /// making the restart warm. A missing file is a
     /// cold start (not an error); a present-but-incompatible snapshot
     /// (different spec) is an error.
     pub load_snapshot: Option<PathBuf>,
@@ -163,148 +166,8 @@ impl Default for RuntimeConfig {
             seed: 0,
             policy: BatchPolicy::default(),
             refresh_every: 256,
-            snapshot_on_shutdown: None,
             load_snapshot: None,
             durability: None,
-        }
-    }
-}
-
-/// One served classification prediction: the label plus the id of the
-/// [`Generation`] that produced it. (`Default` is the all-zero
-/// placeholder reply collection seeds slots with before the dispatcher
-/// answers.)
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
-pub struct Prediction {
-    /// The predicted class label.
-    pub label: usize,
-    /// The generation that answered (monotonically increasing across
-    /// online refreshes; `0` is the head the runtime was spawned with).
-    pub generation: u64,
-}
-
-/// One served regression prediction: the real-valued label plus the id of
-/// the [`Generation`] that produced it. (`Default` is the all-zero
-/// placeholder reply collection seeds slots with before the dispatcher
-/// answers.)
-#[derive(Debug, Clone, Copy, PartialEq, Default)]
-pub struct ValuePrediction {
-    /// The predicted value (a grid point of the spec's label range).
-    pub value: f64,
-    /// The generation that answered.
-    pub generation: u64,
-}
-
-/// The answers to one prediction request, one per row in request order.
-/// The head decides the readout: a classifier answers with labels, a
-/// regressor with values.
-#[derive(Debug, Clone, PartialEq)]
-pub enum Answers {
-    /// A classifier's answers.
-    Labels(Vec<Prediction>),
-    /// A regressor's answers.
-    Values(Vec<ValuePrediction>),
-}
-
-impl Answers {
-    /// The empty answer of a `task` runtime.
-    fn none(task: Task) -> Self {
-        match task {
-            Task::Classification { .. } => Answers::Labels(Vec::new()),
-            Task::Regression { .. } => Answers::Values(Vec::new()),
-        }
-    }
-
-    /// Number of answered rows.
-    #[must_use]
-    pub fn len(&self) -> usize {
-        match self {
-            Answers::Labels(labels) => labels.len(),
-            Answers::Values(values) => values.len(),
-        }
-    }
-
-    /// `true` when no row was answered.
-    #[must_use]
-    pub fn is_empty(&self) -> bool {
-        self.len() == 0
-    }
-
-    /// The labels of a classifier's answers.
-    ///
-    /// # Errors
-    ///
-    /// Returns [`HdcError::TaskMismatch`] for a regressor's answers.
-    pub fn into_labels(self) -> Result<Vec<Prediction>, HdcError> {
-        match self {
-            Answers::Labels(labels) => Ok(labels),
-            Answers::Values(_) => Err(HdcError::TaskMismatch {
-                expected: "classification",
-                found: "regression",
-            }),
-        }
-    }
-
-    /// The values of a regressor's answers.
-    ///
-    /// # Errors
-    ///
-    /// Returns [`HdcError::TaskMismatch`] for a classifier's answers.
-    pub fn into_values(self) -> Result<Vec<ValuePrediction>, HdcError> {
-        match self {
-            Answers::Values(values) => Ok(values),
-            Answers::Labels(_) => Err(HdcError::TaskMismatch {
-                expected: "regression",
-                found: "classification",
-            }),
-        }
-    }
-}
-
-/// What one observation teaches the trainer: a class label for a
-/// classifier, a real value for a regressor.
-#[derive(Debug, Clone, Copy, PartialEq)]
-pub enum Target {
-    /// A class label.
-    Label(usize),
-    /// A real-valued label.
-    Value(f64),
-}
-
-impl Target {
-    /// The write-ahead-log record of the encoded observation `hv`.
-    fn record(self, hv: &BinaryHypervector) -> WalRecord {
-        let hv = hv.clone();
-        match self {
-            Target::Label(label) => WalRecord::Fit {
-                hv,
-                label: label as u64,
-            },
-            Target::Value(value) => WalRecord::FitValue { hv, value },
-        }
-    }
-
-    /// The task family that learns from this target.
-    fn task_name(self) -> &'static str {
-        match self {
-            Target::Label(_) => "classification",
-            Target::Value(_) => "regression",
-        }
-    }
-
-    /// Refuses a target a `task` runtime cannot learn from: the other
-    /// task's kind, or a class label out of range.
-    fn check(self, task: Task) -> Result<(), HdcError> {
-        match (self, task) {
-            (Target::Label(label), Task::Classification { classes }) if label >= classes => {
-                Err(HdcError::LabelOutOfRange { label, classes })
-            }
-            (Target::Label(_), Task::Classification { .. })
-            | (Target::Value(_), Task::Regression { .. }) => Ok(()),
-            (target, task) => Err(HdcError::TaskMismatch {
-                expected: target.task_name(),
-                found: task.name(),
-            }),
         }
     }
 }
@@ -340,12 +203,7 @@ impl Generation {
     /// [`head`](Self::head).
     #[must_use]
     pub fn classifier(&self) -> &CentroidClassifier {
-        match self.head.as_ref() {
-            Head::Classes(classifier) => classifier,
-            Head::Values(_) => {
-                panic!("classifier() requires a classification generation, found regression")
-            }
-        }
+        self.head.classifier()
     }
 }
 
@@ -377,153 +235,6 @@ impl GenerationCell {
         current.id += 1;
         current.head = head;
         current.id
-    }
-}
-
-/// The online trainer state a runtime hands back on
-/// [`shutdown`](Runtime::shutdown): the task's accumulators, for
-/// persistence, inspection or warm restart.
-#[derive(Debug, Clone)]
-pub enum OnlineLearner {
-    /// Classification accumulators.
-    Classify(CentroidTrainer),
-    /// Regression accumulators.
-    Regress(RegressionTrainer),
-}
-
-impl OnlineLearner {
-    /// The classification trainer, if this is a classification runtime.
-    #[must_use]
-    pub fn as_classify(&self) -> Option<&CentroidTrainer> {
-        match self {
-            OnlineLearner::Classify(trainer) => Some(trainer),
-            OnlineLearner::Regress(_) => None,
-        }
-    }
-
-    /// The regression trainer, if this is a regression runtime.
-    #[must_use]
-    pub fn as_regress(&self) -> Option<&RegressionTrainer> {
-        match self {
-            OnlineLearner::Regress(trainer) => Some(trainer),
-            OnlineLearner::Classify(_) => None,
-        }
-    }
-
-    /// Total observations folded in.
-    #[must_use]
-    pub fn observed(&self) -> usize {
-        match self {
-            OnlineLearner::Classify(trainer) => trainer.counts().iter().sum(),
-            OnlineLearner::Regress(trainer) => trainer.observed(),
-        }
-    }
-
-    /// Folds one encoded observation into the accumulators.
-    ///
-    /// # Errors
-    ///
-    /// Returns [`HdcError::TaskMismatch`] for the other task's target and
-    /// [`HdcError::LabelOutOfRange`] for an unknown class label.
-    ///
-    /// # Panics
-    ///
-    /// Panics if `hv`'s dimensionality differs from the trainer's.
-    pub(crate) fn observe(
-        &mut self,
-        hv: &BinaryHypervector,
-        target: Target,
-    ) -> Result<(), HdcError> {
-        match (self, target) {
-            (OnlineLearner::Classify(trainer), Target::Label(label)) => trainer.observe(hv, label),
-            (OnlineLearner::Regress(trainer), Target::Value(value)) => {
-                trainer.observe(hv, value);
-                Ok(())
-            }
-            (learner, target) => Err(HdcError::TaskMismatch {
-                expected: target.task_name(),
-                found: learner.task_name(),
-            }),
-        }
-    }
-
-    /// Folds every fit among logged `records` into the accumulators in one
-    /// bit-sliced pass that reads each hypervector in place, and returns how
-    /// many it folded. Each fit first meets the checks a live fit meets, so
-    /// a bad record folds nothing and fails recovery loudly.
-    fn replay(&mut self, records: &[WalRecord], task: Task, dim: usize) -> Result<usize, HdcError> {
-        let fits = || {
-            records.iter().filter_map(|record| match record {
-                WalRecord::Fit { hv, label } => Some((
-                    hv,
-                    Target::Label(usize::try_from(*label).unwrap_or(usize::MAX)),
-                )),
-                WalRecord::FitValue { hv, value } => Some((hv, Target::Value(*value))),
-                WalRecord::Insert { .. } | WalRecord::Remove { .. } => None,
-            })
-        };
-        let mut folded = 0;
-        for (hv, target) in fits() {
-            if hv.dim() != dim {
-                return Err(HdcError::Storage(format!(
-                    "logged fit has dimension {}, model expects {dim}",
-                    hv.dim()
-                )));
-            }
-            target
-                .check(task)
-                .map_err(|e| HdcError::Storage(format!("replaying fit: {e}")))?;
-            folded += 1;
-        }
-        match self {
-            OnlineLearner::Classify(trainer) => trainer
-                .observe_rows(fits().filter_map(|(hv, target)| match target {
-                    Target::Label(label) => Some((hv.view(), label)),
-                    Target::Value(_) => None,
-                }))
-                .map_err(|e| HdcError::Storage(format!("replaying fit: {e}")))?,
-            OnlineLearner::Regress(trainer) => {
-                trainer.observe_rows(fits().filter_map(|(hv, target)| match target {
-                    Target::Value(value) => Some((hv.view(), value)),
-                    Target::Label(_) => None,
-                }));
-            }
-        }
-        Ok(folded)
-    }
-
-    fn task_name(&self) -> &'static str {
-        match self {
-            OnlineLearner::Classify(_) => "classification",
-            OnlineLearner::Regress(_) => "regression",
-        }
-    }
-
-    /// Captures the accumulators, beside `items`, as a [`Snapshot`].
-    fn snapshot(&self, spec: PipelineSpec, items: Vec<(String, BinaryHypervector)>) -> Snapshot {
-        match self {
-            OnlineLearner::Classify(trainer) => Snapshot::of_classify(spec, trainer, items),
-            OnlineLearner::Regress(trainer) => Snapshot::of_regress(spec, trainer, items),
-        }
-    }
-
-    /// Adopts a (same-spec) snapshot's accumulators.
-    fn restore(&mut self, snapshot: &Snapshot) -> Result<(), HdcError> {
-        match self {
-            OnlineLearner::Classify(trainer) => snapshot.restore_classify_trainer(trainer),
-            OnlineLearner::Regress(trainer) => snapshot.restore_regress_trainer(trainer),
-        }
-    }
-
-    /// Finalizes the current accumulators into a publishable [`Head`]
-    /// (deterministic for both tasks).
-    fn finish(&self) -> Head {
-        match self {
-            OnlineLearner::Classify(trainer) => {
-                Head::Classes(trainer.finish_deterministic(TieBreak::Alternate))
-            }
-            OnlineLearner::Regress(trainer) => Head::Values(trainer.finish_integer()),
-        }
     }
 }
 
@@ -656,7 +367,6 @@ pub struct RuntimeStats {
 pub struct Runtime<X: ?Sized + ToOwned> {
     handle: RuntimeHandle<X>,
     spec: PipelineSpec,
-    snapshot_on_shutdown: Option<PathBuf>,
     dispatcher: JoinHandle<ShardedModel<String>>,
     trainer: JoinHandle<OnlineLearner>,
     snapshotter: Option<JoinHandle<()>>,
@@ -674,9 +384,9 @@ where
     X::Owned: Send + 'static,
 {
     /// Spawns the runtime around a trained [`Model`]: the model's finalized
-    /// head is replicated onto `config.shards` shards (generation 0), its
-    /// trainer state seeds the online trainer, and its encoder moves to
-    /// the dispatcher for batched server-side encoding.
+    /// head answers as generation 0, its learner seeds the online trainer,
+    /// and its encoder moves to the dispatcher for batched server-side
+    /// encoding. Stored items are partitioned over `config.shards` shards.
     ///
     /// With [`RuntimeConfig::load_snapshot`] set and the file present, the
     /// snapshot's trainer state and item memories are restored first (the
@@ -691,18 +401,9 @@ where
     /// Returns [`HdcError`] for an invalid shard count or ring geometry,
     /// and [`HdcError::Snapshot`] for a present-but-incompatible snapshot.
     pub fn spawn(model: Model<X>, config: RuntimeConfig) -> Result<Self, HdcError> {
-        let (spec, encoder, state) = model.into_parts();
+        let (spec, encoder, mut learner, mut head) = model.into_parts();
         let encoder: Arc<dyn DynEncoder<X>> = Arc::from(encoder);
         let task = spec.task;
-        let (mut head, mut learner) = match state {
-            TaskState::Classify {
-                trainer,
-                classifier,
-            } => (Head::Classes(classifier), OnlineLearner::Classify(trainer)),
-            TaskState::Regress { trainer, model } => {
-                (Head::Values(model), OnlineLearner::Regress(trainer))
-            }
-        };
         // Warm and durable restarts restore counters into the learner; the
         // head is then finalized once, after all of them.
         let adopt = |learner: &mut OnlineLearner, snapshot: &Snapshot| {
@@ -711,7 +412,7 @@ where
                     "snapshot spec does not match the model's spec".into(),
                 ));
             }
-            learner.restore(snapshot)
+            snapshot.restore(learner)
         };
         let mut restored = false;
         let mut restored_items = Vec::new();
@@ -847,8 +548,8 @@ where
         };
         let metrics = Arc::new(ServeMetrics::new(policy.max_batch));
         let generations = Arc::new(GenerationCell::new(Arc::new(head)));
-        // The generation the fleet's head belongs to. Only the dispatcher
-        // feeds the trainer, so nothing is published before it adopts this.
+        // The spawn generation, also the fleet's head: the dispatcher
+        // starts from it and adopts the newest one at each batch.
         let spawned = generations.load();
         let alive = Arc::new(AtomicBool::new(true));
 
@@ -858,6 +559,10 @@ where
         let identity = ShardIdentity {
             name: config.name.clone(),
             ring_positions: config.ring.positions as u64,
+            classes: match task {
+                Task::Classification { classes } => classes as u64,
+                Task::Regression { .. } => 0,
+            },
         };
         // The durable halves: the dispatcher owns the append half (the
         // WAL behind its group-commit flush scheduler); the snapshotter
@@ -945,7 +650,6 @@ where
                 durable: config.durability.is_some(),
             },
             spec,
-            snapshot_on_shutdown: config.snapshot_on_shutdown,
             dispatcher,
             trainer: trainer_thread,
             snapshotter,
@@ -969,12 +673,10 @@ where
     /// Stops both threads gracefully — queued work ahead of the shutdown
     /// marker is still served — and returns the final sharded fleet and the
     /// accumulated trainer state (for persistence or warm restart); callers
-    /// that only want to stop may ignore them.
-    ///
-    /// With [`RuntimeConfig::snapshot_on_shutdown`] set, the final state
-    /// (spec + trainer accumulators + item memories) is written there
-    /// before returning — best-effort: a write failure is reported on
-    /// stderr so shutdown always completes.
+    /// that only want to stop may ignore them. The fleet holds the item
+    /// memories and the head of the last adopted generation, so it answers
+    /// like the runtime's last reply. To restart warm, write a live
+    /// [`RuntimeHandle::snapshot`] before shutting down.
     pub fn shutdown(self) -> (ShardedModel<String>, OnlineLearner) {
         let _ = self.handle.work_tx.send(Work::Shutdown);
         let fleet = self.dispatcher.join().expect("dispatcher thread panicked");
@@ -986,18 +688,6 @@ where
         // only for in-flight installations to land.
         if let Some(snapshotter) = self.snapshotter {
             let _ = snapshotter.join();
-        }
-        if let Some(path) = &self.snapshot_on_shutdown {
-            let items: Vec<(String, BinaryHypervector)> = fleet
-                .entries()
-                .map(|(key, hv)| (key.clone(), hv.clone()))
-                .collect();
-            if let Err(error) = learner.snapshot(self.spec.clone(), items).write(path) {
-                eprintln!(
-                    "hdc-serve: shutdown snapshot to {} failed: {error}",
-                    path.display()
-                );
-            }
         }
         (fleet, learner)
     }
@@ -1026,6 +716,9 @@ pub struct RuntimeHandle<X: ?Sized + ToOwned> {
 struct ShardIdentity {
     name: String,
     ring_positions: u64,
+    /// The spec's class count (`0` for a regression runtime): every head
+    /// the runtime adopts is finalized from that spec.
+    classes: u64,
 }
 
 /// Flips the runtime's liveness flag to `false` when dropped — installed
@@ -1643,59 +1336,16 @@ fn trigger_snapshot(
 /// WAL flush — `None` for fire-and-forget fits.
 type PendingFit<O> = (Payload<O>, Target, Option<Sender<()>>);
 
-/// One arena's answers, handed out to the requests that filled it.
-enum Readout {
-    Labels(std::vec::IntoIter<usize>),
-    Values(std::vec::IntoIter<f64>),
-}
-
-impl Readout {
-    /// The adopted head's readout of `rows`: labels from a classifier,
-    /// values from a regressor.
-    fn of(fleet: &ShardedModel<String>, keys: &[&str], rows: &HypervectorBatch) -> Self {
-        match fleet.head() {
-            Head::Classes(_) => Readout::Labels(
-                (fleet.predict_batch(keys, rows))
-                    .expect("keys and rows are constructed in lockstep")
-                    .into_iter(),
-            ),
-            Head::Values(_) => Readout::Values(
-                (fleet.predict_values(keys, rows))
-                    .expect("keys and rows are constructed in lockstep")
-                    .into_iter(),
-            ),
-        }
-    }
-
-    /// The next `n` answers, each naming `generation`.
-    fn take(&mut self, n: usize, generation: u64) -> Answers {
-        match self {
-            Readout::Labels(labels) => Answers::Labels(
-                labels
-                    .take(n)
-                    .map(|label| Prediction { label, generation })
-                    .collect(),
-            ),
-            Readout::Values(values) => Answers::Values(
-                values
-                    .take(n)
-                    .map(|value| ValuePrediction { value, generation })
-                    .collect(),
-            ),
-        }
-    }
-}
-
 /// Serves queued prediction requests as one arena: every row is encoded
-/// (or copied) into `scratch`, the fleet's head answers the whole arena at
-/// once, and each request gets its own rows' answers back, in order.
+/// (or copied) into `scratch`, the adopted generation's head answers the
+/// whole arena at once, and each request gets its own rows' answers back,
+/// in order, naming that generation.
 fn serve_requests<X, O>(
     jobs: &mut Vec<PredictJob<O>>,
     encoder: &dyn DynEncoder<X>,
     scratch: &mut HypervectorBatch,
     latencies: &mut Vec<Duration>,
-    fleet: &ShardedModel<String>,
-    generation: u64,
+    adopted: &Generation,
 ) where
     X: ?Sized + Sync,
     O: Borrow<X>,
@@ -1703,24 +1353,29 @@ fn serve_requests<X, O>(
     if jobs.is_empty() {
         return;
     }
-    let mut readout = {
-        let rows = || jobs.iter().flat_map(|job| &job.rows);
-        let sources: Vec<RowSource<'_, X>> =
-            rows().map(|(_, payload)| RowSource::of(payload)).collect();
-        scratch.resize_zeroed(sources.len());
-        fill_batch(encoder, &sources, scratch);
-        let keys: Vec<&str> = rows().map(|(key, _)| key.as_str()).collect();
-        Readout::of(fleet, &keys, scratch)
-    };
+    let sources: Vec<RowSource<'_, X>> = jobs
+        .iter()
+        .flat_map(|job| &job.rows)
+        .map(|(_, payload)| RowSource::of(payload))
+        .collect();
+    scratch.resize_zeroed(sources.len());
+    fill_batch(encoder, &sources, scratch);
+    let answers = adopted.head().answer(scratch);
+    let mut start = 0;
     for job in jobs.drain(..) {
         let n = job.rows.len();
         latencies.extend(std::iter::repeat(job.enqueued.elapsed()).take(n));
-        let _ = job.reply.send(readout.take(n, generation));
+        let _ = job
+            .reply
+            .send(answers.slice(start..start + n, adopted.id()));
+        start += n;
     }
 }
 
-/// Serves the work queue until shutdown. `adopted` is the generation whose
-/// head `fleet` holds: every reply names the generation that served it.
+/// Serves the work queue until shutdown. `adopted` is the generation that
+/// answers until the first batch adopts the newest one: every reply names
+/// the generation that served it. `fleet` holds the item memories; on exit
+/// it gets the last adopted head and is handed back.
 ///
 /// One batching rule, no timer: the dispatcher blocks for the first work
 /// item, then takes whatever else is already queued, up to
@@ -1810,22 +1465,15 @@ where
         // --- Serve the collected micro-batch. ---------------------------
         if rows > 0 {
             // Adopt the newest published generation at the batch boundary:
-            // one swap covers every shard, so the whole batch — and every
-            // reply in it — is served by exactly one generation.
-            let published = generations.load();
-            if published.id() != adopted.id() {
-                fleet
-                    .set_head(published.head().clone())
-                    .expect("published generations share the runtime dimensionality");
-                adopted = published;
-            }
+            // the whole batch — and every reply in it — is served by
+            // exactly one generation.
+            adopted = generations.load();
             serve_requests(
                 &mut jobs,
                 encoder.as_ref(),
                 &mut scratch,
                 &mut latencies,
-                &fleet,
-                adopted.id(),
+                &adopted,
             );
             metrics.record_batch(rows, latencies.drain(..));
 
@@ -1934,10 +1582,6 @@ where
                 let _ = reply.send(fleet.remove_shard(id));
             }
             Some(Work::Stats { reply }) => {
-                let classes = match fleet.head() {
-                    Head::Classes(classifier) => classifier.classes() as u64,
-                    Head::Values(_) => 0,
-                };
                 // With the paged plane the fleet's shard maps are empty —
                 // keys live in the store, so the key count comes from it
                 // (and per-shard loads report the routing fleet, i.e. 0).
@@ -1951,7 +1595,7 @@ where
                     name: identity.name.clone(),
                     ring_positions: identity.ring_positions,
                     dim: dim as u64,
-                    classes,
+                    classes: identity.classes,
                     shard_loads: fleet
                         .shard_loads()
                         .into_iter()
@@ -2035,6 +1679,10 @@ where
             eprintln!("hdc-serve: final item-store flush failed: {error}");
         }
     }
+    // The returned fleet answers like the last reply.
+    fleet
+        .set_head(adopted.head().clone())
+        .expect("every adopted head has the fleet's dimensionality");
     fleet
 }
 
@@ -2064,10 +1712,10 @@ fn trainer_loop(
                 since_publish = 0;
             }
             TrainerMsg::Snapshot { spec, items, reply } => {
-                let _ = reply.send(learner.snapshot(spec, items));
+                let _ = reply.send(Snapshot::capture(spec, &learner, items));
             }
             TrainerMsg::Restore { snapshot, reply } => {
-                let _ = reply.send(learner.restore(&snapshot).map(|()| {
+                let _ = reply.send(snapshot.restore(&mut learner).map(|()| {
                     since_publish = 0;
                     publish(&learner, &generations)
                 }));
@@ -2156,6 +1804,7 @@ mod tests {
             ShardIdentity {
                 name: String::new(),
                 ring_positions: 0,
+                classes: 2,
             },
             None,
             None,
@@ -2256,7 +1905,7 @@ mod tests {
             }
         }
         work_tx.send(Work::Shutdown).unwrap();
-        let (_, encoder, _) = model.into_parts();
+        let (_, encoder, _, _) = model.into_parts();
         let metrics = Arc::new(ServeMetrics::new(8));
         let trainer_rx = run_dispatcher(work_rx, fleet, encoder, 8, &metrics, generations, spawned);
 
@@ -2357,7 +2006,7 @@ mod tests {
             .collect();
         let encoded: Vec<BinaryHypervector> = inputs.iter().map(|x| model.encode(x)).collect();
         let spawn_classifier = model.classifier().clone();
-        let (spec, encoder, _) = model.into_parts();
+        let (spec, encoder, _, _) = model.into_parts();
         // Generation 1 swaps the class-vectors, so it answers every query
         // the other way round.
         let published_classifier = CentroidClassifier::from_class_vectors(vec![
@@ -2713,12 +2362,12 @@ mod tests {
     }
 
     #[test]
-    fn snapshot_on_shutdown_makes_the_next_spawn_warm() {
+    fn snapshot_before_shutdown_makes_the_next_spawn_warm() {
         let path =
             std::env::temp_dir().join(format!("hdc-runtime-snapshot-{}.hdcs", std::process::id()));
         let _ = std::fs::remove_file(&path);
 
-        // First life: train online, store an item, snapshot on shutdown.
+        // First life: train online, store an item, snapshot, shut down.
         let blank = Pipeline::builder(256)
             .seed(21)
             .classes(2)
@@ -2727,7 +2376,6 @@ mod tests {
             .build()
             .unwrap();
         let mut first_config = config(2, 4);
-        first_config.snapshot_on_shutdown = Some(path.clone());
         // A missing load path is a cold start, not an error.
         first_config.load_snapshot = Some(path.clone());
         let runtime = Runtime::spawn(blank, first_config).unwrap();
@@ -2745,8 +2393,8 @@ mod tests {
             .iter()
             .map(|h| handle.predict("k", h).unwrap().label)
             .collect();
+        handle.snapshot().unwrap().write(&path).unwrap();
         runtime.shutdown();
-        assert!(path.exists(), "shutdown must write the snapshot");
 
         // Second life: same blank model + load_snapshot → warm restart.
         let blank = Pipeline::builder(256)
@@ -2786,6 +2434,77 @@ mod tests {
             Err(HdcError::Snapshot(_))
         ));
         std::fs::remove_file(&path).unwrap();
+    }
+
+    #[test]
+    fn shutdown_hands_back_the_fleet_with_the_last_adopted_head() {
+        // Serve, fit, refresh, serve again: the second reply comes from
+        // generation 1. The fleet `shutdown` returns must answer like it,
+        // not like the spawn-time head.
+        let blank = blank_classify(256, 61);
+        let hours: Vec<Radians> = (0..48)
+            .map(|i| Radians::periodic(f64::from(i) / 2.0, 24.0))
+            .collect();
+        let pairs: Vec<(String, BinaryHypervector)> = hours
+            .iter()
+            .enumerate()
+            .map(|(i, h)| (format!("k{i}"), blank.encode(h)))
+            .collect();
+        let labels =
+            |served: Vec<Prediction>| -> Vec<usize> { served.iter().map(|p| p.label).collect() };
+        let runtime = Runtime::spawn(blank, config(2, 8)).unwrap();
+        let handle = runtime.handle();
+        let first = labels(handle.predict_encoded_many(pairs.clone()).unwrap());
+        for (i, hour) in hours.iter().enumerate() {
+            handle.fit(hour, usize::from(i >= 24)).unwrap();
+        }
+        handle.refresh().unwrap();
+        let last = handle.predict_encoded_many(pairs.clone()).unwrap();
+        assert!(last.iter().all(|p| p.generation == 1));
+        let last = labels(last);
+        assert_ne!(first, last, "training changed the answers");
+
+        let (fleet, _) = runtime.shutdown();
+        let keys: Vec<&str> = pairs.iter().map(|(key, _)| key.as_str()).collect();
+        let rows: Vec<BinaryHypervector> = pairs.iter().map(|(_, hv)| hv.clone()).collect();
+        let batch = HypervectorBatch::from_vectors(&rows).unwrap();
+        assert_eq!(fleet.predict_batch(&keys, &batch).unwrap(), last);
+    }
+
+    #[test]
+    fn model_and_live_runtime_snapshots_are_the_same_bytes() {
+        // Both task families: a model and a runtime spawned from its twin
+        // hold the same trained state, before and after a few more fits
+        // (offline on the model, online on the runtime).
+        let twins: [fn() -> Model<Radians>; 2] =
+            [|| trained_model(256, 3), || trained_value_model(256, 7)];
+        for twin in twins {
+            let mut model = twin();
+            let runtime = Runtime::spawn(twin(), config(2, 4)).unwrap();
+            let handle = runtime.handle();
+            assert_eq!(
+                handle.snapshot().unwrap().to_bytes(),
+                model.snapshot().to_bytes()
+            );
+            for i in 0..5 {
+                let hour = Radians::periodic(f64::from(i) * 4.5, 24.0);
+                let target = if model.task().is_classification() {
+                    Target::Label(i as usize % 2)
+                } else {
+                    Target::Value(f64::from(i) * 4.5)
+                };
+                handle.observe(&hour, target).unwrap();
+                match target {
+                    Target::Label(label) => model.fit(&hour, label).unwrap(),
+                    Target::Value(value) => model.fit_value(&hour, value).unwrap(),
+                }
+            }
+            assert_eq!(
+                handle.snapshot().unwrap().to_bytes(),
+                model.snapshot().to_bytes()
+            );
+            runtime.shutdown();
+        }
     }
 
     fn blank_classify(dim: usize, seed: u64) -> Model<Radians> {

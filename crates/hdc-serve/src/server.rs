@@ -34,8 +34,9 @@ use std::time::Duration;
 
 use hdc_core::{BinaryHypervector, HdcError};
 
-use crate::runtime::{Answers, Prediction, RuntimeHandle, RuntimeStats, Target, ValuePrediction};
+use crate::runtime::{RuntimeHandle, RuntimeStats};
 use crate::snapshot::Snapshot;
+use crate::task::{Answers, Prediction, Target, ValuePrediction};
 use crate::wire::{self, Request, Response};
 
 /// A running TCP front-end over one serving runtime.

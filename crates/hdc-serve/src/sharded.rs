@@ -2,12 +2,12 @@
 //!
 //! A [`ShardedModel`] partitions the *stateful* half of a serving fleet —
 //! per-key item memories — across shards placed on an
-//! [`HdcHashRing`], while the *stateless* half — the finalized class
-//! vectors — is replicated onto every shard. Query batches are routed by
-//! key to their owning shards, predicted per shard with the batched
-//! parallel `predict_rows` path, and merged back in input order.
+//! [`HdcHashRing`], while the *stateless* half — the finalized [`Head`] —
+//! is replicated onto every shard. Keyed query batches are routed to their
+//! owning shards, answered per shard by the head's one readout
+//! ([`Head::answer`]), and merged back in input order.
 //!
-//! Because the classifier is replicated and deterministic, predictions are
+//! Because the head is replicated and deterministic, predictions are
 //! **bit-identical** to the unsharded [`Model`](crate::Model) for *any*
 //! shard count and any churn history — resharding only moves keys, never
 //! answers. And because the ring's positions are circular hypervectors,
@@ -15,6 +15,11 @@
 //! remap only the expected `1/n` fraction of keys, degrading gracefully
 //! exactly as in the scheme circular hypervectors were invented for
 //! (Heddes et al., DAC 2022).
+//!
+//! A [`Runtime`](crate::Runtime) keeps its item memories in a
+//! `ShardedModel`, but its dispatcher answers every query with the head of
+//! the generation it has adopted, without routing: within one process a
+//! key never changes an answer.
 
 use std::collections::HashMap;
 use std::hash::Hash;
@@ -24,42 +29,8 @@ use hdc_hash::HdcHashRing;
 use hdc_learn::{CentroidClassifier, RegressionModel};
 use rand::{rngs::StdRng, SeedableRng};
 
+use crate::task::{Answers, Head};
 use crate::Model;
-
-/// The replicated, task-specific half of a serving fleet: the finalized
-/// model every shard answers queries with. Classification fleets replicate
-/// a [`CentroidClassifier`]; regression fleets replicate a
-/// [`RegressionModel`] (integer readout). Either way the head is
-/// *stateless* at serving time — swapping it (online-learning generation
-/// publishes) is one fleet-wide assignment, and routing only ever decides
-/// *where* a query is answered, never *what* the answer is.
-#[derive(Debug, Clone)]
-pub enum Head {
-    /// Nearest-class-vector classification.
-    Classes(CentroidClassifier),
-    /// Integer-readout associative regression.
-    Values(RegressionModel),
-}
-
-impl Head {
-    /// Query dimensionality `d` this head answers.
-    #[must_use]
-    pub fn dim(&self) -> usize {
-        match self {
-            Head::Classes(classifier) => classifier.class_vector(0).dim(),
-            Head::Values(model) => model.label_encoder().dim(),
-        }
-    }
-
-    /// The task family name, for diagnostics.
-    #[must_use]
-    pub fn task_name(&self) -> &'static str {
-        match self {
-            Head::Classes(_) => "classification",
-            Head::Values(_) => "regression",
-        }
-    }
-}
 
 /// Ring geometry of a [`ShardedModel`]: how many sectors the consistent-
 /// hash circle is quantized into, the dimensionality of the ring's own
@@ -87,8 +58,9 @@ impl Default for RingConfig {
     }
 }
 
-/// A serving fleet for one trained classifier: replicated class vectors,
-/// sharded item memories, consistent-hash routing.
+/// A serving fleet for one trained [`Head`] (classifier or regressor):
+/// the head replicated, item memories sharded, keys routed over a
+/// consistent-hash ring.
 ///
 /// `K` is the key type of the sharded item memories (stored per-key
 /// hypervectors, e.g. cached encodings or per-entity profiles); routing
@@ -140,29 +112,7 @@ impl<K: Hash + Eq + Clone> ShardedModel<K> {
         shards: usize,
         seed: u64,
     ) -> Result<Self, HdcError> {
-        Self::with_head(
-            Head::Classes(classifier),
-            dim,
-            shards,
-            RingConfig::default(),
-            seed,
-        )
-    }
-
-    /// [`new`](Self::new) with an explicit ring geometry.
-    ///
-    /// # Errors
-    ///
-    /// Returns [`HdcError`] if `shards == 0` or the ring geometry is
-    /// invalid.
-    pub fn with_ring(
-        classifier: CentroidClassifier,
-        dim: usize,
-        shards: usize,
-        config: RingConfig,
-        seed: u64,
-    ) -> Result<Self, HdcError> {
-        Self::with_head(Head::Classes(classifier), dim, shards, config, seed)
+        Self::with_head(classifier.into(), dim, shards, RingConfig::default(), seed)
     }
 
     /// The task-polymorphic constructor every other constructor funnels
@@ -218,12 +168,13 @@ impl<K: Hash + Eq + Clone> ShardedModel<K> {
         shards: usize,
         seed: u64,
     ) -> Result<Self, HdcError> {
-        let head = if model.task().is_classification() {
-            Head::Classes(model.classifier().clone())
-        } else {
-            Head::Values(model.regressor().clone())
-        };
-        Self::with_head(head, model.dim(), shards, RingConfig::default(), seed)
+        Self::with_head(
+            model.head().clone(),
+            model.dim(),
+            shards,
+            RingConfig::default(),
+            seed,
+        )
     }
 
     /// Number of live shards.
@@ -267,12 +218,7 @@ impl<K: Hash + Eq + Clone> ShardedModel<K> {
     /// Panics on a regression fleet — use [`regressor`](Self::regressor).
     #[must_use]
     pub fn classifier(&self) -> &CentroidClassifier {
-        match &self.head {
-            Head::Classes(classifier) => classifier,
-            Head::Values(_) => {
-                panic!("classifier() requires a classification fleet, found regression")
-            }
-        }
+        self.head.classifier()
     }
 
     /// The replicated regression model.
@@ -283,22 +229,16 @@ impl<K: Hash + Eq + Clone> ShardedModel<K> {
     /// [`classifier`](Self::classifier).
     #[must_use]
     pub fn regressor(&self) -> &RegressionModel {
-        match &self.head {
-            Head::Values(model) => model,
-            Head::Classes(_) => {
-                panic!("regressor() requires a regression fleet, found classification")
-            }
-        }
+        self.head.regressor()
     }
 
-    /// Swaps in a new replicated head across every shard at once — the hook
-    /// versioned online learning publishes generations through. Because the
-    /// head is replicated (not sharded), one swap is atomic for the whole
-    /// fleet: every query batch served after this call sees the new
-    /// generation, none sees a mix.
+    /// Swaps in a new replicated head across every shard at once. Because
+    /// the head is replicated (not sharded), one swap is atomic for the
+    /// whole fleet: every query batch served after this call sees the new
+    /// head, none sees a mix.
     ///
-    /// The class *count* (or label table) may change between generations;
-    /// the dimensionality may not.
+    /// The class *count* (or label table) may change between heads; the
+    /// dimensionality may not.
     ///
     /// # Errors
     ///
@@ -314,16 +254,6 @@ impl<K: Hash + Eq + Clone> ShardedModel<K> {
         }
         self.head = head;
         Ok(())
-    }
-
-    /// [`set_head`](Self::set_head) for a classification generation.
-    ///
-    /// # Errors
-    ///
-    /// Returns [`HdcError::DimensionMismatch`] if the new class-vectors'
-    /// dimensionality differs from the fleet's.
-    pub fn set_classifier(&mut self, classifier: CentroidClassifier) -> Result<(), HdcError> {
-        self.set_head(Head::Classes(classifier))
     }
 
     /// All stored `(key, hypervector)` entries across every shard, in
@@ -552,8 +482,8 @@ impl<K: Hash + Eq + Clone> ShardedModel<K> {
     }
 
     /// Serves a keyed query batch: routes each row to its owning shard,
-    /// runs the batched `predict_rows` path per shard across the worker
-    /// pool, and merges the labels back in input order.
+    /// answers each shard's rows with the head's batched readout, and
+    /// merges the labels back in input order.
     ///
     /// Bit-identical to the unsharded
     /// [`Model::predict_encoded`](crate::Model::predict_encoded) for any
@@ -566,26 +496,17 @@ impl<K: Hash + Eq + Clone> ShardedModel<K> {
     /// [`HdcError::BatchLengthMismatch`] if `keys` and `queries` disagree
     /// in length and [`HdcError::DimensionMismatch`] if the batch
     /// dimensionality differs from the fleet's.
-    pub fn predict_batch<Q: Hash + Sync>(
+    pub fn predict_batch<Q: Hash>(
         &self,
         keys: &[Q],
         queries: &HypervectorBatch,
     ) -> Result<Vec<usize>, HdcError> {
-        let Head::Classes(classifier) = &self.head else {
-            return Err(HdcError::TaskMismatch {
-                expected: "classification",
-                found: self.head.task_name(),
-            });
-        };
-        self.predict_routed(keys, queries, classifier.row_word_ops(), |sub| {
-            classifier.predict_rows(sub)
-        })
+        self.answer_routed(keys, queries)?.labels()
     }
 
-    /// Serves a keyed **value** query batch — the regression twin of
-    /// [`predict_batch`](Self::predict_batch): route per shard, batched
-    /// integer-readout `predict_rows` per shard on the worker pool, merge
-    /// in input order. Bit-identical to the unsharded
+    /// Serves a keyed **value** query batch — the regression form of
+    /// [`predict_batch`](Self::predict_batch). Bit-identical to the
+    /// unsharded
     /// [`Model::predict_values_encoded`](crate::Model::predict_values_encoded)
     /// for any shard count.
     ///
@@ -595,36 +516,22 @@ impl<K: Hash + Eq + Clone> ShardedModel<K> {
     /// [`HdcError::BatchLengthMismatch`] if `keys` and `queries` disagree
     /// in length and [`HdcError::DimensionMismatch`] if the batch
     /// dimensionality differs from the fleet's.
-    pub fn predict_values<Q: Hash + Sync>(
+    pub fn predict_values<Q: Hash>(
         &self,
         keys: &[Q],
         queries: &HypervectorBatch,
     ) -> Result<Vec<f64>, HdcError> {
-        let Head::Values(model) = &self.head else {
-            return Err(HdcError::TaskMismatch {
-                expected: "regression",
-                found: self.head.task_name(),
-            });
-        };
-        self.predict_routed(keys, queries, model.row_word_ops(), |sub| {
-            model.predict_rows(sub)
-        })
+        self.answer_routed(keys, queries)?.values()
     }
 
-    /// The shared routed-serving path behind both prediction types: route
-    /// rows to shards, ship each shard its own contiguous sub-batch (what a
-    /// real fleet would put on the wire), run the head's batched predictor
-    /// per shard fanned out across the pool when the batch's work
-    /// (`row_word_ops` per row) pays for it, and merge the answers back in
-    /// input order. Workers write disjoint groups and the merge is by input
-    /// order, so the output is deterministic regardless of scheduling.
-    fn predict_routed<Q: Hash + Sync, T: Default + Clone + Send>(
+    /// The routed readout: route rows to shards, ship each shard its own
+    /// contiguous sub-batch (what a real fleet would put on the wire),
+    /// answer it with the head, and merge the answers back in input order.
+    fn answer_routed<Q: Hash>(
         &self,
         keys: &[Q],
         queries: &HypervectorBatch,
-        row_word_ops: usize,
-        predict: impl Fn(&HypervectorBatch) -> Vec<T> + Sync,
-    ) -> Result<Vec<T>, HdcError> {
+    ) -> Result<Answers, HdcError> {
         if keys.len() != queries.len() {
             return Err(HdcError::BatchLengthMismatch {
                 rows: queries.len(),
@@ -637,27 +544,19 @@ impl<K: Hash + Eq + Clone> ShardedModel<K> {
                 found: queries.dim(),
             });
         }
-        let groups = self.route(keys);
-        let sub_batches: Vec<HypervectorBatch> = groups
-            .iter()
+        let parts = self
+            .route(keys)
+            .into_iter()
             .map(|(_, rows)| {
                 let mut sub = HypervectorBatch::with_capacity(self.dim, rows.len());
-                for &row in rows {
+                for &row in &rows {
                     sub.push_row(queries.row(row));
                 }
-                sub
+                let answers = self.head.answer(&sub);
+                (rows, answers)
             })
             .collect();
-        let work = queries.len() * row_word_ops;
-        let per_shard: Vec<Vec<T>> =
-            minipool::par_map_indexed(&sub_batches, work, |_, sub| predict(sub));
-        let mut merged = vec![T::default(); queries.len()];
-        for ((_, rows), answers) in groups.iter().zip(&per_shard) {
-            for (&row, answer) in rows.iter().zip(answers) {
-                merged[row] = answer.clone();
-            }
-        }
-        Ok(merged)
+        Answers::merge(queries.len(), parts)
     }
 }
 
@@ -837,13 +736,13 @@ mod tests {
             .collect();
         vectors[0] = query.clone();
         let replacement = CentroidClassifier::from_class_vectors(vectors).unwrap();
-        fleet.set_classifier(replacement).unwrap();
+        fleet.set_head(Head::Classes(replacement)).unwrap();
         assert_eq!(fleet.predict(&query), 0);
         let _ = before;
         // Dimensionality is load-bearing; a mismatched generation is refused.
         let wrong = classifier(&mut rng, 2, 512);
         assert!(matches!(
-            fleet.set_classifier(wrong),
+            fleet.set_head(Head::Classes(wrong)),
             Err(HdcError::DimensionMismatch {
                 expected: 1_024,
                 found: 512

@@ -1,7 +1,7 @@
 //! Durable snapshots: the compact binary state a pipeline (or a whole
-//! serving runtime) writes on shutdown and reloads on spawn, making
-//! restarts **warm** — the restored model predicts bit-identically to the
-//! one that was saved.
+//! serving runtime) writes to disk and reloads on spawn, making restarts
+//! **warm** — the restored model predicts bit-identically to the one that
+//! was saved.
 //!
 //! # What is captured
 //!
@@ -41,8 +41,8 @@ use std::path::Path;
 use hdc_core::{BinaryHypervector, HdcError, MajorityAccumulator};
 use hdc_learn::{CentroidTrainer, RegressionTrainer};
 
-use crate::pipeline::TaskState;
 use crate::spec::{PipelineSpec, Task};
+use crate::task::OnlineLearner;
 use hdc_store::codec::{self, Cursor};
 
 /// Magic bytes opening every snapshot file.
@@ -76,8 +76,8 @@ enum StateSnapshot {
 /// accumulators and (for runtime snapshots) the keyed item memories.
 ///
 /// Produced by [`Model::snapshot`](crate::Model::snapshot)/
-/// [`Model::save`](crate::Model::save) and by a runtime configured with
-/// [`RuntimeConfig::snapshot_on_shutdown`](crate::RuntimeConfig); consumed
+/// [`Model::save`](crate::Model::save) and by a live
+/// [`RuntimeHandle::snapshot`](crate::RuntimeHandle::snapshot); consumed
 /// by [`Pipeline::load`](crate::Pipeline)/
 /// [`Pipeline::from_snapshot`](crate::Pipeline) and by
 /// [`RuntimeConfig::load_snapshot`](crate::RuntimeConfig). The restore is
@@ -92,56 +92,31 @@ pub struct Snapshot {
 }
 
 impl Snapshot {
-    /// Captures a live task state (pub(crate): callers go through
-    /// [`Model::snapshot`](crate::Model::snapshot) or the runtime).
-    pub(crate) fn of_state(
+    /// Captures a learner's accumulators, beside `items` (pub(crate):
+    /// callers go through [`Model::snapshot`](crate::Model::snapshot) or
+    /// the runtime).
+    pub(crate) fn capture(
         spec: PipelineSpec,
-        state: &TaskState,
+        learner: &OnlineLearner,
         items: Vec<(String, BinaryHypervector)>,
     ) -> Self {
-        match state {
-            TaskState::Classify { trainer, .. } => Self::of_classify(spec, trainer, items),
-            TaskState::Regress { trainer, .. } => Self::of_regress(spec, trainer, items),
-        }
-    }
-
-    /// Captures a classification trainer.
-    pub(crate) fn of_classify(
-        spec: PipelineSpec,
-        trainer: &CentroidTrainer,
-        items: Vec<(String, BinaryHypervector)>,
-    ) -> Self {
-        let accumulators = (0..trainer.classes())
-            .map(|class| {
-                let acc = trainer.accumulator(class);
-                (acc.counts().to_vec(), acc.weight())
-            })
-            .collect();
-        Self {
-            spec,
-            state: StateSnapshot::Classify {
+        let state = match learner {
+            OnlineLearner::Classify(trainer) => StateSnapshot::Classify {
                 counts: trainer.counts().iter().map(|&c| c as u64).collect(),
-                accumulators,
+                accumulators: (0..trainer.classes())
+                    .map(|class| {
+                        let acc = trainer.accumulator(class);
+                        (acc.counts().to_vec(), acc.weight())
+                    })
+                    .collect(),
             },
-            items,
-        }
-    }
-
-    /// Captures a regression trainer.
-    pub(crate) fn of_regress(
-        spec: PipelineSpec,
-        trainer: &RegressionTrainer,
-        items: Vec<(String, BinaryHypervector)>,
-    ) -> Self {
-        Self {
-            spec,
-            state: StateSnapshot::Regress {
+            OnlineLearner::Regress(trainer) => StateSnapshot::Regress {
                 observed: trainer.observed() as u64,
                 counts: trainer.accumulator().counts().to_vec(),
                 weight: trainer.accumulator().weight(),
             },
-            items,
-        }
+        };
+        Self { spec, state, items }
     }
 
     /// The pipeline spec this snapshot was captured from.
@@ -180,96 +155,77 @@ impl Snapshot {
     }
 
     /// Adopts this snapshot's counters into an already built (same-spec)
-    /// classification trainer.
-    pub(crate) fn restore_classify_trainer(
-        &self,
-        trainer: &mut CentroidTrainer,
-    ) -> Result<(), HdcError> {
-        let StateSnapshot::Classify {
-            counts,
-            accumulators,
-        } = &self.state
-        else {
-            return Err(HdcError::Snapshot(
-                "snapshot task does not match the spec's task".into(),
-            ));
-        };
-        if accumulators.len() != trainer.classes() || counts.len() != trainer.classes() {
-            return Err(HdcError::Snapshot(format!(
-                "snapshot holds {} classes, spec expects {}",
-                accumulators.len(),
-                trainer.classes()
-            )));
-        }
+    /// learner.
+    pub(crate) fn restore(&self, learner: &mut OnlineLearner) -> Result<(), HdcError> {
         let dim = self.spec.dim;
-        let rebuilt: Vec<MajorityAccumulator> = accumulators
-            .iter()
-            .map(|(class_counts, weight)| {
-                if class_counts.len() != dim {
+        match (learner, &self.state) {
+            (
+                OnlineLearner::Classify(trainer),
+                StateSnapshot::Classify {
+                    counts,
+                    accumulators,
+                },
+            ) => {
+                if accumulators.len() != trainer.classes() || counts.len() != trainer.classes() {
                     return Err(HdcError::Snapshot(format!(
-                        "class counter table of {} entries does not match dim {dim}",
-                        class_counts.len()
+                        "snapshot holds {} classes, spec expects {}",
+                        accumulators.len(),
+                        trainer.classes()
                     )));
                 }
-                Ok(MajorityAccumulator::from_parts(
-                    class_counts.clone(),
-                    *weight,
+                let rebuilt: Vec<MajorityAccumulator> = accumulators
+                    .iter()
+                    .map(|(class_counts, weight)| {
+                        if class_counts.len() != dim {
+                            return Err(HdcError::Snapshot(format!(
+                                "class counter table of {} entries does not match dim {dim}",
+                                class_counts.len()
+                            )));
+                        }
+                        Ok(MajorityAccumulator::from_parts(
+                            class_counts.clone(),
+                            *weight,
+                        ))
+                    })
+                    .collect::<Result<_, _>>()?;
+                let sample_counts = counts
+                    .iter()
+                    .map(|&c| {
+                        usize::try_from(c)
+                            .map_err(|_| HdcError::Snapshot(format!("count {c} exceeds usize")))
+                    })
+                    .collect::<Result<Vec<_>, _>>()?;
+                *trainer = CentroidTrainer::from_parts(rebuilt, sample_counts)?;
+            }
+            (
+                OnlineLearner::Regress(trainer),
+                StateSnapshot::Regress {
+                    observed,
+                    counts,
+                    weight,
+                },
+            ) => {
+                if counts.len() != dim {
+                    return Err(HdcError::Snapshot(format!(
+                        "bundle counter table of {} entries does not match dim {dim}",
+                        counts.len()
+                    )));
+                }
+                let observed = usize::try_from(*observed).map_err(|_| {
+                    HdcError::Snapshot(format!("observation count {observed} exceeds usize"))
+                })?;
+                *trainer = RegressionTrainer::from_parts(
+                    trainer.label_encoder().clone(),
+                    MajorityAccumulator::from_parts(counts.clone(), *weight),
+                    observed,
+                )?;
+            }
+            _ => {
+                return Err(HdcError::Snapshot(
+                    "snapshot task does not match the spec's task".into(),
                 ))
-            })
-            .collect::<Result<_, _>>()?;
-        let sample_counts = counts
-            .iter()
-            .map(|&c| {
-                usize::try_from(c)
-                    .map_err(|_| HdcError::Snapshot(format!("count {c} exceeds usize")))
-            })
-            .collect::<Result<Vec<_>, _>>()?;
-        *trainer = CentroidTrainer::from_parts(rebuilt, sample_counts)?;
-        Ok(())
-    }
-
-    /// Adopts this snapshot's counters into an already built (same-spec)
-    /// regression trainer.
-    pub(crate) fn restore_regress_trainer(
-        &self,
-        trainer: &mut RegressionTrainer,
-    ) -> Result<(), HdcError> {
-        let StateSnapshot::Regress {
-            observed,
-            counts,
-            weight,
-        } = &self.state
-        else {
-            return Err(HdcError::Snapshot(
-                "snapshot task does not match the spec's task".into(),
-            ));
-        };
-        if counts.len() != self.spec.dim {
-            return Err(HdcError::Snapshot(format!(
-                "bundle counter table of {} entries does not match dim {}",
-                counts.len(),
-                self.spec.dim
-            )));
+            }
         }
-        let observed = usize::try_from(*observed).map_err(|_| {
-            HdcError::Snapshot(format!("observation count {observed} exceeds usize"))
-        })?;
-        *trainer = RegressionTrainer::from_parts(
-            trainer.label_encoder().clone(),
-            MajorityAccumulator::from_parts(counts.clone(), *weight),
-            observed,
-        )?;
-        Ok(())
-    }
-
-    /// Adopts this snapshot's trainer counters into an already built
-    /// (same-spec) task state and re-finalizes the head.
-    pub(crate) fn restore_into(&self, state: &mut TaskState) -> Result<(), HdcError> {
-        match &mut *state {
-            TaskState::Classify { trainer, .. } => self.restore_classify_trainer(trainer)?,
-            TaskState::Regress { trainer, .. } => self.restore_regress_trainer(trainer)?,
-        }
-        state.refresh();
         Ok(())
     }
 
@@ -312,8 +268,7 @@ impl Snapshot {
         for (key, hv) in &self.items {
             // u64-prefixed keys: local inserts accept any key length (only
             // the wire protocol caps keys at u16), so the snapshot writer
-            // must never be able to panic on one — shutdown snapshots are
-            // documented best-effort, never a panic.
+            // must never be able to panic on one.
             codec::put_long_string(&mut buf, key);
             codec::put_hv(&mut buf, hv).expect(
                 "item dimensionality equals the spec's, which fits u32 for any buildable model",
@@ -561,7 +516,7 @@ mod tests {
 
         // Local inserts accept any key length (only the wire protocol caps
         // keys at u16), so the snapshot writer must neither panic nor
-        // truncate on one — shutdown snapshots are documented best-effort.
+        // truncate on one.
         let spec = PipelineSpec {
             dim: 257,
             seed: 1,
@@ -569,11 +524,11 @@ mod tests {
             encoder: EncSpec::Angle,
             task: Task::Classification { classes: 2 },
         };
-        let trainer = CentroidTrainer::new(2, 257).unwrap();
+        let learner = OnlineLearner::Classify(CentroidTrainer::new(2, 257).unwrap());
         let long_key = "k".repeat(70_000);
-        let snapshot = Snapshot::of_classify(
+        let snapshot = Snapshot::capture(
             spec,
-            &trainer,
+            &learner,
             vec![(long_key.clone(), BinaryHypervector::zeros(257))],
         );
         let decoded = Snapshot::from_bytes(&snapshot.to_bytes()).unwrap();

@@ -59,7 +59,8 @@ use hdc_store::codec::{
 };
 
 use crate::metrics::MetricsSnapshot;
-use crate::runtime::{Answers, Prediction, RuntimeStats, Target, ValuePrediction};
+use crate::runtime::RuntimeStats;
+use crate::task::{Answers, Prediction, Target, ValuePrediction};
 
 /// Protocol version carried in every frame.
 pub const PROTOCOL_VERSION: u8 = 4;

@@ -82,7 +82,9 @@ impl CodecDict {
         if self.entries.len() < DICT_SLOTS {
             self.entries.push(hv.clone());
         } else {
-            self.entries[self.next] = hv.clone();
+            // Overwrites the evicted slot in place: once the ring is full,
+            // a record of the same width allocates nothing.
+            self.entries[self.next].clone_from(hv);
         }
         self.next = (self.next + 1) % DICT_SLOTS;
     }
@@ -408,6 +410,24 @@ mod tests {
             let back = decode_tagged(&payload, &mut dec).unwrap();
             assert_eq!(&back, record);
         }
+    }
+
+    #[test]
+    fn a_full_ring_overwrites_its_evicted_slot_in_place() {
+        let mut rng = StdRng::seed_from_u64(9);
+        let mut dict = CodecDict::new();
+        for _ in 0..DICT_SLOTS {
+            dict.push(&BinaryHypervector::random(640, &mut rng));
+        }
+        let buffer = dict.entries[0].as_words().as_ptr();
+        let next = BinaryHypervector::random(640, &mut rng);
+        dict.push(&next);
+        assert_eq!(dict.entries[0], next);
+        assert_eq!(dict.entries[0].as_words().as_ptr(), buffer, "slot reused");
+        // A record of another width still takes the next slot whole.
+        let wide = BinaryHypervector::random(1024, &mut rng);
+        dict.push(&wide);
+        assert_eq!(dict.entries[1], wide);
     }
 
     #[test]

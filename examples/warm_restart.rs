@@ -1,6 +1,6 @@
 //! Durable warm restarts, end to end: train a **regression** pipeline
-//! online through a running service, shut the runtime down with
-//! `snapshot_on_shutdown`, spawn a *second* runtime from the snapshot
+//! online through a running service, write a live `handle.snapshot()`
+//! and shut the runtime down, spawn a *second* runtime from the snapshot
 //! (`load_snapshot`), and verify over loopback TCP that the restarted
 //! service answers **bit-identically** — both the `predict_value` results
 //! and the restored item memory.
@@ -38,7 +38,7 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
     ));
     let _ = std::fs::remove_file(&snapshot_path);
 
-    // --- First life: train online, store state, snapshot on shutdown. ---
+    // --- First life: train online, store state, snapshot, shut down. ----
     let reference = {
         // A client-side twin (same spec + seed → bit-identical encoders)
         // used to encode queries and predict the expected values.
@@ -52,7 +52,6 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
     };
     let first_config = RuntimeConfig {
         shards: 2,
-        snapshot_on_shutdown: Some(snapshot_path.clone()),
         ..RuntimeConfig::default()
     };
     let runtime = Runtime::spawn(blank(42)?, first_config)?;
@@ -79,14 +78,16 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
                 .map(|p| p.value)
         })
         .collect::<Result<_, _>>()?;
+    // A live snapshot (trainer accumulators + item memory), written before
+    // the runtime stops.
+    runtime.handle().snapshot()?.write(&snapshot_path)?;
     println!(
         "first life: generation {generation}, {} values served, snapshot -> {}",
         first_answers.len(),
         snapshot_path.display()
     );
     server.shutdown();
-    runtime.shutdown(); // writes the snapshot
-    assert!(snapshot_path.exists(), "shutdown must write the snapshot");
+    runtime.shutdown();
 
     // --- Second life: spawn from the snapshot, serve warm. --------------
     let second_config = RuntimeConfig {
