@@ -47,13 +47,11 @@ mod error;
 mod histogram;
 mod normal;
 mod von_mises;
-mod wrapped_cauchy;
 
 pub use error::DirStatsError;
 pub use histogram::{CircularHistogram, LinearHistogram, LogHistogram};
 pub use normal::Normal;
 pub use von_mises::VonMises;
-pub use wrapped_cauchy::WrappedCauchy;
 
 /// Full circle in radians (`2π`).
 pub const TAU: f64 = std::f64::consts::TAU;

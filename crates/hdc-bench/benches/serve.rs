@@ -1,29 +1,29 @@
-//! Serving-layer benchmarks: consistent-hash routing, sharded vs unsharded
-//! batched prediction, and the regression integer readout.
+//! Serving-layer benchmarks: consistent-hash placement, sharded vs
+//! unsharded batched prediction, and the regression integer readout.
 //!
-//! * **serve_route** — grouping a keyed batch by owning shard (the pure
-//!   routing overhead a fleet pays before any prediction runs).
-//! * **serve_predict** — `ShardedModel::predict_batch` (route + per-shard
-//!   sub-batches + per-shard `predict_rows` + merge) against the unsharded
-//!   `predict_rows` baseline, at 1/2/4 shards. Outputs are bit-identical by
-//!   construction; the delta is the cost of the serving indirection.
+//! * **serve_route** — grouping a keyed batch by owning shard (the ring
+//!   lookups that place items; reads never route).
+//! * **serve_predict** — `ShardedModel::predict_batch` (length and
+//!   dimension checks, then the head's `predict_rows` over the whole batch;
+//!   it does not route) against the unsharded `predict_rows` baseline, at
+//!   1/2/4 shards. Outputs are bit-identical by construction; the delta is
+//!   the cost of the serving indirection.
 //! * **regression_readout** — `RegressionModel` integer-readout prediction.
-//!   Since PR 3 the per-query score is computed by the fused
+//!   The per-query score is computed by the fused
 //!   `kernels::masked_signed_sum` walk with **zero** per-query heap
-//!   allocations (the old path materialized a `Vec<i64>` of flipped
-//!   counters per query); the bench tracks that hot path.
-//! * **serve_microbatch** — the PR 4 runtime: 256 keyed predictions sent
+//!   allocations; the bench tracks that hot path.
+//! * **serve_microbatch** — the runtime: 256 keyed predictions sent
 //!   through the ingestion queue as requests of 1/16/256 rows, one after
 //!   another, against the direct `predict_encoded` baseline. A request is
 //!   one work item and one batch, so the delta at size 1 is the full
 //!   per-request queue+reply round trip; larger requests amortize it.
-//! * **serve_cluster** — the PR 6 multi-process tier: a 256-row keyed
-//!   batch served by the direct model, the in-process 3-shard
-//!   `ShardedModel`, a `ClusterRouter` over three in-process runtimes
-//!   (`LocalShard`, queue cost but no wire), and a `ClusterRouter` over
-//!   three loopback-TCP shard servers (`RemoteShard`, full wire frames).
-//!   All four are bit-identical by construction; the deltas price the
-//!   runtime queue and the TCP hop.
+//! * **serve_cluster** — the multi-process tier: a 256-row keyed batch
+//!   served by the direct model, the in-process 3-shard `ShardedModel`, a
+//!   `ClusterRouter` over three in-process runtimes (`LocalShard`, queue
+//!   cost but no wire), and a `ClusterRouter` over three loopback-TCP shard
+//!   servers (`RemoteShard`, full wire frames). The router sends the whole
+//!   batch to one shard. All four are bit-identical by construction; the
+//!   deltas price the runtime queue and the TCP hop.
 
 use criterion::{criterion_group, criterion_main, BenchmarkId, Criterion};
 use hdc_core::{BinaryHypervector, HypervectorBatch};
@@ -542,65 +542,6 @@ fn bench_cluster(c: &mut Criterion) {
     }
 }
 
-/// The router's concurrent fan-out: the same 256-row keyed batch through
-/// a 3-`LocalShard` router, each shard's sub-batch on its own scoped
-/// thread. Answers are bit-identical to the unsharded model (asserted).
-/// On a single-core runner the overlap of the per-shard queue waits is
-/// bounded by how much of each shard call is genuine waiting — the
-/// loopback-TCP and multi-core cases are where it widens.
-fn bench_router_concurrent(c: &mut Criterion) {
-    use hdc_serve::{ClusterRouter, LocalShard, RingConfig, ShardBackend};
-
-    const SHARDS: usize = 3;
-    let model = runtime_model();
-    let inputs: Vec<Radians> = (0..BATCH)
-        .map(|i| Radians::periodic(i as f64 * 0.173, 24.0))
-        .collect();
-    let arena = model.encode_batch(&inputs);
-    let expected = model.predict_encoded(&arena);
-    let pairs: Vec<(String, BinaryHypervector)> = arena
-        .rows()
-        .enumerate()
-        .map(|(i, row)| (format!("session-{i}"), row.to_hypervector()))
-        .collect();
-
-    let runtimes: Vec<_> = (0..SHARDS)
-        .map(|i| {
-            Runtime::spawn(
-                runtime_model(),
-                RuntimeConfig {
-                    name: format!("fanout-{i}"),
-                    refresh_every: 0,
-                    ..RuntimeConfig::default()
-                },
-            )
-            .expect("valid runtime")
-        })
-        .collect();
-    let backends: Vec<Box<dyn ShardBackend>> = runtimes
-        .iter()
-        .map(|runtime| Box::new(LocalShard::new(runtime.handle())) as Box<dyn ShardBackend>)
-        .collect();
-    let mut router = ClusterRouter::new(backends, RingConfig::default(), 0).expect("valid cluster");
-
-    let mut group = c.benchmark_group("router_concurrent");
-    let served = router.predict_batch(&pairs).expect("routable");
-    assert_eq!(
-        served.iter().map(|p| p.label).collect::<Vec<_>>(),
-        expected,
-        "fan-out must never change an answer"
-    );
-    group.bench_with_input(BenchmarkId::new("concurrent", BATCH), &pairs, |b, pairs| {
-        b.iter(|| router.predict_batch(black_box(pairs)).expect("routable"));
-    });
-    group.finish();
-
-    drop(router);
-    for runtime in runtimes {
-        runtime.shutdown();
-    }
-}
-
 /// Snapshot durability costs: serializing a trained d=10k model to its
 /// compact binary form, parsing it back, and the full
 /// `Pipeline::from_snapshot` rebuild (parse + deterministic encoder
@@ -675,7 +616,6 @@ criterion_group!(
     bench_microbatch,
     bench_value_microbatch,
     bench_cluster,
-    bench_router_concurrent,
     bench_snapshot
 );
 criterion_main!(benches);

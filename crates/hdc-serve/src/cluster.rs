@@ -5,12 +5,12 @@
 //!
 //! ```text
 //!                         ┌────────────────┐
-//!   clients ── wire v4 ──▶│  ClusterRouter │ (optionally behind a
+//!   clients ── wire v5 ──▶│  ClusterRouter │ (optionally behind a
 //!                         │  (ring lookup) │  ClusterServer front-end)
 //!                         └───┬────┬────┬──┘
 //!              keyed ops ──────┘    │    └────── replicated ops
-//!            (predict/insert/      │           (fit/refresh → all)
-//!             remove → owner)      │
+//!        (insert/remove → owner,   │           (fit/refresh → all)
+//!         predict → one shard)     │
 //!                 ┌────────────┬───┴────────┐
 //!                 ▼            ▼            ▼
 //!           ┌──────────┐ ┌──────────┐ ┌──────────┐
@@ -19,17 +19,17 @@
 //!           └──────────┘ └──────────┘ └──────────┘
 //! ```
 //!
-//! The split mirrors [`ShardedModel`](crate::ShardedModel): the finalized
-//! head (class vectors or regression readout) is tiny and **replicated**
-//! onto every shard, while the keyed item memories — the state that
-//! actually grows with users — are **partitioned** over the same
-//! `hdc-hash` consistent ring the in-process fleet routes by. Because the
-//! router builds its ring with the exact recipe `ShardedModel` uses
-//! (same [`RingConfig`], same seed, shard ids assigned in join order),
-//! and because training observations are replicated to every shard,
-//! a cluster of N shard processes answers **bit-identically** to the
-//! single-process `ShardedModel` — routing decides *where* a query is
-//! answered, never *what* the answer is.
+//! The finalized head (class vectors or regression readout) is tiny and
+//! **replicated** onto every shard, while the keyed item memories — the
+//! state that actually grows with users — are **partitioned** over an
+//! `hdc-hash` consistent ring built with the recipe
+//! [`ShardedModel`](crate::ShardedModel) uses (same [`RingConfig`], same
+//! seed, shard ids assigned in join order). Training observations are
+//! replicated to every shard, so every shard answers a query the same way:
+//! a key decides *where* an item lives, never *what* an answer is, and a
+//! cluster of N shard processes answers **bit-identically** to the
+//! single-process model. Membership changes ([`ClusterRouter::join`],
+//! [`ClusterRouter::leave`]) are the one way to reshard.
 //!
 //! # Backends
 //!
@@ -42,13 +42,14 @@
 //! ([`ShardBackend::observe`], carrying its [`Target`]), whatever the
 //! task.
 //!
-//! # Fan-out
+//! # Reads and fan-out
 //!
-//! A call that involves several shards (a routed batch, a replicated fit,
-//! a refresh, a stats or ping probe) pays its per-shard calls
-//! concurrently, one scoped thread and one in-flight request per shard;
-//! replies are merged in input order and errors reported in shard order.
-//! A call that involves one shard runs on the caller's thread.
+//! A read goes to one shard: the owner of the request's first key, or the
+//! first shard for an empty request, answers every row with one call.
+//! A call that involves several shards (a replicated fit, a refresh, a
+//! stats or ping probe) pays its per-shard calls concurrently, one scoped
+//! thread and one in-flight request per shard; errors are reported in
+//! shard order.
 //!
 //! # Warm joins
 //!
@@ -309,24 +310,20 @@ impl ShardBackend for RemoteShard {
         self.addr.clone()
     }
 
-    fn answer(&mut self, mut pairs: Vec<(String, BinaryHypervector)>) -> Result<Answers, HdcError> {
-        // One frame per `REMOTE_BATCH_ROWS` rows; an empty request is
-        // still asked, so its answer names the shard's task.
-        let len = pairs.len();
-        let mut parts = Vec::new();
-        loop {
-            let start = len - pairs.len();
-            let chunk: Vec<_> = pairs.drain(..pairs.len().min(REMOTE_BATCH_ROWS)).collect();
-            let indices = (start..start + chunk.len()).collect();
-            let answers = self
-                .client
-                .answer(chunk)
-                .map_err(|e| transport("predict", &e))?;
-            parts.push((indices, answers));
-            if pairs.is_empty() {
-                return Answers::merge(len, parts);
-            }
+    fn answer(&mut self, pairs: Vec<(String, BinaryHypervector)>) -> Result<Answers, HdcError> {
+        // One frame per `REMOTE_BATCH_ROWS` rows, appended in order. An
+        // empty request is still asked, so its answer names the task.
+        let mut frame = |rows| {
+            self.client
+                .answer(rows)
+                .map_err(|e| transport("predict", &e))
+        };
+        let mut rows = pairs.into_iter();
+        let mut answers = frame(rows.by_ref().take(REMOTE_BATCH_ROWS).collect())?;
+        while !rows.as_slice().is_empty() {
+            answers.append(frame(rows.by_ref().take(REMOTE_BATCH_ROWS).collect())?)?;
         }
+        Ok(answers)
     }
 
     fn insert(&mut self, key: String, hv: BinaryHypervector) -> Result<bool, HdcError> {
@@ -407,19 +404,19 @@ fn fan_out<I: Send, R: Send>(
     })
 }
 
-/// The routing front-end of a shard cluster: maps keys to shard processes
-/// over the same consistent-hash ring an in-process
-/// [`ShardedModel`](crate::ShardedModel) routes by, fans keyed operations
-/// out to their owners, replicates training and refreshes to every shard,
-/// and merges responses in input order.
+/// The routing front-end of a shard cluster: places items on shard
+/// processes over the same consistent-hash ring an in-process
+/// [`ShardedModel`](crate::ShardedModel) places them by, sends each read
+/// whole to one shard, replicates training and refreshes to every shard,
+/// and reshards through [`join`](Self::join) and [`leave`](Self::leave).
 ///
 /// For the same `(RingConfig, seed)` and shard count, key→shard
-/// assignment is identical to `ShardedModel`'s — which, together with
-/// replicated heads, makes cluster predictions bit-identical to the
-/// in-process fleet's for any shard count.
+/// assignment is identical to `ShardedModel`'s; with replicated heads,
+/// cluster predictions are bit-identical to the unsharded model's for any
+/// shard count.
 ///
-/// Multi-shard operations (batch predicts, replicated fits, refresh,
-/// stats, ping) pay their per-shard calls concurrently.
+/// Multi-shard operations (replicated fits, refresh, stats, ping) pay
+/// their per-shard calls concurrently.
 pub struct ClusterRouter {
     ring: HdcHashRing<usize>,
     shards: Vec<(usize, Box<dyn ShardBackend>)>,
@@ -556,56 +553,33 @@ impl ClusterRouter {
         Ok(())
     }
 
-    /// Answers a batch of keyed, encoded queries: grouped per owning
-    /// shard, fanned out, merged back **in input order** — the same
-    /// route/merge contract as
-    /// [`ShardedModel::predict_batch`](crate::ShardedModel::predict_batch).
-    /// The shards' head decides whether the answers are labels or values.
+    /// Answers a batch of keyed, encoded queries in input order with one
+    /// shard call. The owner of the first key answers the whole request
+    /// (the first shard answers an empty one, so its empty answer still
+    /// names the task): every shard serves the same replicated head, so a
+    /// key decides where an item lives, never an answer. The shards' head
+    /// decides whether the answers are labels or values.
     ///
     /// # Errors
     ///
-    /// Returns a transport error for an unreachable shard, or a shard's
-    /// own error (the first **in shard order**).
+    /// Returns [`HdcError::DimensionMismatch`] for a query of another
+    /// dimensionality, a transport error for an unreachable shard or a
+    /// short answer, or the shard's own error.
     pub fn answer(&mut self, pairs: &[(String, BinaryHypervector)]) -> Result<Answers, HdcError> {
         for (_, hv) in pairs {
             self.check_dim(hv.dim())?;
         }
-        let mut routed: Vec<Vec<usize>> = vec![Vec::new(); self.shards.len()];
-        for (index, (key, _)) in pairs.iter().enumerate() {
-            routed[self.position_of(key)].push(index);
+        let position = pairs.first().map_or(0, |(key, _)| self.position_of(key));
+        let (id, shard) = &mut self.shards[position];
+        let answers = shard.answer(pairs.to_vec())?;
+        if answers.len() != pairs.len() {
+            return Err(HdcError::Transport(format!(
+                "shard {id} answered {} of {} queries",
+                answers.len(),
+                pairs.len()
+            )));
         }
-        // Owned per-shard sub-batches, so each scoped thread borrows
-        // nothing from its siblings.
-        let subs: Vec<Option<Vec<(String, BinaryHypervector)>>> = routed
-            .iter()
-            .map(|indices| {
-                (!indices.is_empty())
-                    .then(|| indices.iter().map(|&index| pairs[index].clone()).collect())
-            })
-            .collect();
-        let replies = fan_out(&mut self.shards, subs, |shard, sub| shard.answer(sub));
-        let mut parts = Vec::new();
-        for ((position, indices), reply) in routed.into_iter().enumerate().zip(replies) {
-            let Some(reply) = reply else {
-                continue;
-            };
-            let answers = reply?;
-            if answers.len() != indices.len() {
-                return Err(HdcError::Transport(format!(
-                    "shard {} answered {} of {} queries",
-                    self.shards[position].0,
-                    answers.len(),
-                    indices.len()
-                )));
-            }
-            parts.push((indices, answers));
-        }
-        if parts.is_empty() {
-            // An empty request: the first shard answers it, so the empty
-            // answer still names the task.
-            return self.shards[0].1.answer(Vec::new());
-        }
-        Answers::merge(pairs.len(), parts)
+        Ok(answers)
     }
 
     /// Predicts a batch of keyed, encoded queries' labels (see
@@ -900,7 +874,6 @@ impl ClusterRouter {
             classes: per_shard.first().map_or(0, |(_, s)| s.classes),
             shard_loads: Vec::with_capacity(per_shard.len()),
             keys: 0,
-            last_remap_fraction: None,
             metrics: MetricsSnapshot {
                 queue_depth: 0,
                 requests: 0,
@@ -1221,11 +1194,6 @@ fn answer(router: &mut ClusterRouter, clients: ClientConfig, request: Request) -
                     drained,
                 })
         }
-        Request::AddShard | Request::RemoveShard { .. } => Response::Error {
-            message: "cluster membership changes via shard_join/shard_leave, \
-                      not add_shard/remove_shard"
-                .into(),
-        },
         Request::Snapshot | Request::Restore { .. } => Response::Error {
             message: "snapshot streaming is served by shard runtimes, not the router".into(),
         },

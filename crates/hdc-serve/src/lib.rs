@@ -13,13 +13,12 @@
 //!   observation teaches, the accumulators it folds into, the finalized
 //!   model with its one readout, and that readout's rows. Every layer
 //!   below reaches the task through these.
-//! * [`ShardedModel`] — production-shaped serving on top: the head
-//!   replicated across shards, per-key item memories partitioned over an
-//!   `hdc-hash` consistent-hash ring, query batches routed per shard
-//!   through the head's readout and merged in input order. Bit-identical
-//!   to the unsharded model for any shard count, with graceful `1/n`
-//!   remapping under shard churn — the serving setting circular
-//!   hypervectors were invented for (Heddes et al., DAC 2022).
+//! * [`ShardedModel`] — production-shaped serving on top: per-key item
+//!   memories partitioned over a fixed set of shards on an `hdc-hash`
+//!   consistent-hash ring, and one head answering every query batch
+//!   whole. A key decides where an item is stored, never an answer, so
+//!   the fleet is bit-identical to the unsharded model for any shard
+//!   count.
 //! * [`Runtime`] — the long-running process: an MPSC ingestion queue
 //!   that serves whatever requests are queued as one micro-batch, up to a
 //!   [`BatchPolicy`] size cap and without waiting for more, answered by
@@ -32,12 +31,15 @@
 //!   can share one fleet and their traffic coalesces into the same
 //!   micro-batches.
 //! * [`ClusterRouter`] / [`ClusterServer`] — the multi-process form of the
-//!   fleet: shard `Runtime`s run as separate processes, the router maps
-//!   keys to them over the same consistent ring `ShardedModel` routes by
-//!   (behind the transport-agnostic [`ShardBackend`] seam), replicates
-//!   training to every shard, and warm-joins fresh shards by streaming
-//!   [`Snapshot`]s — bit-identical to the in-process fleet for any shard
-//!   count.
+//!   fleet: shard `Runtime`s run as separate processes (behind the
+//!   transport-agnostic [`ShardBackend`] seam). The router places items on
+//!   them over the same consistent ring `ShardedModel` uses, sends each
+//!   read whole to one shard, replicates training to every shard, and is
+//!   the one place that reshards: it warm-joins fresh shards by streaming
+//!   [`Snapshot`]s and drains leaving ones, remapping only about `1/n` of
+//!   the keys — the serving setting circular hypervectors were invented
+//!   for (Heddes et al., DAC 2022). Bit-identical to the unsharded model
+//!   for any shard count.
 //! * [`DurabilityConfig`] — the storage layer under the runtime
 //!   (re-exported from `hdc-store`): a CRC-framed segmented write-ahead
 //!   log on the fit/insert/remove path (acks released only after the

@@ -703,7 +703,7 @@ impl<X: ?Sized + Sync> Model<X> {
     }
 
     /// Predicts every row of an already encoded arena (the entry point
-    /// sharded serving feeds routed query batches through).
+    /// for query batches encoded elsewhere).
     ///
     /// # Panics
     ///
@@ -798,7 +798,7 @@ impl<X: ?Sized + Sync> Model<X> {
     }
 
     /// Predicts every row of an already encoded arena — the entry point
-    /// sharded value serving feeds routed query batches through.
+    /// for value query batches encoded elsewhere.
     ///
     /// # Panics
     ///

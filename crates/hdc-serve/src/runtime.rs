@@ -1,7 +1,7 @@
 //! The long-running serving runtime: micro-batching ingestion over an MPSC
 //! work queue, versioned online learning with atomically swapped
-//! generations, live [`metrics`](crate::metrics) — and, since PR 5, both
-//! task families behind one queue plus durable warm restarts.
+//! generations, live [`metrics`](crate::metrics), both task families
+//! behind one queue, and durable warm restarts.
 //!
 //! A [`Runtime`] owns two background threads:
 //!
@@ -112,20 +112,23 @@ impl Default for BatchPolicy {
 
 /// Configuration of a [`Runtime`]: fleet geometry, ingestion and
 /// online-learning policy, plus the durability hooks. (`Clone`, not
-/// `Copy`, since PR 5 — the snapshot paths own heap data.)
+/// `Copy`: the snapshot paths own heap data.)
 #[derive(Debug, Clone)]
 pub struct RuntimeConfig {
     /// Human-readable identity of this runtime, reported in the `stats`
     /// shard-identity section so a cluster router (or an operator) can
     /// tell shard processes apart. Empty by default.
     pub name: String,
-    /// Number of item-memory shards (`>= 1`). Shards partition the stored
-    /// items by key; every query is answered by the adopted head, whatever
-    /// its key.
+    /// Number of item-memory shards (`>= 1`), fixed at spawn. Shards
+    /// partition the stored items by key; every query is answered by the
+    /// adopted head, whatever its key. Only a cluster router reshards
+    /// ([`ClusterRouter::join`](crate::ClusterRouter::join)/
+    /// [`leave`](crate::ClusterRouter::leave)).
     pub shards: usize,
-    /// Geometry of the consistent-hash ring the item shards are placed on.
+    /// Geometry of the consistent-hash ring the item shards are placed on,
+    /// fixed at spawn.
     pub ring: RingConfig,
-    /// Seed of the item ring's circular routing basis.
+    /// Seed of the item ring's circular basis, fixed at spawn.
     pub seed: u64,
     /// Micro-batching policy of the ingestion queue.
     pub policy: BatchPolicy,
@@ -138,7 +141,7 @@ pub struct RuntimeConfig {
     /// cold start (not an error); a present-but-incompatible snapshot
     /// (different spec) is an error.
     pub load_snapshot: Option<PathBuf>,
-    /// Continuous durability (PR 8): a [`DurabilityConfig`] turns on the
+    /// Continuous durability: a [`DurabilityConfig`] turns on the
     /// write-ahead log, periodic background snapshotting, and (when its
     /// `page_cache` is set) the paged file-backed item memory. At spawn the
     /// runtime recovers **bit-identically** to its last acknowledged state
@@ -279,13 +282,6 @@ enum Work<O> {
     Refresh {
         reply: Sender<u64>,
     },
-    AddShard {
-        reply: Sender<usize>,
-    },
-    RemoveShard {
-        id: usize,
-        reply: Sender<bool>,
-    },
     Stats {
         reply: Sender<RuntimeStats>,
     },
@@ -326,8 +322,8 @@ enum TrainerMsg {
 }
 
 /// A point-in-time view of the whole runtime, served by the `stats`
-/// operation: generation, uptime, fleet shape, per-shard load, remap
-/// behaviour and the ingestion metrics.
+/// operation: generation, uptime, fleet shape, per-shard load and the
+/// ingestion metrics.
 #[derive(Debug, Clone, PartialEq)]
 pub struct RuntimeStats {
     /// The currently published generation.
@@ -353,9 +349,6 @@ pub struct RuntimeStats {
     pub shard_loads: Vec<(u64, u64)>,
     /// Total stored item-memory entries.
     pub keys: u64,
-    /// Fraction of entries moved by the most recent shard churn (`None`
-    /// before any reshard touched data).
-    pub last_remap_fraction: Option<f64>,
     /// Ingestion counters and distributions.
     pub metrics: crate::MetricsSnapshot,
 }
@@ -1048,26 +1041,6 @@ where
         self.rpc(|reply| Work::Refresh { reply })
     }
 
-    /// Adds a shard to the fleet (rebalancing stored entries), returning
-    /// its id.
-    ///
-    /// # Errors
-    ///
-    /// Returns [`HdcError::ServiceUnavailable`] after shutdown.
-    pub fn add_shard(&self) -> Result<usize, HdcError> {
-        self.rpc(|reply| Work::AddShard { reply })
-    }
-
-    /// Removes a shard (redistributing its entries). Returns `false` for an
-    /// unknown id or the last shard.
-    ///
-    /// # Errors
-    ///
-    /// Returns [`HdcError::ServiceUnavailable`] after shutdown.
-    pub fn remove_shard(&self, id: usize) -> Result<bool, HdcError> {
-        self.rpc(|reply| Work::RemoveShard { id, reply })
-    }
-
     /// Snapshots the runtime's state and metrics.
     ///
     /// # Errors
@@ -1575,12 +1548,6 @@ where
                 // includes them; the trainer answers the caller directly.
                 let _ = trainer_tx.send(TrainerMsg::Refresh { reply });
             }
-            Some(Work::AddShard { reply }) => {
-                let _ = reply.send(fleet.add_shard());
-            }
-            Some(Work::RemoveShard { id, reply }) => {
-                let _ = reply.send(fleet.remove_shard(id));
-            }
             Some(Work::Stats { reply }) => {
                 // With the paged plane the fleet's shard maps are empty —
                 // keys live in the store, so the key count comes from it
@@ -1602,7 +1569,6 @@ where
                         .map(|(id, len)| (id as u64, len as u64))
                         .collect(),
                     keys,
-                    last_remap_fraction: fleet.last_remap_fraction(),
                     metrics: metrics.snapshot(),
                 });
             }
@@ -2238,9 +2204,10 @@ mod tests {
 
         assert!(!handle.insert("profile", hv.clone()).unwrap());
         assert!(handle.insert("profile", hv.clone()).unwrap());
-        let added = handle.add_shard().unwrap();
-        assert!(handle.remove_shard(added).unwrap());
-        assert!(!handle.remove_shard(999).unwrap());
+        // The item shards are the two the runtime was spawned with.
+        let stats = handle.stats().unwrap();
+        assert_eq!(stats.shard_loads.len(), 2);
+        assert_eq!(stats.keys, 1);
         assert!(handle.remove("profile").unwrap());
         assert!(!handle.remove("profile").unwrap());
         assert!(matches!(

@@ -259,12 +259,6 @@ where
         Request::Refresh => handle
             .refresh()
             .map_or_else(fail, |generation| Response::Refreshed { generation }),
-        Request::AddShard => handle
-            .add_shard()
-            .map_or_else(fail, |id| Response::ShardAdded { id: id as u32 }),
-        Request::RemoveShard { id } => handle
-            .remove_shard(id as usize)
-            .map_or_else(fail, |removed| Response::ShardRemoved { removed }),
         Request::Stats => handle.stats().map_or_else(fail, Response::Stats),
         Request::Snapshot => handle.snapshot().map_or_else(fail, |snapshot| {
             let bytes = snapshot.to_bytes();
@@ -599,33 +593,6 @@ impl BlockingClient {
     pub fn refresh(&mut self) -> io::Result<u64> {
         match self.call(&Request::Refresh)? {
             Response::Refreshed { generation } => Ok(generation),
-            other => Err(Self::unexpected(&other)),
-        }
-    }
-
-    /// Adds a shard, returning its id.
-    ///
-    /// # Errors
-    ///
-    /// Returns `io::Error` on transport failure or a server-side error.
-    pub fn add_shard(&mut self) -> io::Result<usize> {
-        match self.call(&Request::AddShard)? {
-            Response::ShardAdded { id } => Ok(id as usize),
-            other => Err(Self::unexpected(&other)),
-        }
-    }
-
-    /// Removes a shard; `false` for an unknown id or the last shard.
-    ///
-    /// # Errors
-    ///
-    /// Returns `io::Error` on transport failure or a server-side error.
-    pub fn remove_shard(&mut self, id: usize) -> io::Result<bool> {
-        match self.call(&Request::RemoveShard {
-            id: u32::try_from(id)
-                .map_err(|_| io::Error::new(io::ErrorKind::InvalidInput, "id exceeds u32"))?,
-        })? {
-            Response::ShardRemoved { removed } => Ok(removed),
             other => Err(Self::unexpected(&other)),
         }
     }

@@ -10,8 +10,7 @@
 //!   finishes into a head;
 //! * [`Head`]: the finalized model, with one readout,
 //!   [`answer`](Head::answer);
-//! * [`Answers`]: a readout's rows, with the one merge that puts
-//!   per-shard answers back in input order.
+//! * [`Answers`]: a readout's rows, in request order.
 //!
 //! A new task head adds one variant to each of them here, plus its state
 //! in the snapshot codec.
@@ -26,9 +25,8 @@ use rand::rngs::StdRng;
 use crate::spec::{PipelineSpec, Task};
 
 /// One served classification prediction: the label plus the id of the
-/// [`Generation`](crate::Generation) that produced it. (`Default` is the
-/// all-zero placeholder a merge seeds its slots with.)
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
+/// [`Generation`](crate::Generation) that produced it.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct Prediction {
     /// The predicted class label.
     pub label: usize,
@@ -38,9 +36,8 @@ pub struct Prediction {
 }
 
 /// One served regression prediction: the real-valued label plus the id of
-/// the [`Generation`](crate::Generation) that produced it. (`Default` is
-/// the all-zero placeholder a merge seeds its slots with.)
-#[derive(Debug, Clone, Copy, PartialEq, Default)]
+/// the [`Generation`](crate::Generation) that produced it.
+#[derive(Debug, Clone, Copy, PartialEq)]
 pub struct ValuePrediction {
     /// The predicted value (a grid point of the spec's label range).
     pub value: f64,
@@ -142,39 +139,18 @@ impl Answers {
         }
     }
 
-    /// Puts partial answers back in input order: each part answers the
-    /// input positions listed beside it, and together they cover `len`
-    /// inputs. The first part's readout decides the result's.
+    /// Appends the answers to the rows that follow this request's: one
+    /// request answered in several frames.
     ///
     /// # Errors
     ///
-    /// Returns [`HdcError::TaskMismatch`] if the parts disagree on the
-    /// readout.
-    pub(crate) fn merge(
-        len: usize,
-        parts: Vec<(Vec<usize>, Answers)>,
-    ) -> Result<Answers, HdcError> {
-        fn place<T: Clone + Default>(len: usize, parts: Vec<(Vec<usize>, Vec<T>)>) -> Vec<T> {
-            let mut merged = vec![T::default(); len];
-            for (indices, answers) in parts {
-                for (index, answer) in indices.into_iter().zip(answers) {
-                    merged[index] = answer;
-                }
-            }
-            merged
+    /// Returns [`HdcError::TaskMismatch`] if `more` has the other readout.
+    pub(crate) fn append(&mut self, more: Answers) -> Result<(), HdcError> {
+        match self {
+            Answers::Labels(labels) => labels.extend(more.into_labels()?),
+            Answers::Values(values) => values.extend(more.into_values()?),
         }
-        if matches!(parts.first(), Some((_, Answers::Values(_)))) {
-            let parts = parts
-                .into_iter()
-                .map(|(indices, answers)| Ok((indices, answers.into_values()?)))
-                .collect::<Result<_, HdcError>>()?;
-            return Ok(Answers::Values(place(len, parts)));
-        }
-        let parts = parts
-            .into_iter()
-            .map(|(indices, answers)| Ok((indices, answers.into_labels()?)))
-            .collect::<Result<_, HdcError>>()?;
-        Ok(Answers::Labels(place(len, parts)))
+        Ok(())
     }
 }
 

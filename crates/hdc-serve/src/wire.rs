@@ -8,7 +8,7 @@
 //!
 //! ```text
 //! frame    := u32 length, payload[length]
-//! payload  := u8 version (=4), u8 opcode, body
+//! payload  := u8 version (=5), u8 opcode, body
 //! string   := u16 length, utf8 bytes
 //! bytes    := u32 length, raw bytes
 //! hv       := u32 dim, u64 words[dim.div_ceil(64)]   (packed LSB-first)
@@ -23,12 +23,10 @@
 //! the stream is still at a frame boundary and the connection carries on;
 //! only a broken length prefix or an end-of-stream mid-frame ends it.
 //!
-//! Protocol version 2 (PR 5) added the regression operations
-//! (`predict_value`/`fit_value`), the `ping` health probe, and the
-//! `uptime_us` field in `stats`.
+//! Protocol version 2 added the regression operations, the `ping` health
+//! probe, and the `uptime_us` field in `stats`.
 //!
-//! Protocol version 3 (PR 6) adds the shard-cluster surface: the batched
-//! regression predict (`predict_value_batch`), the shard-lifecycle
+//! Protocol version 3 added the shard-cluster surface: the shard-lifecycle
 //! operations (`snapshot`/`restore` streaming the
 //! [`Snapshot`](crate::Snapshot) codec over the wire so a fresh shard
 //! process joins warm, `shard_join`/`shard_leave` answered by a cluster
@@ -45,10 +43,17 @@
 //! and the serving head decides the answer: [`Response::Labels`] from a
 //! classifier, [`Response::Values`] from a regressor. A fit
 //! ([`Request::Fit`]) carries its [`Target`], tagged label or value. The
-//! v3 twins are retired and their numbers are not reused: requests 1
-//! (`predict`), 10 (`predict_value`), 11 (`fit_value`) and 13
-//! (`predict_value_batch`), responses 1 (`label`) and 10 (`value`).
-//! Frames of any other version, v3 included, are refused.
+//! v3 twins are retired: requests 1 (`predict`), 10 (`predict_value`),
+//! 11 (`fit_value`) and 13 (`predict_value_batch`), responses 1 (`label`)
+//! and 10 (`value`).
+//!
+//! Protocol version 5 drops in-process resharding: a runtime's item shards
+//! are fixed at spawn, and only a cluster router reshards
+//! (`shard_join`/`shard_leave`). Requests 7 (`add_shard`) and 8
+//! (`remove_shard`) and responses 7 (`shard_added`) and 8
+//! (`shard_removed`) are retired, and the `stats` frame no longer carries
+//! a remap fraction. Retired numbers are never reused. Frames of any
+//! other version, v3 and v4 included, are refused.
 
 use std::fmt;
 use std::io::{self, Read, Write};
@@ -63,7 +68,7 @@ use crate::runtime::RuntimeStats;
 use crate::task::{Answers, Prediction, Target, ValuePrediction};
 
 /// Protocol version carried in every frame.
-pub const PROTOCOL_VERSION: u8 = 4;
+pub const PROTOCOL_VERSION: u8 = 5;
 
 /// Upper bound on one frame's payload (16 MiB): a 256-row batch of
 /// 100k-bit queries is ~3 MiB, so real traffic sits far below while a
@@ -96,10 +101,6 @@ pub const OP_REMOVE: u8 = 4;
 pub const OP_FIT: u8 = 5;
 /// Request opcode: [`Request::Refresh`].
 pub const OP_REFRESH: u8 = 6;
-/// Request opcode: [`Request::AddShard`].
-pub const OP_ADD_SHARD: u8 = 7;
-/// Request opcode: [`Request::RemoveShard`].
-pub const OP_REMOVE_SHARD: u8 = 8;
 /// Request opcode: [`Request::Stats`].
 pub const OP_STATS: u8 = 9;
 /// Request opcode: [`Request::Ping`].
@@ -123,10 +124,6 @@ pub const RESP_REMOVED: u8 = 4;
 pub const RESP_FIT_ACK: u8 = 5;
 /// Response opcode: [`Response::Refreshed`].
 pub const RESP_REFRESHED: u8 = 6;
-/// Response opcode: [`Response::ShardAdded`].
-pub const RESP_SHARD_ADDED: u8 = 7;
-/// Response opcode: [`Response::ShardRemoved`].
-pub const RESP_SHARD_REMOVED: u8 = 8;
 /// Response opcode: [`Response::Stats`].
 pub const RESP_STATS: u8 = 9;
 /// Response opcode: [`Response::Pong`].
@@ -182,13 +179,6 @@ pub enum Request {
     },
     /// Force-publish a new generation (opcode 6).
     Refresh,
-    /// Add a shard to the fleet (opcode 7).
-    AddShard,
-    /// Remove a shard from the fleet (opcode 8).
-    RemoveShard {
-        /// Shard id to remove.
-        id: u32,
-    },
     /// Snapshot runtime statistics (opcode 9).
     Stats,
     /// Liveness/health probe (opcode 12): answered directly by the
@@ -249,16 +239,6 @@ pub enum Response {
     Refreshed {
         /// Id of the newly published generation.
         generation: u64,
-    },
-    /// Answer to [`Request::AddShard`] (opcode 7).
-    ShardAdded {
-        /// Id of the new shard.
-        id: u32,
-    },
-    /// Answer to [`Request::RemoveShard`] (opcode 8).
-    ShardRemoved {
-        /// `false` for an unknown id or the last shard.
-        removed: bool,
     },
     /// Answer to [`Request::Stats`] (opcode 9).
     Stats(RuntimeStats),
@@ -453,11 +433,6 @@ pub fn write_request(writer: &mut impl Write, request: &Request) -> io::Result<(
             OP_FIT
         }
         Request::Refresh => OP_REFRESH,
-        Request::AddShard => OP_ADD_SHARD,
-        Request::RemoveShard { id } => {
-            put_u32(&mut body, *id);
-            OP_REMOVE_SHARD
-        }
         Request::Stats => OP_STATS,
         Request::Ping => OP_PING,
         Request::Snapshot => OP_SNAPSHOT,
@@ -521,8 +496,6 @@ pub fn read_request(reader: &mut impl Read) -> io::Result<Option<Request>> {
                 }
             }
             OP_REFRESH => Request::Refresh,
-            OP_ADD_SHARD => Request::AddShard,
-            OP_REMOVE_SHARD => Request::RemoveShard { id: cursor.u32()? },
             OP_STATS => Request::Stats,
             OP_PING => Request::Ping,
             OP_SNAPSHOT => Request::Snapshot,
@@ -594,14 +567,6 @@ pub fn write_response(writer: &mut impl Write, response: &Response) -> io::Resul
         Response::Refreshed { generation } => {
             put_u64(&mut body, *generation);
             RESP_REFRESHED
-        }
-        Response::ShardAdded { id } => {
-            put_u32(&mut body, *id);
-            RESP_SHARD_ADDED
-        }
-        Response::ShardRemoved { removed } => {
-            body.push(u8::from(*removed));
-            RESP_SHARD_REMOVED
         }
         Response::Stats(stats) => {
             put_stats(&mut body, stats)?;
@@ -685,10 +650,6 @@ pub fn read_response(reader: &mut impl Read) -> io::Result<Option<Response>> {
         RESP_REFRESHED => Response::Refreshed {
             generation: cursor.u64()?,
         },
-        RESP_SHARD_ADDED => Response::ShardAdded { id: cursor.u32()? },
-        RESP_SHARD_REMOVED => Response::ShardRemoved {
-            removed: cursor.u8()? != 0,
-        },
         RESP_STATS => Response::Stats(read_stats(&mut cursor)?),
         RESP_PONG => Response::Pong {
             generation: cursor.u64()?,
@@ -744,13 +705,6 @@ fn put_stats(body: &mut Vec<u8>, stats: &RuntimeStats) -> io::Result<()> {
         put_u64(body, *len);
     }
     put_u64(body, stats.keys);
-    match stats.last_remap_fraction {
-        Some(fraction) => {
-            body.push(1);
-            put_f64(body, fraction);
-        }
-        None => body.push(0),
-    }
     let metrics = &stats.metrics;
     put_u64(body, metrics.queue_depth);
     put_u64(body, metrics.requests);
@@ -784,10 +738,6 @@ fn read_stats(cursor: &mut Cursor<'_>) -> io::Result<RuntimeStats> {
         shard_loads.push((cursor.u64()?, cursor.u64()?));
     }
     let keys = cursor.u64()?;
-    let last_remap_fraction = match cursor.u8()? {
-        0 => None,
-        _ => Some(cursor.f64()?),
-    };
     let queue_depth = cursor.u64()?;
     let requests = cursor.u64()?;
     let batches = cursor.u64()?;
@@ -809,7 +759,6 @@ fn read_stats(cursor: &mut Cursor<'_>) -> io::Result<RuntimeStats> {
         classes,
         shard_loads,
         keys,
-        last_remap_fraction,
         metrics: MetricsSnapshot {
             queue_depth,
             requests,
@@ -872,8 +821,6 @@ mod tests {
             target: Target::Value(-12.75),
         });
         round_trip_request(Request::Refresh);
-        round_trip_request(Request::AddShard);
-        round_trip_request(Request::RemoveShard { id: 7 });
         round_trip_request(Request::Stats);
         round_trip_request(Request::Ping);
         round_trip_request(Request::Snapshot);
@@ -898,8 +845,6 @@ mod tests {
         round_trip_response(Response::Removed { removed: false });
         round_trip_response(Response::FitAck);
         round_trip_response(Response::Refreshed { generation: 17 });
-        round_trip_response(Response::ShardAdded { id: 5 });
-        round_trip_response(Response::ShardRemoved { removed: true });
         round_trip_response(Response::Pong {
             generation: 12,
             uptime_us: 9_876_543,
@@ -928,7 +873,6 @@ mod tests {
             classes: 4,
             shard_loads: vec![(0, 10), (1, 0), (5, 3)],
             keys: 13,
-            last_remap_fraction: Some(0.25),
             metrics: MetricsSnapshot {
                 queue_depth: 2,
                 requests: 100,
@@ -952,7 +896,6 @@ mod tests {
             classes: 2,
             shard_loads: Vec::new(),
             keys: 0,
-            last_remap_fraction: None,
             metrics: MetricsSnapshot {
                 queue_depth: 0,
                 requests: 0,
@@ -1025,7 +968,7 @@ mod tests {
         put_u32(&mut body, 7);
         body.push(0xAB);
         let mut framed = Vec::new();
-        write_frame(&mut framed, 8, &body).unwrap();
+        write_frame(&mut framed, OP_SHARD_LEAVE, &body).unwrap();
         assert!(read_request(&mut framed.as_slice()).is_err());
     }
 

@@ -31,7 +31,7 @@ use hdc_core::{BinaryHypervector, HdcError};
 
 use crate::codec::{be_u32, be_u64};
 use crate::record::crc32;
-use crate::store::atomic_write;
+use crate::store::{atomic_write, sync_dir};
 use crate::wal::storage;
 
 /// Keyed hypervector storage behind the serving runtime's item plane:
@@ -181,7 +181,9 @@ pub struct PagedStore {
 
 impl PagedStore {
     /// Opens (creating if needed) the paged store in `dir` for
-    /// `dim`-dimensional vectors with at most `budget` cached entries.
+    /// `dim`-dimensional vectors with at most `budget` cached entries, and
+    /// syncs `dir` so the names of newly created item files survive a
+    /// power cut.
     ///
     /// # Errors
     ///
@@ -248,6 +250,8 @@ impl PagedStore {
         let slot_count = data_len.saturating_sub(PAGES_HEADER_LEN) / slot_bytes;
 
         let (index_log, slots, index_appended) = Self::open_index(&dir, slot_count)?;
+        // Both item files may have just been created: sync their names.
+        sync_dir(&dir).map_err(|e| storage(&format!("syncing {}", dir.display()), e))?;
         let mut used: Vec<bool> = vec![false; slot_count as usize];
         for &slot in slots.values() {
             used[slot as usize] = true;

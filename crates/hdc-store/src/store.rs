@@ -199,9 +199,10 @@ impl SnapshotInstaller {
 }
 
 /// Replaces the file at `path` with `bytes` atomically: a sibling
-/// `<path>.tmp` is written and `fsync`ed, then renamed over `path`. After a
-/// crash or a power cut the file holds either its old content or `bytes`,
-/// never a mix or an empty file.
+/// `<path>.tmp` is written and `fsync`ed, renamed over `path`, and the
+/// parent directory is synced. After a crash or a power cut the file holds
+/// either its old content or `bytes`, never a mix or an empty file, and
+/// once this returns the new content survives a power cut.
 ///
 /// # Errors
 ///
@@ -213,7 +214,16 @@ pub fn atomic_write(path: &Path, bytes: &[u8]) -> std::io::Result<()> {
     let mut file = std::fs::File::create(&tmp)?;
     std::io::Write::write_all(&mut file, bytes)?;
     file.sync_data()?;
-    std::fs::rename(&tmp, path)
+    std::fs::rename(&tmp, path)?;
+    let dir = path.parent().filter(|dir| !dir.as_os_str().is_empty());
+    sync_dir(dir.unwrap_or(Path::new(".")))
+}
+
+/// Syncs the directory `dir`, so the names of the files created in it or
+/// renamed into it survive a power cut: a file's own `fsync` does not
+/// cover its directory entry.
+pub(crate) fn sync_dir(dir: &Path) -> std::io::Result<()> {
+    std::fs::File::open(dir)?.sync_all()
 }
 
 fn write_snapshot_blob(path: &Path, payload: &[u8], upto: u64) -> Result<(), HdcError> {

@@ -51,6 +51,7 @@ use hdc_core::HdcError;
 use crate::codec::{be_u16, be_u32, be_u64};
 use crate::compress::{self, CodecDict};
 use crate::record::{crc32, WalRecord};
+use crate::store::sync_dir;
 use crate::{SyncPolicy, WalConfig};
 
 /// Magic bytes opening every segment file.
@@ -79,9 +80,9 @@ fn segment_name(first_seq: u64) -> String {
     format!("wal-{first_seq:016x}.log")
 }
 
-/// Creates the adaptive segment starting at `first_seq` and writes its
-/// header, replacing any file of that name (only ever one that holds no
-/// record).
+/// Creates the adaptive segment starting at `first_seq`, writes its header
+/// and syncs `dir` so the segment's name survives a power cut. Replaces any
+/// file of that name (only ever one that holds no record).
 fn create_segment(dir: &Path, first_seq: u64, spec_digest: u64) -> Result<File, HdcError> {
     let mut header = Vec::with_capacity(SEGMENT_HEADER_LEN as usize);
     header.extend_from_slice(&SEGMENT_MAGIC);
@@ -94,6 +95,7 @@ fn create_segment(dir: &Path, first_seq: u64, spec_digest: u64) -> Result<File, 
         File::create(&path).map_err(|e| storage(&format!("creating {}", path.display()), e))?;
     file.write_all(&header)
         .map_err(|e| storage(&format!("writing {}", path.display()), e))?;
+    sync_dir(dir).map_err(|e| storage(&format!("syncing {}", dir.display()), e))?;
     Ok(file)
 }
 

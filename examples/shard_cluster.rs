@@ -3,21 +3,24 @@
 //!
 //! Three shard `Runtime`s are spawned behind real framed-TCP servers
 //! (the same wiring `hdc-cluster shard` runs as separate OS processes),
-//! a [`ClusterRouter`] routes keys to them over the consistent-hash
-//! ring, and every prediction is asserted **bit-identical** to both the
-//! unsharded [`Model`] and the in-process [`ShardedModel`] — for
-//! classification and regression, before and after a shard leaves and a
-//! blank replacement joins warm via snapshot streaming.
+//! a [`ClusterRouter`] places keyed items on them over the consistent-hash
+//! ring and sends each read to one shard, and every prediction is asserted
+//! **bit-identical** to both the unsharded [`Model`] and the in-process
+//! [`ShardedModel`] — for classification and regression, before and after
+//! a shard leaves and a blank replacement joins warm via snapshot
+//! streaming.
 //!
 //! Run with `cargo run --example shard_cluster`.
 
 use std::collections::BTreeMap;
 
+use hdc::hash::HdcHashRing;
 use hdc::serve::Radians;
 use hdc::{
     Basis, BinaryHypervector, ClusterRouter, Enc, HdcError, Model, Pipeline, RemoteShard,
     RingConfig, Runtime, RuntimeConfig, Server, ShardBackend, ShardedModel,
 };
+use rand::{rngs::StdRng, SeedableRng};
 
 const DIM: usize = 2_048;
 const RING_SEED: u64 = 0;
@@ -158,14 +161,24 @@ fn main() -> Result<(), HdcError> {
     println!("blank shard joined warm as id {id}; {moved} entries streamed to it");
     shards.push((replacement, replacement_server));
 
-    // The reference fleet replays the same membership history; routing
-    // and answers still agree bit-for-bit — including on keys now owned
-    // by the shard that never saw training.
-    let mut fleet = fleet;
-    assert!(fleet.remove_shard(1));
-    assert_eq!(fleet.add_shard(), 3);
+    // A ring built the way the router builds its own replays the same
+    // membership history; ownership still agrees, and answers stay
+    // bit-identical — including on keys now owned by the shard that never
+    // saw training.
+    let config = RingConfig::default();
+    let mut ring = HdcHashRing::with_replicas(
+        config.positions,
+        config.dim,
+        config.replicas,
+        &mut StdRng::seed_from_u64(RING_SEED),
+    )?;
+    for id in 0..3 {
+        ring.add_node(id);
+    }
+    ring.remove_node(&1);
+    ring.add_node(3);
     for key in &keys {
-        assert_eq!(router.shard_of(key), fleet.shard_of(key));
+        assert_eq!(Some(&router.shard_of(key)), ring.lookup(key));
     }
     let served = router.predict_batch(&pairs)?;
     assert_eq!(

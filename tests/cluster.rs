@@ -1,4 +1,4 @@
-//! End-to-end tests of the multi-process shard cluster (PR 6).
+//! End-to-end tests of the multi-process shard cluster.
 //!
 //! Acceptance criteria covered here:
 //!
@@ -6,8 +6,10 @@
 //!   [`ClusterRouter`] (loopback TCP, real wire frames) answer
 //!   bit-identically to the unsharded `Model` *and* the in-process
 //!   `ShardedModel`, for classification and regression, for any shard
-//!   count — and key→shard routing matches `ShardedModel::shard_of`
+//!   count — and key→shard placement matches `ShardedModel::shard_of`
 //!   exactly.
+//! * **One shard per read** — a read whose keys span every shard is
+//!   answered by one shard call, with one generation.
 //! * **Warm joins under churn** — after one shard leaves and a blank
 //!   replacement joins warm via snapshot streaming, predictions are
 //!   still bit-identical and every stored item survived, even with
@@ -17,11 +19,12 @@
 //!   router.
 
 use std::net::TcpListener;
-use std::sync::atomic::{AtomicBool, Ordering};
+use std::sync::atomic::{AtomicBool, AtomicUsize, Ordering};
 use std::sync::Arc;
 use std::thread;
 use std::time::Duration;
 
+use hdc::hash::HdcHashRing;
 use hdc::serve::Radians;
 use hdc::{
     Answers, Basis, BatchPolicy, BinaryHypervector, BlockingClient, ClientConfig, ClusterRouter,
@@ -29,6 +32,7 @@ use hdc::{
     RuntimeConfig, Server, ShardBackend, ShardedModel, Target,
 };
 use proptest::prelude::*;
+use rand::{rngs::StdRng, SeedableRng};
 
 const DIM: usize = 256;
 
@@ -317,7 +321,7 @@ fn warm_join_and_leave_under_live_traffic_keep_bit_identity() {
     let (joined_id, moved) = client
         .shard_join(&new_server.local_addr().to_string())
         .expect("warm join");
-    assert_eq!(joined_id, 3, "ids keep counting like ShardedModel's");
+    assert_eq!(joined_id, 3, "ids keep counting in join order");
     fleet_procs.push((new_runtime, new_server));
 
     stop.store(true, Ordering::Relaxed);
@@ -325,18 +329,27 @@ fn warm_join_and_leave_under_live_traffic_keep_bit_identity() {
         assert!(worker.join().expect("client thread") > 0);
     }
 
-    // The ring after churn matches an in-process fleet with the same
-    // history (remove shard 1, add a shard), and predictions are still
-    // bit-identical — including on keys now owned by the warm-joined
-    // blank shard.
-    let mut fleet: ShardedModel<String> =
-        ShardedModel::from_model(&model, 3, 0).expect("valid fleet");
-    assert!(fleet.remove_shard(1));
-    assert_eq!(fleet.add_shard(), 3);
+    // The ring after churn matches one built the way the router builds
+    // its own, with the same history (nodes 0..3, remove 1, add 3), and
+    // predictions are still bit-identical — including on keys now owned
+    // by the warm-joined blank shard.
+    let config = RingConfig::default();
+    let mut ring = HdcHashRing::with_replicas(
+        config.positions,
+        config.dim,
+        config.replicas,
+        &mut StdRng::seed_from_u64(0),
+    )
+    .expect("valid ring");
+    for id in 0..3 {
+        ring.add_node(id);
+    }
+    ring.remove_node(&1);
+    ring.add_node(3);
     front.with_router(|router| {
         assert_eq!(router.shard_ids(), vec![0, 2, 3]);
         for key in &keys {
-            assert_eq!(router.shard_of(key), fleet.shard_of(key), "key {key}");
+            assert_eq!(Some(&router.shard_of(key)), ring.lookup(key), "key {key}");
         }
     });
     let batched = client.predict_batch(pairs.as_ref().clone()).expect("batch");
@@ -830,8 +843,8 @@ fn partial_fit_failure_marks_lagging_and_heals_before_refresh() {
 }
 
 /// Membership opcodes are answered by the right tier: a shard runtime
-/// refuses `shard_join`, and the cluster front-end refuses raw
-/// `snapshot`/`add_shard` (those belong to shards).
+/// refuses `shard_join`, and the cluster front-end refuses raw `snapshot`
+/// (that belongs to shards).
 #[test]
 fn membership_opcodes_are_tier_checked() {
     let (runtime, server) = spawn_shard(trained_model(5), "solo");
@@ -851,10 +864,6 @@ fn membership_opcodes_are_tier_checked() {
     assert!(
         cluster_client.snapshot().is_err(),
         "snapshot streaming is shard-tier, not router-tier"
-    );
-    assert!(
-        cluster_client.add_shard().is_err(),
-        "in-process shard ops are not cluster membership ops"
     );
     // The last shard refuses to leave: the cluster stays serveable.
     assert_eq!(cluster_client.shard_leave(0).expect("answered"), (false, 0));
@@ -974,9 +983,10 @@ fn slow_cluster(
 }
 
 /// With one slow hop per shard, the router pays the slowest shard's wait
-/// once — not the sum — for batch predicts, replicated fits, stats and
-/// ping alike. (Sleeps overlap even on one core, which is exactly the
-/// transport-bound regime the fan-out targets.)
+/// once — not the sum — for replicated fits, stats and ping alike, and a
+/// batch predict, which one shard answers, pays one wait. (Sleeps overlap
+/// even on one core, which is exactly the transport-bound regime the
+/// fan-out targets.)
 #[test]
 fn concurrent_fan_out_overlaps_shard_waits() {
     let delay = Duration::from_millis(60);
@@ -988,7 +998,7 @@ fn concurrent_fan_out_overlaps_shard_waits() {
     let elapsed = start.elapsed();
     assert!(
         elapsed < budget,
-        "fan-out must overlap shard waits: {elapsed:?} >= {budget:?}"
+        "a read must not pay every shard's wait: {elapsed:?} >= {budget:?}"
     );
 
     // Replicated fits fan out to all three shards concurrently too.
@@ -1018,4 +1028,140 @@ fn concurrent_fan_out_overlaps_shard_waits() {
     for runtime in runtimes {
         runtime.shutdown();
     }
+}
+
+/// A [`ShardBackend`] decorator counting `answer` calls on a counter every
+/// shard of a cluster shares.
+struct CountingShard {
+    inner: Box<dyn ShardBackend>,
+    answers: Arc<AtomicUsize>,
+}
+
+impl ShardBackend for CountingShard {
+    fn describe(&self) -> String {
+        format!("counting({})", self.inner.describe())
+    }
+
+    fn answer(&mut self, pairs: Vec<(String, BinaryHypervector)>) -> Result<Answers, HdcError> {
+        self.answers.fetch_add(1, Ordering::Relaxed);
+        self.inner.answer(pairs)
+    }
+
+    fn insert(&mut self, key: String, hv: BinaryHypervector) -> Result<bool, HdcError> {
+        self.inner.insert(key, hv)
+    }
+
+    fn remove(&mut self, key: &str) -> Result<bool, HdcError> {
+        self.inner.remove(key)
+    }
+
+    fn observe(&mut self, hv: BinaryHypervector, target: Target) -> Result<(), HdcError> {
+        self.inner.observe(hv, target)
+    }
+
+    fn refresh(&mut self) -> Result<u64, HdcError> {
+        self.inner.refresh()
+    }
+
+    fn stats(&mut self) -> Result<hdc::RuntimeStats, HdcError> {
+        self.inner.stats()
+    }
+
+    fn ping(&mut self) -> Result<(u64, u64), HdcError> {
+        self.inner.ping()
+    }
+
+    fn snapshot(&mut self) -> Result<hdc::Snapshot, HdcError> {
+        self.inner.snapshot()
+    }
+
+    fn restore(&mut self, snapshot: &hdc::Snapshot) -> Result<u64, HdcError> {
+        self.inner.restore(snapshot)
+    }
+}
+
+/// Keys only place items: a read whose keys span all three shards is one
+/// `answer` call, its rows match the unsharded model and carry one
+/// generation, and an empty read still names the task. Shard 1 publishes
+/// an extra generation of the same weights first, so a read split over
+/// the shards would carry two generation ids.
+#[test]
+fn one_shard_answers_each_cluster_read() {
+    let model = trained_model(5);
+    let inputs: Vec<Radians> = (0..24).map(|i| Radians(f64::from(i) * 0.26)).collect();
+    let queries = model.encode_batch(&inputs);
+    let expected = model.predict_encoded(&queries);
+    let pairs: Vec<(String, BinaryHypervector)> = (0..inputs.len())
+        .map(|i| format!("read-key-{i}"))
+        .zip(queries.rows().map(|row| row.to_hypervector()))
+        .collect();
+
+    let runtimes: Vec<Runtime<Radians>> = (0..3)
+        .map(|i| {
+            Runtime::spawn(trained_model(5), shard_config(&format!("count-{i}")))
+                .expect("valid runtime")
+        })
+        .collect();
+    assert_eq!(runtimes[1].handle().refresh().expect("refresh"), 1);
+    let answers = Arc::new(AtomicUsize::new(0));
+    let backends: Vec<Box<dyn ShardBackend>> = runtimes
+        .iter()
+        .map(|runtime| {
+            Box::new(CountingShard {
+                inner: Box::new(LocalShard::new(runtime.handle())),
+                answers: Arc::clone(&answers),
+            }) as Box<dyn ShardBackend>
+        })
+        .collect();
+    let mut router = ClusterRouter::new(backends, RingConfig::default(), 0).expect("valid cluster");
+    let owners: std::collections::BTreeSet<usize> =
+        pairs.iter().map(|(key, _)| router.shard_of(key)).collect();
+    assert_eq!(owners.len(), 3, "the read must span all three shards");
+
+    let served = router.predict_batch(&pairs).expect("served");
+    assert_eq!(
+        answers.load(Ordering::Relaxed),
+        1,
+        "one shard call per read"
+    );
+    assert_eq!(served.iter().map(|p| p.label).collect::<Vec<_>>(), expected);
+    assert!(
+        served.iter().all(|p| p.generation == served[0].generation),
+        "one shard's generation answers every row"
+    );
+
+    let empty = router.answer(&[]).expect("served");
+    assert!(matches!(&empty, Answers::Labels(labels) if labels.is_empty()));
+    assert_eq!(answers.load(Ordering::Relaxed), 2);
+
+    drop(router);
+    for runtime in runtimes {
+        runtime.shutdown();
+    }
+}
+
+/// A remote shard answers a request of more rows than one frame carries
+/// (1024) in several frames, appended in input order: 2,500 rows take
+/// three frames, and every label matches the unsharded model.
+#[test]
+fn remote_shard_answers_requests_over_many_frames() {
+    let model = trained_model(13);
+    let inputs: Vec<Radians> = (0..2_500).map(|i| Radians(f64::from(i) * 0.007)).collect();
+    let queries = model.encode_batch(&inputs);
+    let expected = model.predict_encoded(&queries);
+    let pairs: Vec<(String, BinaryHypervector)> = (0..inputs.len())
+        .map(|i| format!("frame-key-{i}"))
+        .zip(queries.rows().map(|row| row.to_hypervector()))
+        .collect();
+
+    let (runtime, server) = spawn_shard(trained_model(13), "frames");
+    let mut shard =
+        RemoteShard::connect_with(&server.local_addr().to_string(), test_client_config())
+            .expect("loopback connect");
+    let answers = shard.answer(pairs).expect("served");
+    let labels = answers.into_labels().expect("a classifier answers labels");
+    assert_eq!(labels.iter().map(|p| p.label).collect::<Vec<_>>(), expected);
+
+    server.shutdown();
+    runtime.shutdown();
 }

@@ -1,8 +1,8 @@
 //! Property tests for the serving layer: sharded prediction must be
 //! **bit-identical** to the unsharded [`Model`] for any shard count, and
-//! shard churn must remap only the expected fraction of keys (the
-//! consistent-hashing guarantees, asserted end-to-end through
-//! `ShardedModel` rather than the raw ring).
+//! the item shards must keep every key's latest entry. Resharding happens
+//! only in the cluster, whose remap is checked by `hdc-hash`'s ring tests
+//! and the cluster join/leave tests.
 
 use hdc::serve::Radians;
 use hdc::{
@@ -57,78 +57,6 @@ proptest! {
         let sharded = fleet.predict_batch(&keys, &encoded).expect("routable batch");
         prop_assert_eq!(&sharded, &unsharded);
     }
-
-    /// Shard addition remaps only keys that move *to* the new shard, the
-    /// moved fraction stays a minority, and removing the shard restores the
-    /// exact previous assignment.
-    #[test]
-    fn shard_churn_remaps_gracefully(seed in 0u64..50, shards in 2usize..6) {
-        let mut rng = StdRng::seed_from_u64(seed);
-        let classes: Vec<BinaryHypervector> =
-            (0..3).map(|_| BinaryHypervector::random(256, &mut rng)).collect();
-        let classifier =
-            hdc::learn::CentroidClassifier::from_class_vectors(classes).expect("non-empty");
-        let mut fleet: ShardedModel<u64> =
-            ShardedModel::new(classifier, 256, shards, seed).expect("valid fleet");
-
-        let keys: Vec<u64> = (0..500).collect();
-        let before: Vec<usize> = keys.iter().map(|k| fleet.shard_of(k)).collect();
-        let new_shard = fleet.add_shard();
-        let after: Vec<usize> = keys.iter().map(|k| fleet.shard_of(k)).collect();
-
-        let mut moved = 0usize;
-        for (b, a) in before.iter().zip(&after) {
-            if b != a {
-                // Movers must land on the new shard.
-                prop_assert_eq!(*a, new_shard);
-                moved += 1;
-            }
-        }
-        let fraction = moved as f64 / keys.len() as f64;
-        prop_assert!(
-            fraction < 0.75,
-            "adding 1 of {} shards moved {fraction}",
-            shards + 1
-        );
-
-        prop_assert!(fleet.remove_shard(new_shard));
-        let restored: Vec<usize> = keys.iter().map(|k| fleet.shard_of(k)).collect();
-        prop_assert_eq!(before, restored);
-    }
-
-    /// Removing an original shard remaps exactly the keys it served, and
-    /// stored item-memory entries survive the churn on their new owners.
-    #[test]
-    fn shard_removal_only_remaps_its_keys(seed in 0u64..50, shards in 2usize..6) {
-        let mut rng = StdRng::seed_from_u64(seed);
-        let classifier = hdc::learn::CentroidClassifier::from_class_vectors(vec![
-            BinaryHypervector::random(256, &mut rng),
-            BinaryHypervector::random(256, &mut rng),
-        ])
-        .expect("non-empty");
-        let mut fleet: ShardedModel<u64> =
-            ShardedModel::new(classifier, 256, shards, seed).expect("valid fleet");
-        let keys: Vec<u64> = (0..300).collect();
-        for &key in &keys {
-            fleet.insert(key, BinaryHypervector::random(256, &mut rng));
-        }
-
-        let before: Vec<usize> = keys.iter().map(|k| fleet.shard_of(k)).collect();
-        let victim = fleet.shard_ids()[usize::try_from(seed).unwrap_or(0) % shards];
-        prop_assert!(fleet.remove_shard(victim));
-        for (key, owner_before) in keys.iter().zip(&before) {
-            let owner_after = fleet.shard_of(key);
-            if *owner_before == victim {
-                prop_assert!(owner_after != victim);
-            } else {
-                // A key whose shard survived must not move.
-                prop_assert_eq!(owner_after, *owner_before);
-            }
-            // No entry is lost by the redistribution.
-            prop_assert!(fleet.get(key).is_some());
-        }
-        prop_assert_eq!(fleet.len(), keys.len());
-    }
 }
 
 /// `ItemMemory::remove` edge cases: absent keys (on empty and populated
@@ -169,8 +97,7 @@ fn item_memory_remove_handles_absent_keys_and_churn() {
 }
 
 /// `ItemMemory::into_entries` edge cases: an empty memory yields nothing,
-/// and a churned memory moves exactly its surviving entries (the path
-/// `remove_shard` redistributes through).
+/// and a churned memory moves exactly its surviving entries.
 #[test]
 fn item_memory_into_entries_moves_the_surviving_entries() {
     let mut rng = StdRng::seed_from_u64(0x1E5);
@@ -193,9 +120,8 @@ fn item_memory_into_entries_moves_the_surviving_entries() {
     assert_eq!(entries[1], ("kept".to_string(), second));
 }
 
-/// Fleet-level churn edge cases: shard add/remove with zero stored entries,
-/// removal of absent keys through the routing layer, and duplicate-key
-/// re-inserts surviving a reshard with their latest value.
+/// Fleet-level edge cases: removal of absent keys from an empty fleet, and
+/// duplicate-key re-inserts keeping their latest value.
 #[test]
 fn fleet_churn_on_empty_shards_and_duplicate_keys() {
     let mut rng = StdRng::seed_from_u64(0x1E6);
@@ -207,13 +133,9 @@ fn fleet_churn_on_empty_shards_and_duplicate_keys() {
     let mut fleet: ShardedModel<String> =
         ShardedModel::new(classifier, 256, 2, 3).expect("valid fleet");
 
-    // Churn with no entries at all: nothing to move, nothing recorded.
-    let empty_add = fleet.add_shard();
-    assert!(fleet.remove_shard(empty_add));
-    assert!(fleet.last_remap_fraction().is_none());
     assert!(fleet.remove(&"absent".to_string()).is_none());
 
-    // A key re-inserted with a new value must survive churn as that value.
+    // A key re-inserted with a new value keeps that value.
     let stale = BinaryHypervector::random(256, &mut rng);
     let fresh = BinaryHypervector::random(256, &mut rng);
     assert!(fleet.insert("profile".to_string(), stale.clone()).is_none());
@@ -221,22 +143,19 @@ fn fleet_churn_on_empty_shards_and_duplicate_keys() {
         fleet.insert("profile".to_string(), fresh.clone()),
         Some(stale)
     );
-    let added = fleet.add_shard();
-    assert_eq!(fleet.get(&"profile".to_string()), Some(&fresh));
-    assert!(fleet.remove_shard(added));
     assert_eq!(fleet.get(&"profile".to_string()), Some(&fresh));
     assert_eq!(fleet.len(), 1);
     assert_eq!(fleet.remove(&"profile".to_string()), Some(fresh));
     assert!(fleet.is_empty());
 }
 
-/// Non-proptest check: routed sub-batches ship every row exactly once even
-/// when some shards receive nothing.
+/// Non-proptest check: a fleet with more shards than queries answers
+/// every row, and an empty batch answers nothing.
 #[test]
 fn empty_shard_groups_are_harmless() {
     let model = trained_model(256, 7);
     let fleet: ShardedModel<&str> = ShardedModel::from_model(&model, 6, 1).unwrap();
-    // One single query cannot cover 6 shards; 5 groups stay empty.
+    // One single query cannot cover 6 shards.
     let encoded = model.encode_batch(&[Radians(1.0)]);
     let sharded = fleet.predict_batch(&["lonely"], &encoded).unwrap();
     assert_eq!(sharded, model.predict_encoded(&encoded));

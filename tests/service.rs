@@ -130,18 +130,16 @@ fn framed_tcp_predictions_are_bit_identical_to_the_direct_model() {
     assert!(client
         .insert("user-0", &queries.to_hypervector(1))
         .expect("re-insert"));
-    let added = client.add_shard().expect("add shard");
     let stats = client.stats().expect("stats");
     assert_eq!(stats.dim, 512);
     assert_eq!(stats.classes, 2);
     assert_eq!(stats.keys, 1);
-    assert_eq!(stats.shard_loads.len(), 4);
+    assert_eq!(stats.shard_loads.len(), 3);
     assert_eq!(stats.generation, 0);
     // 60 singles + 60 batch rows + 4×60 concurrent singles.
     assert_eq!(stats.metrics.requests, 360);
     assert!(stats.metrics.batches > 0);
     assert!(stats.metrics.mean_batch_size >= 1.0);
-    assert!(client.remove_shard(added).expect("remove shard"));
     assert!(client.remove("user-0").expect("remove"));
     assert!(!client.remove("user-0").expect("second remove"));
 
@@ -497,9 +495,10 @@ proptest! {
     }
 }
 
-/// Frames a v4 peer no longer speaks — a retired v3 opcode under the v4
-/// version byte, and any v3 frame — are answered in-band with an error by
-/// both front-ends, and the connection carries on.
+/// Frames a v5 peer no longer speaks — a retired opcode under the current
+/// version byte (1, the v3 predict; 7 and 8, the v4 in-process reshard),
+/// and any v3 or v4 frame — are answered in-band with an error by both
+/// front-ends, and the connection carries on.
 #[test]
 fn retired_opcodes_and_v3_frames_are_refused_in_band() {
     use std::io::{BufReader, Write};
@@ -515,10 +514,24 @@ fn retired_opcodes_and_v3_frames_are_refused_in_band() {
     for addr in [server.local_addr(), front.local_addr()] {
         let mut stream = TcpStream::connect(addr).expect("loopback connect");
         let mut reader = BufReader::new(stream.try_clone().expect("clone"));
-        let v4_predict = [0u8, 0, 0, 2, PROTOCOL_VERSION, 1];
+        let retired_op_1 = [0u8, 0, 0, 2, PROTOCOL_VERSION, 1];
+        let retired_op_7 = [0u8, 0, 0, 2, PROTOCOL_VERSION, 7];
+        let retired_op_8 = [0u8, 0, 0, 6, PROTOCOL_VERSION, 8, 0, 0, 0, 1];
         let v3_ping = [0u8, 0, 0, 2, 3, 12];
         let v3_empty_batch = [0u8, 0, 0, 4, 3, 2, 0, 0];
-        for frame in [&v4_predict[..], &v3_ping, &v3_empty_batch] {
+        let v4_ping = [0u8, 0, 0, 2, 4, 12];
+        let v4_op_7 = [0u8, 0, 0, 2, 4, 7];
+        let v4_empty_batch = [0u8, 0, 0, 4, 4, 2, 0, 0];
+        for frame in [
+            &retired_op_1[..],
+            &retired_op_7,
+            &retired_op_8,
+            &v3_ping,
+            &v3_empty_batch,
+            &v4_ping,
+            &v4_op_7,
+            &v4_empty_batch,
+        ] {
             stream.write_all(frame).expect("write");
             let response = wire::read_response(&mut reader).expect("answered");
             assert!(

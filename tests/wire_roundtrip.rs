@@ -7,11 +7,10 @@
 
 use hdc::serve::wire::{
     read_request, read_response, write_request, write_response, Request, Response, MAX_FRAME_BYTES,
-    OP_ADD_SHARD, OP_FIT, OP_INSERT, OP_PING, OP_PREDICT_BATCH, OP_REFRESH, OP_REMOVE,
-    OP_REMOVE_SHARD, OP_RESTORE, OP_SHARD_JOIN, OP_SHARD_LEAVE, OP_SNAPSHOT, OP_STATS,
-    PROTOCOL_VERSION, RESP_ERROR, RESP_FIT_ACK, RESP_INSERTED, RESP_LABELS, RESP_PONG,
-    RESP_REFRESHED, RESP_REMOVED, RESP_RESTORED, RESP_SHARD_ADDED, RESP_SHARD_JOINED,
-    RESP_SHARD_LEFT, RESP_SHARD_REMOVED, RESP_SNAPSHOT, RESP_STATS, RESP_VALUES,
+    OP_FIT, OP_INSERT, OP_PING, OP_PREDICT_BATCH, OP_REFRESH, OP_REMOVE, OP_RESTORE, OP_SHARD_JOIN,
+    OP_SHARD_LEAVE, OP_SNAPSHOT, OP_STATS, PROTOCOL_VERSION, RESP_ERROR, RESP_FIT_ACK,
+    RESP_INSERTED, RESP_LABELS, RESP_PONG, RESP_REFRESHED, RESP_REMOVED, RESP_RESTORED,
+    RESP_SHARD_JOINED, RESP_SHARD_LEFT, RESP_SNAPSHOT, RESP_STATS, RESP_VALUES,
 };
 use hdc::serve::{MetricsSnapshot, RuntimeStats};
 use hdc::{BinaryHypervector, Target};
@@ -51,10 +50,6 @@ fn sample_requests(dim: usize, rng: &mut StdRng) -> Vec<Request> {
             target: Target::Value(rng.random_range(-1e6..1e6)),
         },
         Request::Refresh,
-        Request::AddShard,
-        Request::RemoveShard {
-            id: rng.random_range(0u32..1000),
-        },
         Request::Stats,
         Request::Ping,
         Request::Snapshot,
@@ -88,12 +83,6 @@ fn sample_responses(rng: &mut StdRng) -> Vec<Response> {
         Response::Refreshed {
             generation: rng.random_range(0u64..1 << 40),
         },
-        Response::ShardAdded {
-            id: rng.random_range(0u32..1000),
-        },
-        Response::ShardRemoved {
-            removed: rng.random_bool(0.5),
-        },
         Response::Stats(RuntimeStats {
             generation: rng.random_range(0u64..1 << 30),
             uptime_us: rng.random_range(0u64..1 << 50),
@@ -105,11 +94,6 @@ fn sample_responses(rng: &mut StdRng) -> Vec<Response> {
                 .map(|_| (rng.random_range(0u64..16), rng.random_range(0u64..1000)))
                 .collect(),
             keys: rng.random_range(0u64..1000),
-            last_remap_fraction: if rng.random_bool(0.5) {
-                Some(rng.random_range(0.0..1.0))
-            } else {
-                None
-            },
             metrics: MetricsSnapshot {
                 queue_depth: rng.random_range(0u64..100),
                 requests: rng.random_range(0u64..1 << 30),
@@ -347,8 +331,6 @@ fn opcode_bytes_are_frozen() {
         (OP_REMOVE, 4),
         (OP_FIT, 5),
         (OP_REFRESH, 6),
-        (OP_ADD_SHARD, 7),
-        (OP_REMOVE_SHARD, 8),
         (OP_STATS, 9),
         (OP_PING, 12),
         (OP_SNAPSHOT, 14),
@@ -362,8 +344,6 @@ fn opcode_bytes_are_frozen() {
         (RESP_REMOVED, 4),
         (RESP_FIT_ACK, 5),
         (RESP_REFRESHED, 6),
-        (RESP_SHARD_ADDED, 7),
-        (RESP_SHARD_REMOVED, 8),
         (RESP_STATS, 9),
         (RESP_PONG, 12),
         (RESP_VALUES, 13),
@@ -374,9 +354,10 @@ fn opcode_bytes_are_frozen() {
         (RESP_ERROR, 255),
     ];
     // Retired in v4: predict, predict_value, fit_value and
-    // predict_value_batch requests; label and value responses.
-    let retired_requests = [1u8, 10, 11, 13];
-    let retired_responses = [1u8, 10];
+    // predict_value_batch requests; label and value responses. Retired in
+    // v5: requests and responses 7 and 8, the in-process reshard.
+    let retired_requests = [1u8, 7, 8, 10, 11, 13];
+    let retired_responses = [1u8, 7, 8, 10];
     for (constant, frozen) in request_ops {
         assert_eq!(constant, frozen, "request opcode value drifted");
         assert!(
